@@ -28,6 +28,7 @@ from .closed_forms import (
 from .engine import (
     HypParams,
     InsertionProfile,
+    cycle_degree,
     deg_T,
     integrate_theta,
     point_factor,
@@ -70,6 +71,7 @@ __all__ = [
     "alpha_coefficients",
     "binom",
     "certify_enumerative",
+    "cycle_degree",
     "deg_T",
     "deg_T_insertions_closed",
     "dims_check",

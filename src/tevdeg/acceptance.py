@@ -267,17 +267,7 @@ def criterion_6_exactness() -> CriterionResult:
     failures = []
     params = main_grid_params()
     for p in params:
-        coeff = 1
-        hdeg = 0
-        for _ in range(p.n):
-            mono = engine.point_factor(p.e, p.r, 1)
-            coeff *= mono.coeff(mono.degree())
-            hdeg += mono.degree()
-        ring = engine._jac_ring(p.g)
-        full = ring.monomial({"H": hdeg}, coeff) * engine.step3_class(p.e, p.t, p.g)
-        value = engine.integrate_theta(
-            engine.pushforward_theta(full, p), p.g
-        )
+        value = engine.cycle_degree(p, (1,) * p.n)
         if value.denominator != 1:
             failures.append(f"{(p.g, p.d, p.e, p.r)}: non-integral degree {value}")
             continue

@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
-from fractions import Fraction
 
 from . import closed_forms, engine, quantum, schubert
 from .enumerativity import certify_enumerative, dims_check
@@ -25,14 +25,14 @@ def parse_range(text: str) -> list[int]:
     values = set()
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ParameterError(f"empty range {part!r}")
-            values.update(range(lo, hi + 1))
-        else:
-            values.add(int(part))
+        lo, dots, hi = part.partition("..")
+        try:
+            lo, hi = int(lo), int(hi if dots else lo)
+        except ValueError:
+            raise ParameterError(f"bad range {text!r}") from None
+        if hi < lo:
+            raise ParameterError(f"empty range {part!r}")
+        values.update(range(lo, hi + 1))
     if not values:
         raise ParameterError(f"empty range {text!r}")
     return sorted(values)
@@ -77,27 +77,27 @@ def cmd_p1(args) -> int:
     return 0
 
 
-def _hyp_flags(g, d, e, r) -> dict:
-    closed = closed_forms.vtev_hypersurface_closed(g, d, e, r)
-    report = certify_enumerative(g, d, e, r)
+def _hyp_flags(closed, g, d, e, r) -> dict:
+    """The validity flags of a hypersurface count, given its closed form."""
     return {
         "virtual_range": closed.virtual_range,
         "bound_ok": closed.bound_ok,
-        "certified": report.certified,
+        "certified": certify_enumerative(g, d, e, r).certified,
     }
 
 
 def cmd_hyp(args) -> int:
     g, d, e, r = args.g, args.d, args.e, args.r
     n = dims_check(g, d, e, r)
+    closed = closed_forms.vtev_hypersurface_closed(g, d, e, r)
     methods = []
     if args.method in ("closed", "both"):
-        methods.append(("closed", closed_forms.vtev_hypersurface_closed(g, d, e, r).value))
+        methods.append(("closed", closed.value))
     if args.method in ("engine", "both"):
         methods.append(("engine", engine.tev_hypersurface_engine(
             engine.HypParams.standard(g, d, e, r))))
     params = {"g": g, "d": d, "e": e, "r": r, "n": n}
-    _print_result(params, methods, _hyp_flags(g, d, e, r), args.json)
+    _print_result(params, methods, _hyp_flags(closed, g, d, e, r), args.json)
     return 0
 
 
@@ -192,15 +192,12 @@ def sweep_record(g: int, d: int, e: int, r: int) -> dict | None:
         return None
     closed = closed_forms.vtev_hypersurface_closed(g, d, e, r)
     value_engine = engine.tev_hypersurface_engine(p)
-    report = certify_enumerative(g, d, e, r)
     return {
         "g": g, "d": d, "e": e, "r": r, "n": p.n, "t": p.t,
         "value_closed": str(closed.value),
         "value_engine": str(value_engine),
         "agreement": closed.value == value_engine,
-        "virtual_range": closed.virtual_range,
-        "bound_ok": closed.bound_ok,
-        "certified": report.certified,
+        **_hyp_flags(closed, g, d, e, r),
     }
 
 
@@ -218,21 +215,22 @@ def cmd_sweep(args) -> int:
     ]
     tuples.sort(key=lambda tup: (tup[2], tup[3], tup[0], tup[1]))
 
-    if args.jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(args.jobs) as pool:
-            records = pool.map(_sweep_worker, tuples, chunksize=64)
-    else:
-        records = [sweep_record(*tup) for tup in tuples]
-    records = [rec for rec in records if rec is not None]
-
     try:
         out = open(args.out, "w", encoding="utf-8", newline="")
     except OSError as ex:
         print(f"error: cannot write {args.out}: {ex}", file=sys.stderr)
         return 2
     with out:
+        jobs = min(args.jobs, os.cpu_count() or 1)
+        if jobs > 1:
+            import multiprocessing
+
+            with multiprocessing.Pool(jobs) as pool:
+                records = pool.map(_sweep_worker, tuples, chunksize=64)
+        else:
+            records = [sweep_record(*tup) for tup in tuples]
+        records = [rec for rec in records if rec is not None]
+
         if args.format == "csv":
             writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
             writer.writeheader()
@@ -334,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--r", type=str, required=True)
     sweep.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     sweep.add_argument("--out", type=str, required=True)
-    sweep.add_argument("--jobs", type=int, default=1)
+    sweep.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, at most the CPU count")
     sweep.set_defaults(func=cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the acceptance suite")

@@ -16,8 +16,9 @@ of C and integrating:
 
 Since each H_i appears in the factors for mark i only, extracting the
 H_i^{r+1} coefficient factorizes: each mark contributes a *monomial*
-alpha * H^{r+1+e-ell_i}, turning an (n+2)-variable expansion into n cheap
-bivariate ones.  The remaining class in H and theta is pushed down to the
+alpha * H^{r+1+e-ell_i}, turning an (n+2)-variable expansion into one
+bivariate expansion per distinct ell_i, raised to the number of marks that
+share it.  The remaining class in H and theta is pushed down to the
 Jacobian (H^{N-1+k} -> (r+2)^k theta^k / k!, N = (r+2)(d-g+1)) and
 integrated there (theta^g has degree g!).
 
@@ -28,6 +29,7 @@ the assigned one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -188,6 +190,34 @@ def integrate_theta(c: TruncPoly, g: int) -> Fraction:
     return Fraction(factorial(g) * c.coeff((g,)))
 
 
+def cycle_degree(p: HypParams, ell) -> Fraction:
+    """Exact degree of the incidence cycle for marks with dimensions ``ell``.
+
+    The whole pipeline: point factors, Chern class, support-window check,
+    pushforward and integral.  Marks with equal ell_i share one monomial,
+    so ``point_factor`` runs once per distinct value.  No integrality or
+    sign check is made here; ``deg_T`` adds those.
+    """
+    coeff = 1
+    hdeg = 0
+    for li, mult in Counter(ell).items():
+        mono = point_factor(p.e, p.r, li)
+        d = mono.degree()
+        coeff *= mono.coeff(d) ** mult
+        hdeg += d * mult
+
+    ring = _jac_ring(p.g)
+    full = ring.monomial({"H": hdeg}, coeff) * step3_class(p.e, p.t, p.g)
+
+    lo, hi = p.N - 1, p.N - 1 + p.g
+    for h in full.degrees_of("H"):
+        if not (lo <= h <= hi):
+            raise InvariantBreach(
+                f"pipeline class has H-degree {h} outside [{lo}, {hi}]"
+            )
+    return integrate_theta(pushforward_theta(full, p), p.g)
+
+
 def deg_T(p: HypParams, profile: InsertionProfile | None = None) -> int:
     """Degree of the incidence cycle: the full pipeline, integrated.
 
@@ -206,25 +236,7 @@ def deg_T(p: HypParams, profile: InsertionProfile | None = None) -> int:
     if p.r * (p.n + p.g - 1) != (p.r + 2 - p.e) * p.d + sum(li - 1 for li in ell):
         raise ParameterError("insertion dimension condition fails for this profile")
 
-    coeff = 1
-    hdeg = 0
-    for li in ell:
-        mono = point_factor(p.e, p.r, li)
-        d = mono.degree()
-        coeff *= mono.coeff(d)
-        hdeg += d
-
-    ring = _jac_ring(p.g)
-    full = ring.monomial({"H": hdeg}, coeff) * step3_class(p.e, p.t, p.g)
-
-    lo, hi = p.N - 1, p.N - 1 + p.g
-    for h in full.degrees_of("H"):
-        if not (lo <= h <= hi):
-            raise InvariantBreach(
-                f"pipeline class has H-degree {h} outside [{lo}, {hi}]"
-            )
-
-    value = integrate_theta(pushforward_theta(full, p), p.g)
+    value = cycle_degree(p, ell)
     if value.denominator != 1:
         raise InvariantBreach(f"cycle degree {value} is not an integer")
     if value < 0:

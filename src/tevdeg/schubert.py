@@ -24,16 +24,6 @@ Partition = tuple[int, int]
 Combo = dict[Partition, int]
 
 
-def validate_combo(box: int, combo: Combo) -> None:
-    if box < 0:
-        raise ParameterError(f"box must be nonnegative, got {box}")
-    for (a, b), c in combo.items():
-        if not (box >= a >= b >= 0):
-            raise ParameterError(f"partition {(a, b)} does not fit box {box}")
-        if c == 0:
-            raise ParameterError(f"zero coefficient stored at {(a, b)}")
-
-
 def pieri_special(box: int, combo: Combo, i: int) -> Combo:
     """Multiply a combination by the special class sigma_i.
 

@@ -98,9 +98,6 @@ class PolyRing:
     def in_caps(self, exps: Exponent) -> bool:
         return all(cap is None or e <= cap for e, cap in zip(exps, self.caps))
 
-    def zero(self) -> TruncPoly:
-        return TruncPoly(self, {})
-
     def one(self) -> TruncPoly:
         return self.const(1)
 
@@ -177,9 +174,7 @@ class TruncPoly:
     def __sub__(self, other: TruncPoly) -> TruncPoly:
         return self + (-other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: TruncPoly) -> TruncPoly:
         self._require_compatible(other)
         caps = self.ring.caps
         out: dict[Exponent, Coeff] = {}
@@ -192,20 +187,6 @@ class TruncPoly:
         return TruncPoly(self.ring, out)
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> TruncPoly:
-        _check_coeff(c)
-        if c == 0:
-            return self.ring.zero()
-        return TruncPoly(self.ring, {e: c * v for e, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> TruncPoly:
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        result = self.ring.one()
-        for _ in range(n):
-            result = result * self
-        return result
 
     def __eq__(self, other) -> bool:
         return (
@@ -294,12 +275,6 @@ class UniPoly:
 
     def is_monomial(self) -> bool:
         return sum(1 for c in self.coeffs if c != 0) == 1
-
-    def __add__(self, other: UniPoly) -> UniPoly:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.var, [self.coeff(i) + other.coeff(i) for i in range(n)])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -1,12 +1,17 @@
 """Tests for the command-line interface: output, schema, exit codes."""
 
+import hashlib
 import json
+import multiprocessing
+import os
 from fractions import Fraction
 
 import pytest
 
+import tevdeg.cli as cli
 import tevdeg.engine as engine
 from tevdeg.cli import main, parse_ell, parse_range
+from tevdeg.errors import ParameterError
 from tevdeg.truncpoly import UniPoly
 
 
@@ -25,6 +30,9 @@ def test_parse_range():
     assert parse_range("1..2,8") == [1, 2, 8]
     with pytest.raises(Exception):
         parse_range("5..3")
+    for bad in ("x", ",", "3..", "1..y"):
+        with pytest.raises(ParameterError):
+            parse_range(bad)
 
 
 def test_parse_ell():
@@ -205,7 +213,11 @@ def test_sweep_empty_grid_writes_header_only(tmp_path, capsys):
     assert out_path.read_text() == SWEEP_HEADER + "\n"
 
 
-def test_sweep_unwritable_path_exits_2(tmp_path, capsys):
+def test_sweep_unwritable_path_exits_2(tmp_path, capsys, monkeypatch):
+    def no_record(*tup):
+        pytest.fail("a record was computed before --out was opened")
+
+    monkeypatch.setattr(cli, "sweep_record", no_record)
     code, _, err = run(capsys, ["sweep", "--e", "3", "--r", "3", "--g", "0",
                                 "--d", "3", "--format", "csv",
                                 "--out", str(tmp_path / "no" / "dir" / "x.csv")])
@@ -219,6 +231,63 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     assert run(capsys, base + ["--out", str(paths[0])])[0] == 0
     assert run(capsys, base + ["--out", str(paths[1]), "--jobs", "2"])[0] == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("bad", ["x", ","])
+def test_sweep_bad_range_exits_2(tmp_path, capsys, bad):
+    code, _, err = run(capsys, ["sweep", "--e", "3", "--r", "3", "--g", bad,
+                                "--d", "3", "--out", str(tmp_path / "x.csv")])
+    assert code == 2 and "bad range" in err and "Traceback" not in err
+
+
+def test_sweep_jobs_clamped_to_cpu_count(tmp_path, capsys, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the requested size and maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    base = ["sweep", "--e", "3", "--r", "3..5", "--g", "0..1", "--d", "1..10",
+            "--format", "csv"]
+    paths = [tmp_path / "many.csv", tmp_path / "none.csv", tmp_path / "serial.csv"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert run(capsys, base + ["--out", str(paths[0]), "--jobs", "1000000"])[0] == 0
+    assert sizes == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run(capsys, base + ["--out", str(paths[1]), "--jobs", "1000000"])[0] == 0
+    assert sizes == [3]  # an unknown CPU count runs serially
+    assert run(capsys, base + ["--out", str(paths[2])])[0] == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
+# SHA-256 of the acceptance grid's output; any refactor must keep these bytes.
+ACCEPTANCE_GRID = ["--e", "3..5", "--r", "3..10", "--g", "0..3", "--d", "1..30"]
+ACCEPTANCE_DIGESTS = {
+    "csv": "0dc7f1ca2aa8de6a5d1664e1e51dc3499a96fd29ea3887f4c6c77f090d338e53",
+    "jsonl": "1dc0ccc195220f9149a5912279cc23bb5031957f4329b085e96c786cc64cce45",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_sweep_acceptance_grid_digest(tmp_path, capsys, fmt, jobs):
+    path = tmp_path / f"grid.{fmt}"
+    code, _, _ = run(capsys, ["sweep", *ACCEPTANCE_GRID, "--format", fmt,
+                              "--out", str(path), "--jobs", jobs])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ACCEPTANCE_DIGESTS[fmt]
 
 
 # -- usage errors -----------------------------------------------------------------------

@@ -160,6 +160,25 @@ def test_deg_T_matches_insertion_closed_form_on_mixed_profiles():
         assert deg_T(p, prof) == deg_T_insertions_closed(g, d, e, r, ell)
 
 
+def test_deg_T_builds_one_point_factor_per_distinct_ell(monkeypatch):
+    calls = []
+
+    def counted(e, r, ell_i):
+        calls.append(ell_i)
+        return point_factor(e, r, ell_i)
+
+    monkeypatch.setattr(engine, "point_factor", counted)
+    p, prof = HypParams.with_insertions(0, 6, 3, 3, (2, 2, 2, 1, 1, 1))
+    assert deg_T(p, prof) == 6001128
+    assert sorted(calls) == [1, 2]
+    calls.clear()
+    assert engine.cycle_degree(p, prof.ell) == Fraction(6001128)
+    assert sorted(calls) == [1, 2]
+    calls.clear()
+    deg_T(HypParams.standard(3, 300, 3, 10))  # 268 marks, all ell = 1
+    assert calls == [1]
+
+
 def test_deg_T_rejects_mismatched_profile():
     p = HypParams.standard(0, 3, 3, 3)
     with pytest.raises(ParameterError):
