@@ -18,7 +18,7 @@ from tevdeg import (
 print(f"closed bound (g=1, e=3, r=5): d > {enum_bound_closed(1, 3, 5)}")
 print(f"closed bound (g=0, e=3, r=5): {enum_bound_closed(0, 3, 5) or 'all d'}")
 
-# d = 65 clears the bound, and the exhaustive audit concurs.
+# d = 65 clears the bound, and the stratum audit concurs.
 rep = certify_enumerative(1, 65, 3, 5)
 print(f"\n(g=1, d=65): certified = {rep.certified} after {rep.strata_checked} strata")
 

@@ -10,7 +10,7 @@ Four independent routes compute (or bound) the same counts:
 * :mod:`tevdeg.quantum` -- the small quantum ring of P^r.
 
 :mod:`tevdeg.enumerativity` certifies when the computed numbers count
-honest maps, by a closed-form degree bound and an exhaustive audit of the
+honest maps, by a closed-form degree bound and a dimension audit over all
 degeneration strata.  Everything is exact: arbitrary-precision integers
 and rationals throughout, no floating point.
 """

@@ -128,6 +128,8 @@ def cmd_alpha(args) -> int:
 
 def cmd_qh(args) -> int:
     g, d, r = args.g, args.d, args.r
+    if r < 1:
+        raise ParameterError(f"projective space dimension must be >= 1, got {r}")
     if args.n is not None:
         n = args.n
     else:
@@ -206,6 +208,8 @@ def _sweep_worker(tup):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     tuples = [
         (g, d, e, r)
         for e in parse_range(args.e)

@@ -13,13 +13,17 @@ a virtual count polluted by degenerate loci) is certified two ways:
 
 * ``enum_bound_closed``: a closed-form threshold on d, valid for
   r > (e+1)(e-2); any d strictly above it is enumerative (all d, if g = 0).
-* ``certify_enumerative``: an exhaustive audit of the degeneration strata.
+* ``certify_enumerative``: a dimension audit over all degeneration strata.
   A stratum records b1 marked simple base-points, b2 marked double
   base-points, and b0 base-points (with multiplicity) away from the marks;
   the audit checks that the corresponding family of stable maps cannot
   dominate the incidence target, comparing its (virtual) dimension -- plus
   an h^1 excess allowance when too few free marks remain -- against the
-  target dimension.
+  target dimension.  Every admissible stratum is covered and counted, but
+  the pass conditions are monotone in b0 and b1, so only the worst stratum
+  of each monotone run is tested: at most two per value of b2.
+  ``stratum_audit`` and ``admissible_strata`` stay as the per-stratum
+  reference that the tests compare the sweep against.
 """
 
 from __future__ import annotations
@@ -194,7 +198,7 @@ def stratum_audit(
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of the exhaustive stratum sweep for one parameter tuple.
+    """Outcome of the stratum sweep for one parameter tuple.
 
     ``audit_sharper`` marks certificates obtained with d at or below the
     closed-form threshold (or where that threshold does not apply): the
@@ -251,7 +255,11 @@ def certify_enumerative(g: int, d: int, e: int, r: int) -> CertificationReport:
     Certification requires (i) n >= max(2g, 1) so point conditions rule out
     unwanted tangent vectors, (ii) d >= 2g so the construction applies, and
     (iii) a passing audit for every admissible stratum.  On failure, the
-    witness is the lexicographically least failing (b2, b1, b0).
+    witness is the lexicographically least failing (b2, b1, b0), and
+    ``strata_checked`` is its position in that order; on success it is
+    ``count_admissible_strata(d, n)``.  Every admissible stratum is covered
+    and counted, but only the worst stratum of each monotone run is tested,
+    so the sweep does O(1) work per b2.
     """
     n = dims_check(g, d, e, r)
 
@@ -283,40 +291,36 @@ def certify_enumerative(g: int, d: int, e: int, r: int) -> CertificationReport:
     if d < 2 * g:
         return report(False, f"d = {d} below 2g = {2 * g}", None, 0)
 
-    # Exhaustive sweep, arithmetic inlined (the loop is the hot path).
     # Case A passes iff R*b0 + c2*b2 + b1 > 0; case B iff
-    # (r+2)*b0 > (d - 2 b2 - b1)*e + 1 + g(r+2) - c2*b2 - b1.  Both are the
-    # stratum_audit comparisons rearranged; tests check the equivalence.
+    # (r+2)*b0 > (d - 2 b2 - b1)*e + 1 + g(r+2) - c2*b2 - b1 (both are the
+    # stratum_audit comparisons rearranged).  dims_check gives R >= 1, so
+    # both tests get easier as b0 grows, case A also as b1 grows, and the
+    # case-B right side falls by e+1 per unit of b1.  Within a b2 block the
+    # case-A rows (b1 < a_rows) come first, so the block's first failure,
+    # if any, is the first stratum of its b1 = 0 row or of its first case-B
+    # row: only those two are tested.  Whole passing blocks are counted in
+    # closed form; ``checked`` starts at -1 because the b2 = 0 block has no
+    # (0, 0, 0) stratum.  The gate above puts the b1 = 0 row of b2 = 0 in
+    # case A, so every case-B row starts at b0 = 0.
     R = r + 2 - e
     c2 = r + 4 - 2 * e
     grp2 = g * (r + 2)
     free_marks_min = max(2 * g, 1)
-    checked = 0
-    for b2 in range(n + 1):
-        b0_max = d - 2 * b2
-        if b0_max < 0:
+    checked = -1
+    for b2 in range(min(n, d // 2) + 1):
+        width = d - 2 * b2 + 1
+        a_rows = max(n - b2 - free_marks_min + 1, 0)
+        b0 = 1 if b2 == 0 else 0
+        if a_rows and R * b0 + c2 * b2 <= 0:
+            b1 = 0
+        elif a_rows <= n - b2 and (
+            (d - 2 * b2 - a_rows) * e + 1 + grp2 - c2 * b2 - a_rows >= 0
+        ):
+            b0, b1 = 0, a_rows
+        else:
+            checked += (n - b2 + 1) * width
             continue
-        for b1 in range(n - b2 + 1):
-            base = c2 * b2 + b1
-            if n - b1 - b2 >= free_marks_min:
-                for b0 in range(b0_max + 1):
-                    if b0 == 0 and b1 == 0 and b2 == 0:
-                        continue
-                    checked += 1
-                    if R * b0 + base <= 0:
-                        witness = stratum_audit(
-                            g, d, e, r, n, StratumProfile(b0, b1, b2)
-                        )
-                        return report(False, "failing stratum", witness, checked)
-            else:
-                lhs = (d - 2 * b2 - b1) * e + 1 + grp2 - base
-                for b0 in range(b0_max + 1):
-                    if b0 == 0 and b1 == 0 and b2 == 0:
-                        continue
-                    checked += 1
-                    if (r + 2) * b0 <= lhs:
-                        witness = stratum_audit(
-                            g, d, e, r, n, StratumProfile(b0, b1, b2)
-                        )
-                        return report(False, "failing stratum", witness, checked)
+        checked += b1 * width + b0 + 1
+        witness = stratum_audit(g, d, e, r, n, StratumProfile(b0, b1, b2))
+        return report(False, "failing stratum", witness, checked)
     return report(True, "all strata pass", None, checked)

@@ -298,3 +298,16 @@ def test_unknown_command_exits_2(capsys):
 
 def test_missing_required_flag_exits_2(capsys):
     assert main(["p1", "--g", "3"]) == 2
+
+
+def test_qh_r_0_exits_2(capsys):
+    code, _, err = run(capsys, ["qh", "--g", "0", "--d", "1", "--r", "0"])
+    assert code == 2 and "dimension" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_sweep_jobs_below_1_exits_2(tmp_path, capsys, jobs):
+    code, _, err = run(capsys, ["sweep", "--e", "3", "--r", "3", "--g", "0",
+                                "--d", "3", "--out", str(tmp_path / "x.csv"),
+                                "--jobs", jobs])
+    assert code == 2 and "--jobs" in err

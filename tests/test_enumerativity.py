@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tevdeg.enumerativity import (
     StratumProfile,
@@ -151,15 +153,43 @@ def test_certify_gates():
     assert not rep.certified and "below" in rep.reason
 
 
-def test_certify_matches_per_stratum_audit():
-    # the inlined sweep must agree with stratum_audit on every stratum
-    for g, d, e, r in ((0, 6, 3, 3), (1, 10, 3, 5), (0, 5, 4, 5)):
-        n = dims_check(g, d, e, r)
-        all_pass = all(
-            stratum_audit(g, d, e, r, n, StratumProfile(b0, b1, b2)).passed
-            for b0, b1, b2 in admissible_strata(d, n)
-        )
-        assert certify_enumerative(g, d, e, r).certified == all_pass
+def brute_certify(g, d, e, r):
+    """Reference sweep: stratum_audit on every stratum in (b2, b1, b0) order."""
+    n = dims_check(g, d, e, r)
+    for checked, (b0, b1, b2) in enumerate(admissible_strata(d, n), start=1):
+        audit = stratum_audit(g, d, e, r, n, StratumProfile(b0, b1, b2))
+        if not audit.passed:
+            return False, "failing stratum", audit.stratum, checked
+    return True, "all strata pass", None, count_admissible_strata(d, n)
+
+
+def _sweep_oracle_tuples():
+    """Small tuples accepted by dims_check that reach the sweep.
+
+    The n and d gates return before any stratum is examined; test_certify_gates
+    covers them.
+    """
+    out = []
+    for g in range(5):
+        for e in range(3, 7):
+            for r in range(1, 17):
+                for d in range(1, 41):
+                    try:
+                        n = dims_check(g, d, e, r)
+                    except ParameterError:
+                        continue
+                    if n >= max(2 * g, 1) and d >= 2 * g:
+                        out.append((g, d, e, r))
+    return out
+
+
+@given(st.sampled_from(_sweep_oracle_tuples()))
+@example((1, 5, 3, 5))
+@settings(deadline=None)
+def test_certify_matches_brute_stratum_sweep(tup):
+    rep = certify_enumerative(*tup)
+    witness = rep.witness.stratum if rep.witness else None
+    assert (rep.certified, rep.reason, witness, rep.strata_checked) == brute_certify(*tup)
 
 
 def test_sweep_is_exhaustive_and_counted():
