@@ -9,12 +9,13 @@ the source curve (a point here, since g = 0).
 from tevdeg import (
     HypParams,
     deg_T,
+    integrate_theta,
     point_factor,
+    pushforward_theta,
     step3_class,
     tev_hypersurface_engine,
     vtev_hypersurface_closed,
 )
-from tevdeg.engine import _jac_ring, integrate_theta, pushforward_theta
 
 p = HypParams.standard(g=0, d=3, e=3, r=3)
 print(f"parameters: {p}")
@@ -35,7 +36,7 @@ print(f"global factor:   {chern}")
 # Assemble, push down to the Jacobian, and integrate.  All n marks carry
 # the same line condition, so their factors just multiply up.
 per_mark = mono.coeff(mono.degree())
-full = _jac_ring(p.g).monomial({"H": p.n * mono.degree()}, per_mark**p.n)
+full = chern.ring.monomial({"H": p.n * mono.degree()}, per_mark**p.n)
 full = full * chern
 print(f"assembled class: {full}   (H-degree N-1 = {p.N - 1}: a number times the point)")
 degree = integrate_theta(pushforward_theta(full, p), p.g)

@@ -59,15 +59,7 @@ class HypParams:
     @classmethod
     def standard(cls, g: int, d: int, e: int, r: int) -> HypParams:
         """Parameters for plain point conditions (every mark on a line)."""
-        n = dims_check(g, d, e, r)
-        if d < 2 * g:
-            raise ParameterError(f"need d >= 2g, got d={d}, g={g}")
-        t = (d - n) * e - g + 1
-        if t < 1:
-            raise ParameterError(f"bundle rank t = {t} must be >= 1")
-        if t < g:
-            raise ParameterError(f"bundle rank t = {t} below genus {g}: out of model")
-        return cls(g, d, e, r, n, t, (r + 2) * (d - g + 1))
+        return cls.with_insertions(g, d, e, r, (1,) * dims_check(g, d, e, r))[0]
 
     @classmethod
     def with_insertions(
@@ -130,8 +122,8 @@ def point_factor(e: int, r: int, ell_i: int) -> UniPoly:
         total = total * (
             ring.monomial({"H": 1}, k - 1) + ring.monomial({"Hi": 1}, e + 1 - k)
         )
-    top = total.coeff_extract("Hi", r + 1)
-    out = UniPoly("H", [top.coeff((j,)) for j in range(r + 1 + e - ell_i + 1)])
+    top = {h: c for (h, hi), c in total.terms.items() if hi == r + 1}
+    out = UniPoly("H", [top.get(j, 0) for j in range(max(top, default=-1) + 1)])
     if not (out.is_monomial() and out.degree() == r + 1 + e - ell_i):
         raise InvariantBreach(
             f"point factor for (e={e}, r={r}, ell={ell_i}) is not the "

@@ -20,10 +20,12 @@ a virtual count polluted by degenerate loci) is certified two ways:
   dominate the incidence target, comparing its (virtual) dimension -- plus
   an h^1 excess allowance when too few free marks remain -- against the
   target dimension.  Every admissible stratum is covered and counted, but
-  the pass conditions are monotone in b0 and b1, so only the worst stratum
-  of each monotone run is tested: at most two per value of b2.
+  past the n and d gates the first failing stratum, if any, is always
+  (b0, b1, b2) = (0, n - max(2g, 1) + 1, 0), so that one stratum is the
+  only one tested.  The proof is the comment above
+  ``test_certify_matches_run_heads`` in ``tests/test_enumerativity.py``.
   ``stratum_audit`` and ``admissible_strata`` stay as the per-stratum
-  reference that the tests compare the sweep against.
+  reference that the tests compare the certificate against.
 """
 
 from __future__ import annotations
@@ -258,8 +260,9 @@ def certify_enumerative(g: int, d: int, e: int, r: int) -> CertificationReport:
     witness is the lexicographically least failing (b2, b1, b0), and
     ``strata_checked`` is its position in that order; on success it is
     ``count_admissible_strata(d, n)``.  Every admissible stratum is covered
-    and counted, but only the worst stratum of each monotone run is tested,
-    so the sweep does O(1) work per b2.
+    and counted, but only the first case-B stratum (0, n - max(2g, 1) + 1, 0)
+    is tested: no other stratum can fail first (proof above
+    ``test_certify_matches_run_heads`` in ``tests/test_enumerativity.py``).
     """
     n = dims_check(g, d, e, r)
 
@@ -291,36 +294,10 @@ def certify_enumerative(g: int, d: int, e: int, r: int) -> CertificationReport:
     if d < 2 * g:
         return report(False, f"d = {d} below 2g = {2 * g}", None, 0)
 
-    # Case A passes iff R*b0 + c2*b2 + b1 > 0; case B iff
-    # (r+2)*b0 > (d - 2 b2 - b1)*e + 1 + g(r+2) - c2*b2 - b1 (both are the
-    # stratum_audit comparisons rearranged).  dims_check gives R >= 1, so
-    # both tests get easier as b0 grows, case A also as b1 grows, and the
-    # case-B right side falls by e+1 per unit of b1.  Within a b2 block the
-    # case-A rows (b1 < a_rows) come first, so the block's first failure,
-    # if any, is the first stratum of its b1 = 0 row or of its first case-B
-    # row: only those two are tested.  Whole passing blocks are counted in
-    # closed form; ``checked`` starts at -1 because the b2 = 0 block has no
-    # (0, 0, 0) stratum.  The gate above puts the b1 = 0 row of b2 = 0 in
-    # case A, so every case-B row starts at b0 = 0.
-    R = r + 2 - e
-    c2 = r + 4 - 2 * e
-    grp2 = g * (r + 2)
-    free_marks_min = max(2 * g, 1)
-    checked = -1
-    for b2 in range(min(n, d // 2) + 1):
-        width = d - 2 * b2 + 1
-        a_rows = max(n - b2 - free_marks_min + 1, 0)
-        b0 = 1 if b2 == 0 else 0
-        if a_rows and R * b0 + c2 * b2 <= 0:
-            b1 = 0
-        elif a_rows <= n - b2 and (
-            (d - 2 * b2 - a_rows) * e + 1 + grp2 - c2 * b2 - a_rows >= 0
-        ):
-            b0, b1 = 0, a_rows
-        else:
-            checked += (n - b2 + 1) * width
-            continue
-        checked += b1 * width + b0 + 1
-        witness = stratum_audit(g, d, e, r, n, StratumProfile(b0, b1, b2))
-        return report(False, "failing stratum", witness, checked)
-    return report(True, "all strata pass", None, checked)
+    # (0, a0, 0) is at position a0*(d+1) in (b2, b1, b0) order, since the
+    # b2 = 0 block has no (0, 0, 0).
+    a0 = n - max(2 * g, 1) + 1
+    witness = stratum_audit(g, d, e, r, n, StratumProfile(0, a0, 0))
+    if not witness.passed:
+        return report(False, "failing stratum", witness, a0 * (d + 1))
+    return report(True, "all strata pass", None, count_admissible_strata(d, n))

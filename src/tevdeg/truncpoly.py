@@ -119,14 +119,6 @@ class PolyRing:
     def from_terms(self, terms: dict[Exponent, Coeff]) -> TruncPoly:
         return TruncPoly(self, terms)
 
-    def drop(self, name: str) -> PolyRing:
-        """The ring on the remaining variables (used by coefficient extraction)."""
-        i = self.index(name)
-        keep = [
-            (n, c) for j, (n, c) in enumerate(zip(self.names, self.caps)) if j != i
-        ]
-        return PolyRing(*keep)
-
 
 class TruncPoly:
     """An element of a ``PolyRing``: exponent tuple -> nonzero coefficient.
@@ -206,20 +198,6 @@ class TruncPoly:
     def coeff(self, exps: Exponent):
         """Coefficient of a single monomial (0 if absent)."""
         return self.terms.get(tuple(exps), 0)
-
-    def coeff_extract(self, name: str, k: int) -> TruncPoly:
-        """The coefficient of ``name**k`` as a polynomial in the other variables."""
-        if k < 0:
-            raise ValueError(f"exponent must be nonnegative, got {k}")
-        i = self.ring.index(name)
-        sub = self.ring.drop(name)
-        out: dict[Exponent, Coeff] = {}
-        for exps, c in self.terms.items():
-            if exps[i] != k:
-                continue
-            rest = exps[:i] + exps[i + 1 :]
-            out[rest] = out.get(rest, 0) + c
-        return TruncPoly(sub, out)
 
     def degrees_of(self, name: str) -> list[int]:
         """Sorted list of exponents of ``name`` that occur in some term."""

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -190,6 +191,81 @@ def test_certify_matches_brute_stratum_sweep(tup):
     rep = certify_enumerative(*tup)
     witness = rep.witness.stratum if rep.witness else None
     assert (rep.certified, rep.reason, witness, rep.strata_checked) == brute_certify(*tup)
+
+
+def run_heads_certify(g, d, e, r):
+    """Reference: stratum_audit on the head of every monotone run, per b2.
+
+    dims_check gives R = r+2-e >= 1, so within a b2 block both pass
+    conditions get easier as b0 grows, case A also as b1 grows, and the
+    case-B failure margin falls by e+1 per unit of b1.  A block's first
+    failure, if any, is therefore the first stratum of its b1 = 0 row or
+    the first stratum (0, max(a0 - b2, 0), b2) of its first case-B row.
+    """
+    n = dims_check(g, d, e, r)
+    a0 = n - max(2 * g, 1) + 1
+    checked = -1  # the b2 = 0 block has no (0, 0, 0)
+    for b2 in range(min(n, d // 2) + 1):
+        width = d - 2 * b2 + 1
+        for b0, b1 in ((1 if b2 == 0 else 0, 0), (0, max(a0 - b2, 0))):
+            audit = stratum_audit(g, d, e, r, n, StratumProfile(b0, b1, b2))
+            if not audit.passed:
+                return False, audit, checked + b1 * width + b0 + 1
+        checked += (n - b2 + 1) * width
+    return True, None, checked
+
+
+def _wide_grid_tuples():
+    """Tuples with g 0..7, e 3..9, r 1..60, d 1..300 past the n and d gates."""
+    out = []
+    for g in range(8):
+        for e in range(3, 10):
+            for r in range(1, 61):
+                # dims_check needs r | (r+2-e)*d, so no other d can pass.
+                step = r // gcd(r, r + 2 - e)
+                for d in range(step, 301, step):
+                    try:
+                        n = dims_check(g, d, e, r)
+                    except ParameterError:
+                        continue
+                    if n >= max(2 * g, 1) and d >= 2 * g:
+                        out.append((g, d, e, r))
+    return out
+
+
+# Why certify_enumerative tests only the stratum (0, a0, 0), a0 = n - m + 1,
+# m = max(2g, 1).  Past the n gate, 1 <= a0 <= n, so the stratum is
+# admissible; a stratum is in case B iff b1 + b2 >= a0.  Write R = r+2-e,
+# c2 = r+4-2e and L = d*e + 1 + g(r+2) - (e+1)*a0.  From dims_check, R >= 1
+# (R <= 0 forces n <= 1 - g, which is never stable).
+#
+# Case B.  Expanding stratum_audit's comparison, a case-B stratum fails iff
+#     L - (r+2)*b0 - (e+1)*(b1 + b2 - a0) - (r+3-e)*b2 >= 0.
+# Every subtracted term is >= 0 (r+3-e = R+1), so any case-B failure gives
+# L >= 0, and L >= 0 is exactly the failure of (0, a0, 0).
+#
+# Case A passes iff R*b0 + c2*b2 + b1 > 0.  At b2 = 0 that holds for every
+# stratum other than (0, 0, 0), so a case-A failure needs b2 >= 1 and
+# c2 <= 0.  Then r <= 2e-4 <= (e+1)(e-2), hence (e+1)*R <= e*r, and with
+# n = R*d/r - g + 1:
+#   g >= 1 (m = 2g):  L >= 1 + g(r+2) + (e+1)(3g-2) > 0.
+#   g = 0 (m = 1):    stability gives n >= 3, and n - 1 = R*d/r < d gives
+#                     d >= 3; r <= 2e-4 gives (e+1)*R/r <= (e+1)/2, so
+#                     L = d*e - e - (e+1)*R*d/r >= (e-1)*d/2 - e >= 0.
+# So every case-A failure also has L >= 0, and (0, a0, 0) fails too.
+#
+# Strata in the b2 = 0 block before (0, a0, 0) are all in case A with
+# b2 = 0, so they pass, and every stratum with b2 >= 1 comes later.  Hence
+# the first failure, if there is one, is (0, a0, 0), at position a0*(d+1)
+# in (b2, b1, b0) order.  The test below checks this against the head of
+# every monotone run, over a wider grid than the brute oracle's.
+@given(st.sampled_from(_wide_grid_tuples()))
+@example((1, 5, 3, 5))
+@example((1, 3000, 3, 10))
+@settings(deadline=None, max_examples=500)
+def test_certify_matches_run_heads(tup):
+    rep = certify_enumerative(*tup)
+    assert (rep.certified, rep.witness, rep.strata_checked) == run_heads_certify(*tup)
 
 
 def test_sweep_is_exhaustive_and_counted():

@@ -98,37 +98,6 @@ def test_mul_distributes_over_add(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-# -- coeff_extract -----------------------------------------------------------
-
-def test_coeff_extract_examples():
-    ring = PolyRing("H", ("H1", 3))
-    p = ring.monomial({"H": 2, "H1": 1}, 1) + ring.monomial({"H": 1, "H1": 2}, 3)
-    sub = PolyRing("H")
-    assert p.coeff_extract("H1", 1) == sub.monomial({"H": 2}, 1)
-    assert p.coeff_extract("H1", 2) == sub.monomial({"H": 1}, 3)
-    assert ring.monomial({"H": 2}, 1).coeff_extract("H1", 0) == sub.monomial({"H": 2}, 1)
-    assert (ring.monomial({"H": 2, "H1": 1}, 1).coeff_extract("H1", 2)).is_zero()
-
-
-def test_coeff_extract_unknown_variable_rejected():
-    ring = PolyRing("x")
-    with pytest.raises(ValueError):
-        ring.one().coeff_extract("y", 0)
-
-
-@given(_polys)
-def test_coeff_extract_round_trip(p):
-    # Reassembling sum_k extract(p, v, k) * v^k must reconstruct p exactly.
-    rebuilt: dict = {}
-    i = RING.index("y")
-    for k in p.degrees_of("y"):
-        part = p.coeff_extract("y", k)
-        for exps, c in part.terms.items():
-            full = exps[:i] + (k,) + exps[i:]
-            rebuilt[full] = rebuilt.get(full, 0) + c
-    assert RING.from_terms(rebuilt) == p
-
-
 # -- UniPoly -----------------------------------------------------------------
 
 def test_unipoly_behaves_like_dense_polynomials():
