@@ -27,7 +27,6 @@ from .closed_forms import (
 )
 from .engine import (
     HypParams,
-    InsertionProfile,
     cycle_degree,
     deg_T,
     integrate_theta,
@@ -60,7 +59,6 @@ __all__ = [
     "CPS_VS_SCHUBERT_DISCREPANCIES",
     "HypClosedResult",
     "HypParams",
-    "InsertionProfile",
     "InvariantBreach",
     "ParameterError",
     "PolyRing",

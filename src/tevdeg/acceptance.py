@@ -89,7 +89,7 @@ def criterion_1_engine_vs_closed() -> CriterionResult:
 
 
 def random_insertion_setups(count: int = PROFILE_COUNT, seed: int = PROFILE_SEED):
-    """Seeded valid (params, profile) pairs with e <= 5, r <= 8, g <= 2."""
+    """Seeded valid insertion parameters with e <= 5, r <= 8, g <= 2."""
     rng = random.Random(seed)
     setups = []
     # The contract's own worked profiles come first.
@@ -121,12 +121,12 @@ def criterion_2_insertions() -> CriterionResult:
     """Engine equals the insertion closed form on random valid profiles."""
     failures = []
     setups = random_insertion_setups()
-    for p, prof in setups:
-        got = engine.deg_T(p, prof)
-        want = closed_forms.deg_T_insertions_closed(p.g, p.d, p.e, p.r, prof.ell)
+    for p in setups:
+        got = engine.deg_T(p)
+        want = closed_forms.deg_T_insertions_closed(p.g, p.d, p.e, p.r, p.ell)
         if got != want:
             failures.append(
-                f"deg_T{(p.g, p.d, p.e, p.r)} ell={prof.ell}: {got} != {want}"
+                f"deg_T{(p.g, p.d, p.e, p.r)} ell={p.ell}: {got} != {want}"
             )
     for e in range(3, 7):
         for r in range(1, 11):
@@ -263,7 +263,7 @@ def criterion_6_exactness() -> CriterionResult:
     failures = []
     params = main_grid_params()
     for p in params:
-        value = engine.cycle_degree(p, (1,) * p.n)
+        value = engine.cycle_degree(p)
         if value.denominator != 1:
             failures.append(f"{(p.g, p.d, p.e, p.r)}: non-integral degree {value}")
             continue

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import json
 import os
 import sys
@@ -45,13 +46,48 @@ def parse_ell(text: str) -> tuple[int, ...]:
         raise ParameterError(f"bad insertion list {text!r}: {ex}") from None
 
 
+def int_str(v: int) -> str:
+    """``str(v)`` for an int of any size.
+
+    ``str`` refuses ints past the process-wide digit limit (4300 by
+    default); those go through ``split_str``, and the limit is left alone.
+    """
+    try:
+        return str(v)
+    except ValueError:
+        return split_str(v)
+
+
+def split_str(v: int) -> str:
+    """Decimal digits of ``v``, by binary splitting as in CPython 3.12's _pylong.
+
+    n = hi * 2^w + lo is split down to 128-bit pieces, which are joined
+    back in ``decimal`` at ``MAX_PREC`` with ``Inexact`` trapped: exact, and
+    in subquadratic time, unlike ``str``.
+    """
+    def convert(n, w):
+        if w <= 128:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        lo = convert(n - (hi << half), half)
+        return lo + convert(hi, w - half) * decimal.Decimal(2) ** half
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(v), abs(v).bit_length()))
+    return "-" + digits if v < 0 else digits
+
+
 def _print_result(params: dict, results: list[tuple[str, int]],
                   flags: dict, as_json: bool) -> None:
     agreement = len({v for _, v in results}) <= 1
     if as_json:
         doc = {
             "params": params,
-            "results": [{"method": m, "value": str(v)} for m, v in results],
+            "results": [{"method": m, "value": int_str(v)} for m, v in results],
             "agreement": agreement,
             "flags": flags,
         }
@@ -59,7 +95,7 @@ def _print_result(params: dict, results: list[tuple[str, int]],
         return
     print(" ".join(f"{k}={v}" for k, v in params.items()))
     for method, value in results:
-        print(f"{method:<10} {value}")
+        print(f"{method:<10} {int_str(value)}")
     if len(results) > 1:
         print(f"agreement  {str(agreement).lower()}")
     for k, v in flags.items():
@@ -104,12 +140,12 @@ def cmd_hyp(args) -> int:
 def cmd_insert(args) -> int:
     g, d, e, r = args.g, args.d, args.e, args.r
     ell = parse_ell(args.ell)
-    p, prof = engine.HypParams.with_insertions(g, d, e, r, ell)
+    p = engine.HypParams.with_insertions(g, d, e, r, ell)
     methods = []
     if args.method in ("closed", "both"):
         methods.append(("closed", closed_forms.deg_T_insertions_closed(g, d, e, r, ell)))
     if args.method in ("engine", "both"):
-        methods.append(("engine", engine.deg_T(p, prof)))
+        methods.append(("engine", engine.deg_T(p)))
     params = {"g": g, "d": d, "e": e, "r": r, "n": p.n, "ell": list(ell)}
     _print_result(params, methods, {}, args.json)
     return 0
@@ -196,8 +232,8 @@ def sweep_record(g: int, d: int, e: int, r: int) -> dict | None:
     value_engine = engine.tev_hypersurface_engine(p)
     return {
         "g": g, "d": d, "e": e, "r": r, "n": p.n, "t": p.t,
-        "value_closed": str(closed.value),
-        "value_engine": str(value_engine),
+        "value_closed": int_str(closed.value),
+        "value_engine": int_str(value_engine),
         "agreement": closed.value == value_engine,
         **_hyp_flags(closed, g, d, e, r),
     }

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .enumerativity import dims_check, insertion_dims_check
+from .enumerativity import bundle_rank, dims_check, insertion_dims_check
 from .errors import InvariantBreach, ParameterError
 from .truncpoly import PolyRing, TruncPoly, UniPoly
 
@@ -43,9 +43,11 @@ from .truncpoly import PolyRing, TruncPoly, UniPoly
 class HypParams:
     """Validated parameter tuple with its derived quantities.
 
-    n: number of point conditions; t = (d-n)e - g + 1: rank of the twisted
-    push-down bundle; N = (r+2)(d-g+1): rank of the ambient bundle, so the
-    projective bundle has fiber dimension N - 1.
+    n: number of marks; t = (d-n)e - g + 1: rank of the twisted push-down
+    bundle; N = (r+2)(d-g+1): rank of the ambient bundle, so the projective
+    bundle has fiber dimension N - 1; ell: the dimension ell_i in [1, r+1] of
+    the linear space mark i must hit.  Built only by ``standard`` and
+    ``with_insertions``, which run every gate, so the engine trusts it.
     """
 
     g: int
@@ -55,42 +57,22 @@ class HypParams:
     n: int
     t: int
     N: int
+    ell: tuple[int, ...]
 
     @classmethod
     def standard(cls, g: int, d: int, e: int, r: int) -> HypParams:
         """Parameters for plain point conditions (every mark on a line)."""
-        return cls.with_insertions(g, d, e, r, (1,) * dims_check(g, d, e, r))[0]
+        n = dims_check(g, d, e, r)
+        t = bundle_rank(g, d, e, n)
+        return cls(g, d, e, r, n, t, (r + 2) * (d - g + 1), (1,) * n)
 
     @classmethod
-    def with_insertions(
-        cls, g: int, d: int, e: int, r: int, ell
-    ) -> tuple[HypParams, InsertionProfile]:
-        """Parameters plus profile for general linear-space conditions."""
+    def with_insertions(cls, g: int, d: int, e: int, r: int, ell) -> HypParams:
+        """Parameters for general linear-space conditions of dimensions ``ell``."""
         ell = tuple(ell)
         n = insertion_dims_check(g, d, e, r, ell)
         t = (d - n) * e - g + 1
-        return (
-            cls(g, d, e, r, n, t, (r + 2) * (d - g + 1)),
-            InsertionProfile(r, ell),
-        )
-
-
-@dataclass(frozen=True)
-class InsertionProfile:
-    """Dimensions ell_i in [1, r+1] of the linear space each mark must hit."""
-
-    r: int
-    ell: tuple[int, ...]
-
-    def __post_init__(self):
-        for li in self.ell:
-            if not (1 <= li <= self.r + 1):
-                raise ParameterError(
-                    f"insertion dimension {li} out of range [1, {self.r + 1}]"
-                )
-
-    def codims(self) -> tuple[int, ...]:
-        return tuple(self.r + 1 - li for li in self.ell)
+        return cls(g, d, e, r, n, t, (r + 2) * (d - g + 1), ell)
 
 
 def _jac_ring(g: int) -> PolyRing:
@@ -182,8 +164,8 @@ def integrate_theta(c: TruncPoly, g: int) -> Fraction:
     return Fraction(factorial(g) * c.coeff((g,)))
 
 
-def cycle_degree(p: HypParams, ell) -> Fraction:
-    """Exact degree of the incidence cycle for marks with dimensions ``ell``.
+def cycle_degree(p: HypParams) -> Fraction:
+    """Exact degree of the incidence cycle for marks with dimensions ``p.ell``.
 
     The whole pipeline: point factors, Chern class, support-window check,
     pushforward and integral.  Marks with equal ell_i share one monomial,
@@ -192,7 +174,7 @@ def cycle_degree(p: HypParams, ell) -> Fraction:
     """
     coeff = 1
     hdeg = 0
-    for li, mult in Counter(ell).items():
+    for li, mult in Counter(p.ell).items():
         mono = point_factor(p.e, p.r, li)
         d = mono.degree()
         coeff *= mono.coeff(d) ** mult
@@ -210,25 +192,13 @@ def cycle_degree(p: HypParams, ell) -> Fraction:
     return integrate_theta(pushforward_theta(full, p), p.g)
 
 
-def deg_T(p: HypParams, profile: InsertionProfile | None = None) -> int:
+def deg_T(p: HypParams) -> int:
     """Degree of the incidence cycle: the full pipeline, integrated.
 
-    The default profile is all-lines (ell_i = 1 for every mark).  The
-    result is e^n times the count of maps; it is certified integral and
-    nonnegative before being returned.
+    The result is e^n times the count of maps when every mark is on a
+    line; it is certified integral and nonnegative before being returned.
     """
-    if profile is None:
-        profile = InsertionProfile(p.r, (1,) * p.n)
-    ell = profile.ell
-    if profile.r != p.r or len(ell) != p.n:
-        raise ParameterError(
-            f"profile ({profile.r}, {len(ell)} marks) does not match params "
-            f"(r={p.r}, n={p.n})"
-        )
-    if p.r * (p.n + p.g - 1) != (p.r + 2 - p.e) * p.d + sum(li - 1 for li in ell):
-        raise ParameterError("insertion dimension condition fails for this profile")
-
-    value = cycle_degree(p, ell)
+    value = cycle_degree(p)
     if value.denominator != 1:
         raise InvariantBreach(f"cycle degree {value} is not an integer")
     if value < 0:
@@ -237,7 +207,11 @@ def deg_T(p: HypParams, profile: InsertionProfile | None = None) -> int:
 
 
 def tev_hypersurface_engine(p: HypParams) -> int:
-    """The count of honest maps: deg_T at all-lines, divided exactly by e^n."""
+    """The count of honest maps through points: deg_T divided exactly by e^n."""
+    if p.ell.count(1) != p.n:
+        raise ParameterError(
+            f"a count of maps needs ell_i = 1 for every mark, got ell = {p.ell}"
+        )
     total = deg_T(p)
     q, rem = divmod(total, p.e**p.n)
     if rem != 0:

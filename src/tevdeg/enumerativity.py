@@ -6,7 +6,7 @@ on parameter tuples (g, d, e, r) where the number of point conditions
     n = (r + 2 - e) / r * d - g + 1
 
 is a positive integer in the stable range.  ``dims_check`` is that gate;
-every route goes through it.
+every route goes through it.  ``bundle_rank`` adds the engine's gates.
 
 Whether the resulting integer actually enumerates honest maps (rather than
 a virtual count polluted by degenerate loci) is certified two ways:
@@ -24,8 +24,9 @@ a virtual count polluted by degenerate loci) is certified two ways:
   (b0, b1, b2) = (0, n - max(2g, 1) + 1, 0), so that one stratum is the
   only one tested.  The proof is the comment above
   ``test_certify_matches_run_heads`` in ``tests/test_enumerativity.py``.
-  ``stratum_audit`` and ``admissible_strata`` stay as the per-stratum
-  reference that the tests compare the certificate against.
+  ``count_admissible_strata`` counts them in closed form.  ``stratum_audit``
+  and ``admissible_strata`` stay as the per-stratum reference that the tests
+  compare the certificate and the count against.
 """
 
 from __future__ import annotations
@@ -36,12 +37,8 @@ from fractions import Fraction
 from .errors import ParameterError
 
 
-def dims_check(g: int, d: int, e: int, r: int) -> int:
-    """Validate (g, d, e, r) and return the matching number of point conditions.
-
-    Raises ``ParameterError`` naming the failed condition when n is not a
-    positive integer in the stable range.
-    """
+def _check_tuple(g: int, d: int, e: int, r: int) -> None:
+    """The ranges of g, d, e and r that every gate below starts from."""
     if g < 0:
         raise ParameterError(f"genus must be nonnegative, got g={g}")
     if d < 1:
@@ -50,6 +47,15 @@ def dims_check(g: int, d: int, e: int, r: int) -> int:
         raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
     if r < 1:
         raise ParameterError(f"hypersurface dimension must be >= 1, got r={r}")
+
+
+def dims_check(g: int, d: int, e: int, r: int) -> int:
+    """Validate (g, d, e, r) and return the matching number of point conditions.
+
+    Raises ``ParameterError`` naming the failed condition when n is not a
+    positive integer in the stable range.
+    """
+    _check_tuple(g, d, e, r)
     num = (r + 2 - e) * d
     if num % r != 0:
         raise ParameterError(
@@ -63,6 +69,18 @@ def dims_check(g: int, d: int, e: int, r: int) -> int:
     return n
 
 
+def bundle_rank(g: int, d: int, e: int, n: int) -> int:
+    """Gate d >= 2g and t >= max(1, g); return the bundle rank t = (d-n)e - g + 1."""
+    if d < 2 * g:
+        raise ParameterError(f"need d >= 2g, got d={d}, g={g}")
+    t = (d - n) * e - g + 1
+    if t < 1:
+        raise ParameterError(f"bundle rank t = (d-n)e - g + 1 = {t} must be >= 1")
+    if t < g:
+        raise ParameterError(f"bundle rank t = {t} below genus g = {g}: out of model")
+    return t
+
+
 def insertion_dims_check(g: int, d: int, e: int, r: int, ell) -> int:
     """Validate a linear-space insertion profile; return n = len(ell).
 
@@ -73,17 +91,9 @@ def insertion_dims_check(g: int, d: int, e: int, r: int, ell) -> int:
         r * (n + g - 1)  =  (r + 2 - e) * d  +  sum(ell_i - 1),
 
     which specializes at ell = (1, ..., 1) to the condition of
-    ``dims_check``.  The remaining gates (d >= 2g and a positive bundle
-    rank t >= max(1, g)) match the plain-count construction.
+    ``dims_check``.  The remaining gates are those of ``bundle_rank``.
     """
-    if g < 0:
-        raise ParameterError(f"genus must be nonnegative, got g={g}")
-    if d < 1:
-        raise ParameterError(f"map degree must be positive, got d={d}")
-    if e < 3:
-        raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
-    if r < 1:
-        raise ParameterError(f"hypersurface dimension must be >= 1, got r={r}")
+    _check_tuple(g, d, e, r)
     ell = tuple(ell)
     n = len(ell)
     if n < 1:
@@ -100,13 +110,7 @@ def insertion_dims_check(g: int, d: int, e: int, r: int, ell) -> int:
         )
     if 2 * g - 2 + n <= 0:
         raise ParameterError(f"(g, n) = ({g}, {n}) is outside the stable range")
-    if d < 2 * g:
-        raise ParameterError(f"need d >= 2g, got d={d}, g={g}")
-    t = (d - n) * e - g + 1
-    if t < 1:
-        raise ParameterError(f"bundle rank t = (d-n)e - g + 1 = {t} must be >= 1")
-    if t < g:
-        raise ParameterError(f"bundle rank t = {t} below genus g = {g}: out of model")
+    bundle_rank(g, d, e, n)
     return n
 
 
@@ -242,13 +246,14 @@ def admissible_strata(d: int, n: int):
 
 
 def count_admissible_strata(d: int, n: int) -> int:
-    """Closed count of the admissible-stratum set (vacuous b2 excluded)."""
-    total = 0
-    for b2 in range(n + 1):
-        if d - 2 * b2 < 0:
-            continue
-        total += (n - b2 + 1) * (d - 2 * b2 + 1)
-    return total - 1
+    """Number of strata ``admissible_strata(d, n)`` yields, in closed form.
+
+    The sum over b2 = 0 .. m, m = min(n, d // 2), of (n-b2+1)(d-2b2+1),
+    minus the excluded (0, 0, 0); the tests hold it to that loop.
+    """
+    m = max(min(n, d // 2), -1)
+    a, b = n + 1, d + 1
+    return (m + 1) * (6 * a * b - 3 * (2 * a + b) * m + 2 * m * (2 * m + 1)) // 6 - 1
 
 
 def certify_enumerative(g: int, d: int, e: int, r: int) -> CertificationReport:

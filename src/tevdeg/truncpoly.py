@@ -1,6 +1,7 @@
 """Sparse truncated multivariate polynomials over exact rationals.
 
-This is the ambient ring model used by every computation route: named
+This is the ring model of the engine; the closed forms use only ``UniPoly``
+and ``binom``, and the Schubert and quantum routes do not import it.  Named
 variables may carry a degree cap, and any product term whose exponent
 exceeds a cap is discarded.  Truncation is part of the ring structure
 (it models nilpotence, e.g. a hyperplane class h on P^m has h^{m+1} = 0),
@@ -98,15 +99,6 @@ class PolyRing:
     def in_caps(self, exps: Exponent) -> bool:
         return all(cap is None or e <= cap for e, cap in zip(exps, self.caps))
 
-    def one(self) -> TruncPoly:
-        return self.const(1)
-
-    def const(self, c) -> TruncPoly:
-        return TruncPoly(self, {(0,) * len(self.names): _check_coeff(c)})
-
-    def var(self, name: str) -> TruncPoly:
-        return self.monomial({name: 1}, 1)
-
     def monomial(self, exps_by_name: dict[str, int], c) -> TruncPoly:
         """The single term c * prod(v^e); a term over any cap is just 0."""
         exps = [0] * len(self.names)
@@ -160,12 +152,6 @@ class TruncPoly:
             out[exps] = out.get(exps, 0) + c
         return TruncPoly(self.ring, out)
 
-    def __neg__(self) -> TruncPoly:
-        return TruncPoly(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: TruncPoly) -> TruncPoly:
-        return self + (-other)
-
     def __mul__(self, other: TruncPoly) -> TruncPoly:
         self._require_compatible(other)
         caps = self.ring.caps
@@ -176,7 +162,12 @@ class TruncPoly:
                 if any(cap is not None and e > cap for e, cap in zip(exps, caps)):
                     continue  # truncation: the product lands in a nilpotent slot
                 out[exps] = out.get(exps, 0) + ca * cb
-        return TruncPoly(self.ring, out)
+        # The loop kept arity, signs, coefficient types and caps; only the
+        # cancelled terms are left to prune, so the constructor is skipped.
+        product = object.__new__(TruncPoly)
+        product.ring = self.ring
+        product.terms = {exps: c for exps, c in out.items() if c != 0}
+        return product
 
     __rmul__ = __mul__
 
@@ -189,9 +180,6 @@ class TruncPoly:
 
     def __hash__(self) -> int:
         return hash((self.ring, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- coefficient access --------------------------------------------------
 
@@ -236,12 +224,6 @@ class UniPoly:
         self.var = var
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def monomial(cls, var: str, k: int, c=1) -> UniPoly:
-        if k < 0:
-            raise ValueError(f"exponent must be nonnegative, got {k}")
-        return cls(var, [0] * k + [c])
-
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""
         return len(self.coeffs) - 1
@@ -254,9 +236,7 @@ class UniPoly:
     def is_monomial(self) -> bool:
         return sum(1 for c in self.coeffs if c != 0) == 1
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(self.var, [c * other for c in self.coeffs])
+    def __mul__(self, other: UniPoly) -> UniPoly:
         if self.var != other.var:
             raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
         if not self.coeffs or not other.coeffs:
@@ -268,8 +248,6 @@ class UniPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return UniPoly(self.var, out)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (

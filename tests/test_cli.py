@@ -4,13 +4,16 @@ import hashlib
 import json
 import multiprocessing
 import os
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import tevdeg.cli as cli
 import tevdeg.engine as engine
-from tevdeg.cli import main, parse_ell, parse_range
+from tevdeg.cli import int_str, main, parse_ell, parse_range, split_str
+from tevdeg.closed_forms import vtev_hypersurface_closed
 from tevdeg.errors import ParameterError
 from tevdeg.truncpoly import UniPoly
 
@@ -288,6 +291,72 @@ def test_sweep_acceptance_grid_digest(tmp_path, capsys, fmt, jobs):
                               "--out", str(path), "--jobs", jobs])
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ACCEPTANCE_DIGESTS[fmt]
+
+
+# -- counts past the interpreter's 4300-digit str limit -------------------------------
+
+BIG = (0, 6600, 3, 3)  # n = 4401; the count has 4,473 digits
+
+
+@pytest.fixture
+def no_digit_limit():
+    """Lift the int/str digit limit for the test's own comparisons only."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def _big_args():
+    return [f"--{k}={v}" for k, v in zip("gder", BIG)]
+
+
+def test_hyp_prints_big_count(capsys):
+    code, out, err = run(capsys, ["hyp", *_big_args()])
+    assert code == 0 and err == ""
+    closed, engine_, agreement = out.splitlines()[1:4]
+    assert closed.split()[0] == "closed" and engine_.split()[0] == "engine"
+    assert closed.split()[1] == engine_.split()[1]
+    assert len(closed.split()[1]) == 4473 and agreement == "agreement  true"
+
+
+def test_big_count_equals_closed_form(capsys, tmp_path, no_digit_limit):
+    want = str(vtev_hypersurface_closed(*BIG).value)
+    code, out, _ = run(capsys, ["hyp", *_big_args(), "--json"])
+    assert code == 0
+    assert [r["value"] for r in json.loads(out)["results"]] == [want, want]
+    code, out, _ = run(capsys, ["hyp", *_big_args(), "--method", "closed"])
+    assert code == 0 and out.splitlines()[1].split() == ["closed", want]
+    path = tmp_path / "big.csv"
+    code, _, _ = run(capsys, ["sweep", *_big_args(), "--out", str(path)])
+    assert code == 0
+    row = path.read_text().splitlines()[1].split(",")
+    assert row[6] == row[7] == want
+
+
+def test_int_str_equals_str():
+    rng = random.Random(7)
+    # 14,000 bits is about 4,215 digits, below the default limit of 4,300.
+    for bits in (0, 1, 64, 127, 128, 129, 1000, 14000):
+        for _ in range(5):
+            v = rng.getrandbits(bits) if bits else 0
+            assert int_str(v) == str(v) and int_str(-v) == str(-v)
+
+
+def test_split_str_equals_str(no_digit_limit):
+    rng = random.Random(11)
+    # 128 bits is the leaf size of split_str; cover both sides of it and of
+    # its doublings, and sizes past the default digit limit.
+    sizes = [0, 1, 2, 127, 128, 129, 255, 256, 257, 513, 4096, 14300, 20000, 70001]
+    for bits in sizes:
+        for _ in range(3):
+            v = rng.getrandbits(bits) | (1 << max(bits - 1, 0)) if bits else 0
+            assert split_str(v) == str(v)
+            assert split_str(-v) == str(-v)
+    assert split_str(10**5000) == "1" + "0" * 5000
 
 
 # -- usage errors -----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import tevdeg.engine as engine
 from tevdeg.closed_forms import alpha_coefficients, deg_T_insertions_closed
 from tevdeg.engine import (
     HypParams,
-    InsertionProfile,
+    cycle_degree,
     deg_T,
     integrate_theta,
     point_factor,
@@ -17,8 +17,14 @@ from tevdeg.engine import (
     step3_class,
     tev_hypersurface_engine,
 )
+from tevdeg.enumerativity import dims_check
 from tevdeg.errors import InvariantBreach, ParameterError
 from tevdeg.truncpoly import PolyRing, UniPoly
+
+
+def _mono(k, c, var="H"):
+    """The univariate monomial c * var^k."""
+    return UniPoly(var, [0] * k + [c])
 
 
 # -- parameter validation ------------------------------------------------------
@@ -42,18 +48,42 @@ def test_standard_params_rejections():
 
 
 def test_insertion_params_match_profile():
-    p, prof = HypParams.with_insertions(0, 6, 3, 3, (2, 2, 2, 1, 1, 1))
-    assert p.n == 6 and prof.codims() == (2, 2, 2, 3, 3, 3)
+    p = HypParams.with_insertions(0, 6, 3, 3, [2, 2, 2, 1, 1, 1])
+    assert p.n == 6 and p.ell == (2, 2, 2, 1, 1, 1)
+    assert HypParams.standard(0, 3, 3, 3).ell == (1, 1, 1)
     with pytest.raises(ParameterError):
         HypParams.with_insertions(0, 6, 3, 3, (2, 2, 2, 1, 1))  # condition fails
+    with pytest.raises(ParameterError, match="ell_i = 1 for every mark"):
+        tev_hypersurface_engine(p)  # a count of maps needs line conditions
+
+
+def test_standard_gates_match_all_lines_insertions():
+    # standard runs dims_check and bundle_rank; at ell = (1,)*n it must accept
+    # and refuse exactly what insertion_dims_check does, with the same text.
+    def outcome(build):
+        try:
+            return build()
+        except ParameterError as ex:
+            return str(ex)
+
+    for g in range(5):
+        for e in range(3, 6):
+            for r in range(1, 11):
+                for d in range(1, 31):
+                    try:
+                        n = dims_check(g, d, e, r)
+                    except ParameterError:
+                        continue
+                    assert outcome(lambda: HypParams.standard(g, d, e, r)) == outcome(
+                        lambda: HypParams.with_insertions(g, d, e, r, (1,) * n))
 
 
 # -- point_factor ---------------------------------------------------------------
 
 def test_point_factor_examples():
-    assert point_factor(3, 3, 1) == UniPoly.monomial("H", 6, 6)
-    assert point_factor(3, 3, 2) == UniPoly.monomial("H", 5, 21)
-    assert point_factor(3, 3, 4) == UniPoly.monomial("H", 3, 27)
+    assert point_factor(3, 3, 1) == _mono(6, 6)
+    assert point_factor(3, 3, 2) == _mono(5, 21)
+    assert point_factor(3, 3, 4) == _mono(3, 27)
 
 
 def test_point_factor_is_alpha_monomial():
@@ -62,9 +92,7 @@ def test_point_factor_is_alpha_monomial():
             alphas = alpha_coefficients(e, r)
             for ell in range(1, r + 2):
                 mono = point_factor(e, r, ell)
-                assert mono == UniPoly.monomial(
-                    "H", r + 1 + e - ell, alphas.alpha(ell)
-                )
+                assert mono == _mono(r + 1 + e - ell, alphas.alpha(ell))
 
 
 def test_point_factor_rejects_out_of_range():
@@ -105,11 +133,11 @@ def test_pushforward_examples():
     p = HypParams.standard(1, 3, 3, 3)  # N = 15, r = 3
     ring = _jac(1)
     theta = PolyRing(("theta", 1))
-    assert pushforward_theta(ring.monomial({"H": 14}, 1), p) == theta.const(1)
+    assert pushforward_theta(ring.monomial({"H": 14}, 1), p) == theta.monomial({}, 1)
     assert pushforward_theta(ring.monomial({"H": 15}, 1), p) == theta.monomial(
         {"theta": 1}, 5
     )
-    assert pushforward_theta(ring.monomial({"H": 13}, 1), p).is_zero()
+    assert pushforward_theta(ring.monomial({"H": 13}, 1), p).terms == {}
 
 
 def test_pushforward_respects_theta_cap():
@@ -117,13 +145,13 @@ def test_pushforward_respects_theta_cap():
     ring = _jac(1)
     # theta * H^{N+1} would give theta^3; the cap at g = 1 kills it.
     c = ring.monomial({"H": p.N + 1, "theta": 1}, 1)
-    assert pushforward_theta(c, p).is_zero()
+    assert pushforward_theta(c, p).terms == {}
 
 
 def test_integrate_theta():
     theta2 = PolyRing(("theta", 2))
     assert integrate_theta(theta2.monomial({"theta": 2}, 1), 2) == 2
-    assert integrate_theta(PolyRing(("theta", 0)).const(1), 0) == 1
+    assert integrate_theta(PolyRing(("theta", 0)).monomial({}, 1), 0) == 1
     assert integrate_theta(theta2.monomial({"theta": 1}, 1), 2) == 0
 
 
@@ -132,8 +160,7 @@ def test_integrate_theta():
 def test_deg_T_contract_values():
     assert deg_T(HypParams.standard(0, 3, 3, 3)) == 648
     assert deg_T(HypParams.standard(1, 3, 3, 3)) == 1944
-    p, prof = HypParams.with_insertions(0, 6, 3, 3, (2, 2, 2, 1, 1, 1))
-    assert deg_T(p, prof) == 6001128
+    assert deg_T(HypParams.with_insertions(0, 6, 3, 3, (2, 2, 2, 1, 1, 1))) == 6001128
 
 
 def test_engine_contract_values():
@@ -156,8 +183,8 @@ def test_deg_T_matches_insertion_closed_form_on_mixed_profiles():
         (2, 7, 4, 4, (2, 1, 2)),
     ]
     for g, d, e, r, ell in cases:
-        p, prof = HypParams.with_insertions(g, d, e, r, ell)
-        assert deg_T(p, prof) == deg_T_insertions_closed(g, d, e, r, ell)
+        p = HypParams.with_insertions(g, d, e, r, ell)
+        assert deg_T(p) == deg_T_insertions_closed(g, d, e, r, ell)
 
 
 def test_deg_T_builds_one_point_factor_per_distinct_ell(monkeypatch):
@@ -168,11 +195,11 @@ def test_deg_T_builds_one_point_factor_per_distinct_ell(monkeypatch):
         return point_factor(e, r, ell_i)
 
     monkeypatch.setattr(engine, "point_factor", counted)
-    p, prof = HypParams.with_insertions(0, 6, 3, 3, (2, 2, 2, 1, 1, 1))
-    assert deg_T(p, prof) == 6001128
+    p = HypParams.with_insertions(0, 6, 3, 3, (2, 2, 2, 1, 1, 1))
+    assert deg_T(p) == 6001128
     assert sorted(calls) == [1, 2]
     calls.clear()
-    assert engine.cycle_degree(p, prof.ell) == Fraction(6001128)
+    assert cycle_degree(p) == Fraction(6001128)
     assert sorted(calls) == [1, 2]
     calls.clear()
     deg_T(HypParams.standard(3, 300, 3, 10))  # 268 marks, all ell = 1
@@ -180,11 +207,12 @@ def test_deg_T_builds_one_point_factor_per_distinct_ell(monkeypatch):
 
 
 def test_deg_T_rejects_mismatched_profile():
-    p = HypParams.standard(0, 3, 3, 3)
-    with pytest.raises(ParameterError):
-        deg_T(p, InsertionProfile(3, (1, 1)))  # wrong mark count
-    with pytest.raises(ParameterError):
-        deg_T(p, InsertionProfile(3, (2, 1, 1)))  # dimension condition fails
+    # deg_T reads the profile from its HypParams, so a profile that does not
+    # match (g, d, e, r) has to be refused where HypParams is built.
+    with pytest.raises(ParameterError, match="dimension condition"):
+        HypParams.with_insertions(0, 3, 3, 3, (1, 1))  # too few marks
+    with pytest.raises(ParameterError, match="dimension condition"):
+        HypParams.with_insertions(0, 3, 3, 3, (2, 1, 1))
 
 
 def test_pipeline_support_window():
@@ -192,12 +220,12 @@ def test_pipeline_support_window():
     for g, d, e, r in ((0, 3, 3, 3), (1, 3, 3, 3), (2, 10, 3, 5), (3, 12, 4, 6)):
         p = HypParams.standard(g, d, e, r)
         coeff, hdeg = 1, 0
-        for _ in range(p.n):
-            mono = point_factor(e, r, 1)
+        for li in p.ell:
+            mono = point_factor(e, r, li)
             coeff *= mono.coeff(mono.degree())
             hdeg += mono.degree()
-        ring = _jac(g)
-        full = ring.monomial({"H": hdeg}, coeff) * step3_class(e, p.t, g)
+        chern = step3_class(e, p.t, g)
+        full = chern.ring.monomial({"H": hdeg}, coeff) * chern
         assert full.degrees_of("H") == list(range(p.N - 1, p.N - 1 + g + 1))
 
 
@@ -227,7 +255,7 @@ def test_corrupted_coefficient_breaches_divisibility(monkeypatch):
 
     def corrupted(e, r, ell_i):
         u = original(e, r, ell_i)
-        return UniPoly.monomial(u.var, u.degree(), u.coeff(u.degree()) + 1)
+        return _mono(u.degree(), u.coeff(u.degree()) + 1, u.var)
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
     with pytest.raises(InvariantBreach, match="not divisible"):
@@ -239,7 +267,7 @@ def test_corrupted_degree_breaches_support_window(monkeypatch):
 
     def corrupted(e, r, ell_i):
         u = original(e, r, ell_i)
-        return UniPoly.monomial(u.var, u.degree() + 1, u.coeff(u.degree()))
+        return _mono(u.degree() + 1, u.coeff(u.degree()), u.var)
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
     with pytest.raises(InvariantBreach, match="H-degree"):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tevdeg.enumerativity import (
     StratumProfile,
     admissible_strata,
+    bundle_rank,
     certify_enumerative,
     count_admissible_strata,
     dims_check,
@@ -48,6 +49,16 @@ def test_insertion_dims_check():
     # profile that balances the condition but has negative bundle rank
     with pytest.raises(ParameterError, match="rank"):
         insertion_dims_check(0, 3, 3, 2, (2, 2, 2, 2, 2))
+
+
+def test_bundle_rank():
+    assert bundle_rank(1, 3, 3, 2) == 3
+    with pytest.raises(ParameterError, match="d >= 2g"):
+        bundle_rank(2, 3, 3, 1)
+    with pytest.raises(ParameterError, match="must be >= 1"):
+        bundle_rank(0, 3, 3, 4)  # t = (3-4)*3 + 1 = -2
+    with pytest.raises(ParameterError, match="below genus"):
+        bundle_rank(3, 6, 3, 5)
 
 
 # -- enum_bound_closed -------------------------------------------------------------
@@ -266,6 +277,24 @@ def _wide_grid_tuples():
 def test_certify_matches_run_heads(tup):
     rep = certify_enumerative(*tup)
     assert (rep.certified, rep.witness, rep.strata_checked) == run_heads_certify(*tup)
+
+
+def count_admissible_strata_loop(d, n):
+    """Reference: the sum over b2 of (n-b2+1)(d-2b2+1), minus (0, 0, 0)."""
+    total = 0
+    for b2 in range(n + 1):
+        if d - 2 * b2 < 0:
+            continue
+        total += (n - b2 + 1) * (d - 2 * b2 + 1)
+    return total - 1
+
+
+def test_count_admissible_strata_matches_loop():
+    # d < 2n stops the sum at b2 = d // 2, d >= 2n at b2 = n.
+    for d in range(90):
+        for n in range(60):
+            assert count_admissible_strata(d, n) == count_admissible_strata_loop(d, n)
+    assert count_admissible_strata(3000, 2700) == 4959230450
 
 
 def test_sweep_is_exhaustive_and_counted():

@@ -1,9 +1,10 @@
 """The routes stay independent: agreement between them is the evidence.
 
 The engine must not reach the closed forms, the Schubert route or the
-quantum ring, and the Schubert route must not reach the closed forms
-(the binomial formula).  Imports are read from the source with ``ast``,
-function-local ones included, and followed through the package.
+quantum ring; the Schubert route must not reach the closed forms (the
+binomial formula); and the quantum ring must not reach the closed forms,
+the engine or the Schubert route.  Imports are read from the source with
+``ast``, function-local ones included, and followed through the package.
 """
 
 import ast
@@ -58,6 +59,7 @@ def test_import_scan_sees_the_package():
     [
         ("engine", {"closed_forms", "schubert", "quantum", "__init__"}),
         ("schubert", {"closed_forms", "__init__"}),
+        ("quantum", {"closed_forms", "engine", "schubert", "__init__"}),
     ],
 )
 def test_route_reaches_no_other_route(route, forbidden):

@@ -1,0 +1,45 @@
+"""The benchmark tracer still finds every binding it wraps.
+
+``bench/tracing.py`` rebinds methods and module globals of the package by
+name, and ``bench/selftest.py`` is not part of this suite.  This test
+installs the tracer in a fresh interpreter and checks that the traced
+layers record work, so a renamed or deleted binding fails here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import contextlib, io, json
+import tracing
+from tevdeg import cli
+
+tracer = tracing.Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["hyp", "--g", "0", "--d", "3", "--e", "3", "--r", "3"]),
+        cli.main(["insert", "--g", "0", "--d", "6", "--e", "3", "--r", "3",
+                  "--ell", "2,2,2,1,1,1"]),
+    ]
+print(json.dumps({"codes": codes, "layers": tracer.layer_metrics()}))
+"""
+
+
+def test_tracer_installs_and_records_each_layer():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "bench")]))
+    proc = subprocess.run([sys.executable, "-B", "-c", SCRIPT], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["codes"] == [0, 0]
+    layers = doc["layers"]
+    for name in ("truncpoly.mul.calls", "truncpoly.unipoly_mul.busy_s",
+                 "engine.point_factor.calls", "engine.deg_T.calls"):
+        assert layers[name] > 0, name
