@@ -167,12 +167,18 @@ def criterion_3_p1_crosscheck() -> CriterionResult:
         got = schubert.tev_p1_schubert(g, d)
         if got != want:
             failures.append(f"schubert({g},{d}) = {got} != {want}")
+    # Far from the small grid: a large genus, and a degree whose box is huge.
+    for g, d in ((300, 303), (0, 10**9)):
+        a = closed_forms.tev_p1_cps(g, d)
+        b = schubert.tev_p1_schubert(g, d)
+        if a != 2**g or b != 2**g:
+            failures.append(f"(g={g}, d={d}): expected 2^g, got cps {a}, schubert {b}")
     recomputed = closed_forms.compute_cps_schubert_discrepancies(10)
     if recomputed != closed_forms.CPS_VS_SCHUBERT_DISCREPANCIES:
         failures.append("documented discrepancy table is stale")
     return _result(
         3, "line counts: schubert vs binomial formula", failures,
-        f"{pairs} agreeing pairs, 2^g for g<=12, "
+        f"{pairs} agreeing pairs, 2^g for g<=12 and at (300,303), (0,10^9), "
         f"{len(recomputed)} documented discrepancies reproduced",
     )
 
@@ -184,7 +190,8 @@ def criterion_4_quantum() -> CriterionResult:
     start = time.perf_counter()
     for r in range(1, 7):
         for g in range(7):
-            for d in range(r, 4 * r + 1, r):
+            # d = r * 10^6 takes n near (r+1) * 10^6 marks.
+            for d in (*range(r, 4 * r + 1, r), r * 10**6):
                 n = (r + 1) * d // r - g + 1
                 if n < 1 or 2 * g - 2 + n <= 0:
                     continue

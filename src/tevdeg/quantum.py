@@ -124,22 +124,30 @@ def quantum_euler(r: int) -> QPolyClass:
     return total
 
 
+def qpow(x: QPolyClass, k: int) -> QPolyClass:
+    """x^{*k} by square-and-multiply: fewer than 2 * k.bit_length() quantum products."""
+    if k < 0:
+        raise ParameterError(f"power must be nonnegative, got {k}")
+    if k == 0:
+        return QPolyClass.one(x.r)
+    acc = x
+    for bit in bin(k)[3:]:
+        acc = qmul(acc, acc)
+        if bit == "1":
+            acc = qmul(acc, x)
+    return acc
+
+
 def vtev_projective_qh(g: int, d: int, r: int, n: int) -> int:
     """Virtual count for P^r by quantum ring expansion.
 
-    Returns the coefficient of q^d * h^r in P^{*n} * E^{*g}.  The result is
-    (r+1)^g exactly when the point count matches n = (r+1) d / r - g + 1,
-    and 0 otherwise (the grading cannot reach q^d * h^r).
+    Returns the coefficient of q^d * h^r in P^{*n} * E^{*g}, with both
+    powers taken by square-and-multiply.  The result is (r+1)^g exactly
+    when the point count matches n = (r+1) d / r - g + 1, and 0 otherwise
+    (the grading cannot reach q^d * h^r).
     """
     if g < 0 or d < 1 or r < 1 or n < 1:
         raise ParameterError(f"invalid parameters (g, d, r, n) = {(g, d, r, n)}")
     if 2 * g - 2 + n <= 0:
         raise ParameterError(f"(g, n) = ({g}, {n}) is outside the stable range")
-    acc = QPolyClass.one(r)
-    point = QPolyClass.point(r)
-    for _ in range(n):
-        acc = qmul(acc, point)
-    euler = quantum_euler(r)
-    for _ in range(g):
-        acc = qmul(acc, euler)
-    return acc.coeff(d, r)
+    return qmul(qpow(QPolyClass.point(r), n), qpow(quantum_euler(r), g)).coeff(d, r)

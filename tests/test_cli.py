@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,21 @@ def test_qh(capsys):
     code, out, _ = run(capsys, ["qh", "--g", "2", "--d", "2", "--r", "2",
                                 "--n", "3", "--json"])
     assert code == 0 and json.loads(out)["results"][0]["value"] == "0"
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["qh", "--g", "2", "--d", "3", "--r", "3", "--n", "1000000000"], {"quantum": "0"}),
+    (["qh", "--g", "3", "--d", "1000000000", "--r", "1"], {"quantum": "8"}),
+    (["p1", "--g", "20", "--d", "1000000000"], {"cps": str(2**20), "schubert": str(2**20)}),
+])
+def test_huge_flag_values_stay_cheap(capsys, argv, values):
+    # The cost of qh grows with log n and log g, and that of p1 with g alone.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, argv + ["--json"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert {r["method"]: r["value"] for r in json.loads(out)["results"]} == values
+    assert elapsed < 1.0
 
 
 def test_certify(capsys):

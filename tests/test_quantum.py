@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+import tevdeg.quantum as quantum
 from tevdeg.errors import ParameterError
-from tevdeg.quantum import QPolyClass, qmul, quantum_euler, vtev_projective_qh
+from tevdeg.quantum import QPolyClass, qmul, qpow, quantum_euler, vtev_projective_qh
 
 h = QPolyClass.h_power
 
@@ -83,6 +84,73 @@ def test_count_identity_and_perturbations():
                     if n2 < 1 or 2 * g - 2 + n2 <= 0:
                         continue
                     assert vtev_projective_qh(g, d, r, n2) == 0
+
+
+def test_qpow_matches_repeated_product():
+    rng = random.Random(5)
+    for _ in range(40):
+        r = rng.randint(1, 6)
+        x = random_class(rng, r)
+        want = QPolyClass.one(r)
+        for k in range(20):
+            assert qpow(x, k) == want, (x, k)
+            want = qmul(want, x)
+
+
+def test_qpow_rejects_negative_power():
+    with pytest.raises(ParameterError):
+        qpow(h(2, 1), -1)
+
+
+def linear_products(r, n_max, g_max):
+    """table[n][g] = P^{*n} * E^{*g}, one qmul per mark and per genus.
+
+    The loop that vtev_projective_qh ran before it took powers by
+    square-and-multiply: the oracle for the coefficient it reads.
+    """
+    point, euler = QPolyClass.point(r), quantum_euler(r)
+    acc = QPolyClass.one(r)
+    table = []
+    for _ in range(n_max + 1):
+        row = [acc]
+        for _ in range(g_max):
+            row.append(qmul(row[-1], euler))
+        table.append(row)
+        acc = qmul(acc, point)
+    return table
+
+
+def test_count_matches_linear_qmul_loop():
+    for r in range(1, 7):
+        table = linear_products(r, 201, 12)
+        for g in range(13):
+            for m in range(1, 201):
+                d, n = r * m, (r + 1) * m - g + 1
+                if n > 200:
+                    break
+                for n2 in (n - 1, n, n + 1):
+                    if n2 < 1 or 2 * g - 2 + n2 <= 0:
+                        continue
+                    want = table[n2][g].coeff(d, r)
+                    assert vtev_projective_qh(g, d, r, n2) == want, (g, d, r, n2)
+
+
+@pytest.mark.parametrize("g, d, r, n", [
+    (0, 1, 1, 3), (2, 2, 2, 2), (12, 24, 6, 17), (40, 60, 3, 41),
+    (2, 3, 3, 10**9), (3, 10**9, 1, 2 * 10**9 - 2), (0, 6 * 10**6, 6, 7 * 10**6 + 1),
+])
+def test_qmul_calls_logarithmic(monkeypatch, g, d, r, n):
+    calls = 0
+    real = quantum.qmul
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return real(x, y)
+
+    monkeypatch.setattr(quantum, "qmul", counting)
+    vtev_projective_qh(g, d, r, n)
+    assert 0 < calls <= 2 * (n.bit_length() + g.bit_length()) + r + 2
 
 
 def test_rejects_unstable_range():

@@ -4,16 +4,104 @@ The Pieri rule is checked against honest two-variable Schur polynomial
 arithmetic: s_{(a,b)}(x, y) = (xy)^b * (x^{a-b} + ... + y^{a-b}), products
 expanded as plain polynomials and decomposed back into the Schur basis,
 with partitions outside the box dropped (the quotient presentation of the
-cohomology ring).  Counting fixtures are checked against the Catalan and
-pencil-count closed forms.
+cohomology ring).  The dense slot-list kernel is also checked against the
+dict Pieri rule it replaced, and the count against the dict pipeline.
+Counting fixtures are checked against the Catalan and pencil-count closed
+forms.
 """
 
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tevdeg.errors import ParameterError
 from tevdeg.schubert import grassmann_integral, pieri_special, tev_p1_schubert
+
+
+# -- dict <-> slot list --------------------------------------------------------
+
+def slots(box, t):
+    """Number of classes (a, t - a) inside the box."""
+    return max(min(t, box) - (t + 1) // 2 + 1, 0)
+
+
+def to_list(box, t, combo):
+    """Degree-t dict combination -> slot list (slot m holds a = min(t, box) - m)."""
+    out = [0] * slots(box, t)
+    for (a, b), c in combo.items():
+        assert a + b == t
+        out[min(t, box) - a] = c
+    return out
+
+
+def to_dict(box, t, combo):
+    """Slot list -> dict combination without zero coefficients."""
+    top = min(t, box)
+    return {(top - m, t - top + m): c for m, c in enumerate(combo) if c != 0}
+
+
+def by_degree(combo):
+    degrees = {}
+    for (a, b), c in combo.items():
+        degrees.setdefault(a + b, {})[(a, b)] = c
+    return degrees
+
+
+def pieri(box, combo, i):
+    """The dense kernel applied to a dict combination, one degree at a time."""
+    out = {}
+    for t, part in by_degree(combo).items():
+        prod = pieri_special(box, t, to_list(box, t, part), i)
+        for lam, c in to_dict(box, t + i, prod).items():
+            out[lam] = out.get(lam, 0) + c
+    return {lam: c for lam, c in out.items() if c != 0}
+
+
+def integral(box, combo):
+    return sum(grassmann_integral(box, t, to_list(box, t, part))
+               for t, part in by_degree(combo).items())
+
+
+# -- the dict Pieri rule and pipeline the dense kernel replaced ---------------
+
+def pieri_special_dict(box, combo, i):
+    """Multiply a combination by the special class sigma_i.
+
+    sigma_i with i > box annihilates everything; that is forced by the
+    a' <= box constraint rather than special-cased.
+    """
+    if i < 0:
+        raise ParameterError(f"special class index must be nonnegative, got {i}")
+    out = {}
+    for (a, b), c in combo.items():
+        total = a + b + i
+        # a' ranges over the horizontal-strip window
+        for a2 in range(max(a, total - a), min(box, total - b) + 1):
+            b2 = total - a2
+            out[(a2, b2)] = out.get((a2, b2), 0) + c
+    return {p: c for p, c in out.items() if c != 0}
+
+
+def tev_p1_schubert_dict(g, d):
+    """The count through dict combinations (parameters already valid)."""
+    box = d - 1
+    s = 2 * d - 2 - g
+    if s < 0:
+        return 0
+    total = {}
+    for i in range(s + 1):
+        j = s - i
+        if i > box or j > box:
+            continue  # the class vanishes in the box
+        prod = pieri_special_dict(box, {(i, 0): 1}, j)
+        for p, c in prod.items():
+            total[p] = total.get(p, 0) + c
+    total = {p: c for p, c in total.items() if c != 0}
+    for _ in range(g):
+        total = pieri_special_dict(box, total, 1)
+    return total.get((box, box), 0)
 
 
 # -- independent Schur-polynomial oracle --------------------------------------
@@ -76,24 +164,27 @@ def pencil_count(g, d):
 # -- pieri_special -------------------------------------------------------------
 
 def test_pieri_one_box():
-    assert pieri_special(2, {(0, 0): 1}, 1) == {(1, 0): 1}
+    assert pieri(2, {(0, 0): 1}, 1) == {(1, 0): 1}
+    assert pieri_special(2, 0, [1], 1) == [1]
 
 
 def test_pieri_splits_rows():
-    assert pieri_special(2, {(1, 0): 1}, 1) == {(2, 0): 1, (1, 1): 1}
+    assert pieri(2, {(1, 0): 1}, 1) == {(2, 0): 1, (1, 1): 1}
+    assert pieri_special(2, 1, [1], 1) == [1, 1]
 
 
 def test_pieri_exceeds_box():
-    assert pieri_special(2, {(2, 2): 1}, 1) == {}
+    assert pieri(2, {(2, 2): 1}, 1) == {}
+    assert pieri_special(2, 4, [1], 1) == []
 
 
 def test_pieri_identity_at_zero():
-    assert pieri_special(3, {(2, 1): 5}, 0) == {(2, 1): 5}
+    assert pieri(3, {(2, 1): 5}, 0) == {(2, 1): 5}
 
 
 def test_pieri_rejects_negative_index():
     with pytest.raises(ParameterError):
-        pieri_special(2, {(0, 0): 1}, -1)
+        pieri_special(2, 0, [1], -1)
 
 
 @pytest.mark.parametrize("box", [1, 2, 3, 4])
@@ -101,7 +192,7 @@ def test_pieri_matches_schur_oracle(box):
     for a in range(box + 1):
         for b in range(a + 1):
             for i in range(box + 2):
-                got = pieri_special(box, {(a, b): 1}, i)
+                got = pieri(box, {(a, b): 1}, i)
                 want = product_via_schur(box, {(a, b): 1}, i)
                 assert got == want, (box, (a, b), i)
 
@@ -109,36 +200,70 @@ def test_pieri_matches_schur_oracle(box):
 def test_pieri_raises_degree_by_exactly_i():
     for box in (2, 3):
         for i in range(box + 1):
-            out = pieri_special(box, {(2, 1): 1, (1, 0): 2}, i)
+            out = pieri(box, {(2, 1): 1, (1, 0): 2}, i)
             for (a, b), c in out.items():
                 assert c != 0
                 assert a + b in (3 + i, 1 + i)
 
 
+@st.composite
+def kernel_cases(draw):
+    box = draw(st.integers(0, 12))
+    t = draw(st.integers(0, 2 * box + 2))
+    i = draw(st.integers(0, box + 3))
+    combo = draw(st.lists(st.integers(-9, 9), max_size=slots(box, t)))
+    return box, t, combo, i
+
+
+@given(kernel_cases())
+@settings(deadline=None, max_examples=2000)
+@example((0, 0, [], 0))
+@example((3, 2, [-4], 5))
+@example((5, 4, [0, 0, 0], 2))
+@example((12, 25, [], 15))
+def test_dense_kernel_matches_dict_oracle(case):
+    # Short lists (missing trailing slots), empty lists, negative and zero
+    # coefficients, t past the top degree and i past the box are all drawn.
+    box, t, combo, i = case
+    got = pieri_special(box, t, combo, i)
+    assert len(got) <= slots(box, t + i)
+    assert to_dict(box, t + i, got) == pieri_special_dict(box, to_dict(box, t, combo), i)
+
+
+def test_pieri_list_size_independent_of_box():
+    # sigma_j * sigma_i with i = j = box - 20 has the 21 classes (box - m, box - 40 + m).
+    box = 10**9
+    assert pieri_special(box, box - 20, [1], box - 20) == [1] * 21
+    assert pieri_special(box, 0, [1], box // 2) == [1]
+
+
 # -- grassmann_integral --------------------------------------------------------
 
 def test_integral_of_top_class():
-    assert grassmann_integral(3, {(3, 3): 1}) == 1
+    assert integral(3, {(3, 3): 1}) == 1
+    assert grassmann_integral(3, 6, [1]) == 1
 
 
 def test_integral_wrong_degree():
-    assert grassmann_integral(3, {(3, 2): 7}) == 0
+    assert integral(3, {(3, 2): 7}) == 0
+    assert grassmann_integral(3, 5, [7]) == 0
+    assert grassmann_integral(3, 6, []) == 0
 
 
 def test_integral_sigma1_power_is_catalan():
     for box in range(1, 9):
-        combo = {(0, 0): 1}
-        for _ in range(2 * box):
-            combo = pieri_special(box, combo, 1)
-        assert grassmann_integral(box, combo) == catalan(box)
+        combo = [1]
+        for t in range(2 * box):
+            combo = pieri_special(box, t, combo, 1)
+        assert grassmann_integral(box, 2 * box, combo) == catalan(box)
 
 
 def test_duality_pairing():
     # By Giambelli, s_{(a,b)} = s_a s_b - s_{a+1} s_{b-1}; pairing any class
     # with the complementary one hits the top cell exactly once.
     def times_partition(box, combo, a, b):
-        plus = pieri_special(box, pieri_special(box, combo, a), b)
-        minus = pieri_special(box, pieri_special(box, combo, a + 1), b - 1) if b else {}
+        plus = pieri(box, pieri(box, combo, a), b)
+        minus = pieri(box, pieri(box, combo, a + 1), b - 1) if b else {}
         return {
             lam: c
             for lam in set(plus) | set(minus)
@@ -151,7 +276,7 @@ def test_duality_pairing():
             for (c, d) in parts:
                 if a + b + c + d != 2 * box:
                     continue
-                val = grassmann_integral(box, times_partition(box, {(a, b): 1}, c, d))
+                val = integral(box, times_partition(box, {(a, b): 1}, c, d))
                 want = 1 if (c, d) == (box - b, box - a) else 0
                 assert val == want, ((a, b), (c, d), box)
 
@@ -169,6 +294,12 @@ def test_large_degree_count_is_2_to_g():
     for g in range(13):
         for d in range(g + 1, g + 4):
             assert tev_p1_schubert(g, d) == 2**g
+
+
+def test_count_matches_dict_pipeline():
+    for g in range(91):
+        for d in range(max((g + 2) // 2, 1), g + 6):
+            assert tev_p1_schubert(g, d) == tev_p1_schubert_dict(g, d), (g, d)
 
 
 def test_genus_zero_counts_are_one():

@@ -26,6 +26,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["hyp", "--g", "0", "--d", "3", "--e", "3", "--r", "3"]),
         cli.main(["insert", "--g", "0", "--d", "6", "--e", "3", "--r", "3",
                   "--ell", "2,2,2,1,1,1"]),
+        cli.main(["p1", "--g", "40", "--d", "43"]),
+        cli.main(["qh", "--g", "3", "--d", "6", "--r", "2"]),
     ]
 print(json.dumps({"codes": codes, "layers": tracer.layer_metrics()}))
 """
@@ -38,8 +40,10 @@ def test_tracer_installs_and_records_each_layer():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["codes"] == [0, 0]
+    assert doc["codes"] == [0, 0, 0, 0]
     layers = doc["layers"]
     for name in ("truncpoly.mul.calls", "truncpoly.unipoly_mul.busy_s",
-                 "engine.point_factor.calls", "engine.deg_T.calls"):
+                 "engine.point_factor.calls", "engine.deg_T.calls",
+                 "schubert.pieri_special.calls", "schubert.pieri_terms_out",
+                 "quantum.qmul.calls", "quantum.qmul.term_pairs"):
         assert layers[name] > 0, name
