@@ -24,13 +24,13 @@ for r in (3, 5):
 # conditions changes the degree d that makes the count finite.
 g, d, e, r = 0, 6, 3, 3
 ell = (2, 2, 2, 1, 1, 1)
-engine_value = deg_T(HypParams.with_insertions(g, d, e, r, ell))
+engine_value = deg_T(HypParams(g, d, e, r, ell))
 closed_value = deg_T_insertions_closed(g, d, e, r, ell)
 print(f"\nprofile ell = {ell} at (g, d, e, r) = {(g, d, e, r)}:")
 print(f"  engine {engine_value}, closed form {closed_value}")
 
 # All-lines profiles recover the plain count times e^n.
 g, d = 1, 3
-p2 = HypParams.with_insertions(g, d, e, r, (1, 1))
+p2 = HypParams(g, d, e, r, (1, 1))
 print(f"\nall-lines profile at (g, d) = {(g, d)}:")
 print(f"  cycle degree {deg_T(p2)} = e^n * count = 3^2 * 216")

@@ -98,20 +98,17 @@ def random_insertion_setups(count: int = PROFILE_COUNT, seed: int = PROFILE_SEED
         (1, 3, 3, 3, (1, 1)),
         (0, 6, 3, 3, (2, 2, 2, 1, 1, 1)),
     ):
-        setups.append(engine.HypParams.with_insertions(g, d, e, r, ell))
+        setups.append(engine.HypParams(g, d, e, r, ell))
     while len(setups) < count:
         e = rng.choice((3, 4, 5))
         r = rng.randint(e - 1, 8)
         g = rng.randint(0, 2)
         n = rng.randint(max(1, 3 - 2 * g), 10)
         ell = tuple(rng.randint(1, r + 1) for _ in range(n))
-        num = r * (n + g - 1) - sum(li - 1 for li in ell)
-        den = r + 2 - e
-        if den <= 0 or num <= 0 or num % den:
-            continue
-        d = num // den
+        # The gate refuses d unless (r+2-e) d = r(n+g-1) - sum(ell_i - 1).
+        d = (r * (n + g - 1) - sum(ell) + n) // (r + 2 - e)
         try:
-            setups.append(engine.HypParams.with_insertions(g, d, e, r, ell))
+            setups.append(engine.HypParams(g, d, e, r, ell))
         except ParameterError:
             continue
     return setups

@@ -16,8 +16,8 @@ import json
 import os
 import sys
 
-from . import closed_forms, engine, quantum, schubert
-from .enumerativity import certify_enumerative, dims_check
+from . import closed_forms, engine, enumerativity, quantum, schubert
+from .enumerativity import certify_enumerative
 from .errors import InvariantBreach, ParameterError
 
 
@@ -103,12 +103,12 @@ def _print_result(params: dict, results: list[tuple[str, int]],
 
 
 def cmd_p1(args) -> int:
+    n = enumerativity.line_dims_check(args.g, args.d)
     methods = []
     if args.method in ("cps", "both"):
         methods.append(("cps", closed_forms.tev_p1_cps(args.g, args.d)))
     if args.method in ("schubert", "both"):
         methods.append(("schubert", schubert.tev_p1_schubert(args.g, args.d)))
-    n = 2 * args.d - args.g + 1
     _print_result({"g": args.g, "d": args.d, "n": n}, methods, {}, args.json)
     return 0
 
@@ -124,7 +124,7 @@ def _hyp_flags(closed, g, d, e, r) -> dict:
 
 def cmd_hyp(args) -> int:
     g, d, e, r = args.g, args.d, args.e, args.r
-    n = dims_check(g, d, e, r)
+    n = enumerativity.dims_check(g, d, e, r)
     closed = closed_forms.vtev_hypersurface_closed(g, d, e, r)
     methods = []
     if args.method in ("closed", "both"):
@@ -140,7 +140,7 @@ def cmd_hyp(args) -> int:
 def cmd_insert(args) -> int:
     g, d, e, r = args.g, args.d, args.e, args.r
     ell = parse_ell(args.ell)
-    p = engine.HypParams.with_insertions(g, d, e, r, ell)
+    p = engine.HypParams(g, d, e, r, ell)
     methods = []
     if args.method in ("closed", "both"):
         methods.append(("closed", closed_forms.deg_T_insertions_closed(g, d, e, r, ell)))
@@ -164,18 +164,7 @@ def cmd_alpha(args) -> int:
 
 def cmd_qh(args) -> int:
     g, d, r = args.g, args.d, args.r
-    if r < 1:
-        raise ParameterError(f"projective space dimension must be >= 1, got {r}")
-    if args.n is not None:
-        n = args.n
-    else:
-        if ((r + 1) * d) % r != 0:
-            raise ParameterError(
-                f"point count n = (r+1)d/r - g + 1 is not an integer for d={d}, r={r}"
-            )
-        n = (r + 1) * d // r - g + 1
-        if n < 1:
-            raise ParameterError(f"point count n = {n} must be >= 1")
+    n = enumerativity.projective_dims_check(g, d, r) if args.n is None else args.n
     value = quantum.vtev_projective_qh(g, d, r, n)
     _print_result({"g": g, "d": d, "r": r, "n": n}, [("quantum", value)], {}, args.json)
     return 0
@@ -253,7 +242,6 @@ def cmd_sweep(args) -> int:
         for g in parse_range(args.g)
         for d in parse_range(args.d)
     ]
-    tuples.sort(key=lambda tup: (tup[2], tup[3], tup[0], tup[1]))
 
     try:
         out = open(args.out, "w", encoding="utf-8", newline="")

@@ -17,7 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .enumerativity import dims_check, enum_bound_closed, insertion_dims_check
+from .enumerativity import (
+    bound_verdict,
+    dims_check,
+    insertion_dims_check,
+    line_dims_check,
+)
 from .errors import ParameterError
 from .truncpoly import UniPoly, binom
 
@@ -33,15 +38,7 @@ def tev_p1_cps(g: int, d: int) -> int:
     whenever d >= g + 1.  Transcribed literally; see the module docstring
     for its validity domain.
     """
-    if d < 1:
-        raise ParameterError(f"map degree must be positive, got d={d}")
-    if g < 0:
-        raise ParameterError(f"genus must be nonnegative, got g={g}")
-    n = 2 * d - g + 1
-    if n < 0:
-        raise ParameterError(f"point count n = 2d - g + 1 = {n} is negative")
-    if 2 * g - 2 + n <= 0:
-        raise ParameterError(f"(g, n) = ({g}, {n}) is outside the stable range")
+    line_dims_check(g, d)
     total = 2**g
     for i in range(g - d):
         total -= binom(g, i)
@@ -84,11 +81,7 @@ def vtev_hypersurface_closed(g: int, d: int, e: int, r: int) -> HypClosedResult:
     t = (d - n) * e - g + 1
     value = factorial(e - 1) ** n * (r + 2 - e) ** g * e**t
     virtual_range = 2 * e <= r + 3
-    try:
-        bound = enum_bound_closed(g, e, r)
-        bound_ok = bound is None or d > bound
-    except ParameterError:
-        bound_ok = False
+    _, _, bound_ok = bound_verdict(g, d, e, r)
     return HypClosedResult(value, virtual_range, bound_ok)
 
 

@@ -30,49 +30,49 @@ the assigned one.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .enumerativity import bundle_rank, dims_check, insertion_dims_check
+from .enumerativity import dims_check, insertion_dims_check
 from .errors import InvariantBreach, ParameterError
 from .truncpoly import PolyRing, TruncPoly, UniPoly
 
 
 @dataclass(frozen=True)
 class HypParams:
-    """Validated parameter tuple with its derived quantities.
+    """A parameter tuple that passed its gate, with its derived quantities.
 
-    n: number of marks; t = (d-n)e - g + 1: rank of the twisted push-down
-    bundle; N = (r+2)(d-g+1): rank of the ambient bundle, so the projective
-    bundle has fiber dimension N - 1; ell: the dimension ell_i in [1, r+1] of
-    the linear space mark i must hit.  Built only by ``standard`` and
-    ``with_insertions``, which run every gate, so the engine trusts it.
+    ell_i in [1, r+1] is the dimension of the linear space mark i must hit.
+    ``__post_init__`` runs ``insertion_dims_check`` (the gates ``dims_check``,
+    ``line_dims_check`` and ``projective_dims_check`` serve the other counts),
+    so the engine trusts every instance.  It sets n, the number of marks;
+    t = (d-n)e - g + 1, the rank of the twisted push-down bundle; and
+    N = (r+2)(d-g+1), the rank of the ambient bundle (fiber dimension N - 1).
     """
 
     g: int
     d: int
     e: int
     r: int
-    n: int
-    t: int
-    N: int
+    n: int = field(init=False)
+    t: int = field(init=False)
+    N: int = field(init=False)
     ell: tuple[int, ...]
+
+    def __post_init__(self):
+        g, d, e, r = self.g, self.d, self.e, self.r
+        ell = tuple(self.ell)
+        n = insertion_dims_check(g, d, e, r, ell)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t", (d - n) * e - g + 1)
+        object.__setattr__(self, "N", (r + 2) * (d - g + 1))
 
     @classmethod
     def standard(cls, g: int, d: int, e: int, r: int) -> HypParams:
         """Parameters for plain point conditions (every mark on a line)."""
-        n = dims_check(g, d, e, r)
-        t = bundle_rank(g, d, e, n)
-        return cls(g, d, e, r, n, t, (r + 2) * (d - g + 1), (1,) * n)
-
-    @classmethod
-    def with_insertions(cls, g: int, d: int, e: int, r: int, ell) -> HypParams:
-        """Parameters for general linear-space conditions of dimensions ``ell``."""
-        ell = tuple(ell)
-        n = insertion_dims_check(g, d, e, r, ell)
-        t = (d - n) * e - g + 1
-        return cls(g, d, e, r, n, t, (r + 2) * (d - g + 1), ell)
+        return cls(g, d, e, r, (1,) * dims_check(g, d, e, r))
 
 
 def _jac_ring(g: int) -> PolyRing:

@@ -5,8 +5,11 @@ on parameter tuples (g, d, e, r) where the number of point conditions
 
     n = (r + 2 - e) / r * d - g + 1
 
-is a positive integer in the stable range.  ``dims_check`` is that gate;
-every route goes through it.  ``bundle_rank`` adds the engine's gates.
+is a positive integer in the stable range.  Every route and the CLI leave
+that decision to the four gates here: ``dims_check`` (hypersurfaces),
+``insertion_dims_check`` (linear-space insertions plus the engine's
+``bundle_rank``; ``HypParams`` runs it), ``line_dims_check`` (P^1) and
+``projective_dims_check`` (P^r).
 
 Whether the resulting integer actually enumerates honest maps (rather than
 a virtual count polluted by degenerate loci) is certified two ways:
@@ -98,11 +101,11 @@ def insertion_dims_check(g: int, d: int, e: int, r: int, ell) -> int:
     n = len(ell)
     if n < 1:
         raise ParameterError("insertion profile must be nonempty")
-    for li in ell:
-        if not (1 <= li <= r + 1):
-            raise ParameterError(f"insertion dimension {li} out of range [1, {r + 1}]")
+    if min(ell) < 1 or max(ell) > r + 1:
+        bad = next(li for li in ell if not (1 <= li <= r + 1))
+        raise ParameterError(f"insertion dimension {bad} out of range [1, {r + 1}]")
     lhs = r * (n + g - 1)
-    rhs = (r + 2 - e) * d + sum(li - 1 for li in ell)
+    rhs = (r + 2 - e) * d + sum(ell) - n
     if lhs != rhs:
         raise ParameterError(
             f"insertion dimension condition fails: r(n+g-1) = {lhs} "
@@ -111,6 +114,37 @@ def insertion_dims_check(g: int, d: int, e: int, r: int, ell) -> int:
     if 2 * g - 2 + n <= 0:
         raise ParameterError(f"(g, n) = ({g}, {n}) is outside the stable range")
     bundle_rank(g, d, e, n)
+    return n
+
+
+def line_dims_check(g: int, d: int) -> int:
+    """Validate (g, d) for maps to the line; return n = 2d - g + 1."""
+    if d < 1:
+        raise ParameterError(f"map degree must be positive, got d={d}")
+    if g < 0:
+        raise ParameterError(f"genus must be nonnegative, got g={g}")
+    n = 2 * d - g + 1
+    if n < 0:
+        raise ParameterError(f"point count n = 2d - g + 1 = {n} is negative")
+    if 2 * g - 2 + n <= 0:
+        raise ParameterError(f"(g, n) = ({g}, {n}) is outside the stable range")
+    return n
+
+
+def projective_dims_check(g: int, d: int, r: int) -> int:
+    """Validate (d, r) for maps to P^r; return n = (r+1)d/r - g + 1.
+
+    ``vtev_projective_qh``, which takes any n, checks g, d and stability.
+    """
+    if r < 1:
+        raise ParameterError(f"projective space dimension must be >= 1, got {r}")
+    if ((r + 1) * d) % r != 0:
+        raise ParameterError(
+            f"point count n = (r+1)d/r - g + 1 is not an integer for d={d}, r={r}"
+        )
+    n = (r + 1) * d // r - g + 1
+    if n < 1:
+        raise ParameterError(f"point count n = {n} must be >= 1")
     return n
 
 
@@ -136,6 +170,16 @@ def enum_bound_closed(g: int, e: int, r: int) -> Fraction | None:
     if g == 0:
         return None
     return Fraction(r * ((3 * g - 2) * (1 + e) + 1 + g * (r + 2)), slack)
+
+
+def bound_verdict(g: int, d: int, e: int, r: int) -> tuple[Fraction | None, bool, bool]:
+    """(bound, applicable, satisfied): ``enum_bound_closed(g, e, r)``, whether
+    it accepts (g, e, r), and whether it does and d clears the bound."""
+    try:
+        bound = enum_bound_closed(g, e, r)
+    except ParameterError:
+        return None, False, False
+    return bound, True, bound is None or d > bound
 
 
 @dataclass(frozen=True)
@@ -270,16 +314,7 @@ def certify_enumerative(g: int, d: int, e: int, r: int) -> CertificationReport:
     ``test_certify_matches_run_heads`` in ``tests/test_enumerativity.py``).
     """
     n = dims_check(g, d, e, r)
-
-    bound: Fraction | None
-    try:
-        bound = enum_bound_closed(g, e, r)
-        bound_applicable = True
-        bound_satisfied = bound is None or d > bound
-    except ParameterError:
-        bound = None
-        bound_applicable = False
-        bound_satisfied = False
+    bound, bound_applicable, bound_satisfied = bound_verdict(g, d, e, r)
 
     def report(certified, reason, witness, checked):
         return CertificationReport(
@@ -290,7 +325,7 @@ def certify_enumerative(g: int, d: int, e: int, r: int) -> CertificationReport:
             closed_bound=bound,
             bound_applicable=bound_applicable,
             bound_satisfied=bound_satisfied,
-            audit_sharper=certified and not (bound_applicable and bound_satisfied),
+            audit_sharper=certified and not bound_satisfied,
             strata_checked=checked,
         )
 

@@ -60,13 +60,6 @@ class QPolyClass:
             out[key] = out.get(key, 0) + c
         return QPolyClass(self.r, out)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QPolyClass(self.r, {k: c * other for k, c in self.terms.items()})
-        return qmul(self, other)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QPolyClass)
@@ -116,8 +109,6 @@ def quantum_euler(r: int) -> QPolyClass:
     Computed as the sum of quantum products of dual basis pairs, not from
     the closed form; the identity with (r+1) h^r is a tested property.
     """
-    if r < 1:
-        raise ParameterError(f"projective space dimension must be >= 1, got {r}")
     total = QPolyClass(r, {})
     for j in range(r + 1):
         total = total + qmul(QPolyClass.h_power(r, r - j), QPolyClass.h_power(r, j))
@@ -146,8 +137,9 @@ def vtev_projective_qh(g: int, d: int, r: int, n: int) -> int:
     when the point count matches n = (r+1) d / r - g + 1, and 0 otherwise
     (the grading cannot reach q^d * h^r).
     """
-    if g < 0 or d < 1 or r < 1 or n < 1:
+    point = QPolyClass.point(r)  # refuses r < 1 first
+    if g < 0 or d < 1 or n < 1:
         raise ParameterError(f"invalid parameters (g, d, r, n) = {(g, d, r, n)}")
     if 2 * g - 2 + n <= 0:
         raise ParameterError(f"(g, n) = ({g}, {n}) is outside the stable range")
-    return qmul(qpow(QPolyClass.point(r), n), qpow(quantum_euler(r), g)).coeff(d, r)
+    return qmul(qpow(point, n), qpow(quantum_euler(r), g)).coeff(d, r)

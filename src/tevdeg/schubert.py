@@ -27,6 +27,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import add, sub
 
+from .enumerativity import line_dims_check
 from .errors import ParameterError
 
 
@@ -87,16 +88,7 @@ def tev_p1_schubert(g: int, d: int) -> int:
     with n = 2d - g + 1 point conditions.  The sum is empty (count 0) when
     2d - 2 - g < 0.
     """
-    if d < 1:
-        raise ParameterError(f"map degree must be positive, got d={d}")
-    if g < 0:
-        raise ParameterError(f"genus must be nonnegative, got g={g}")
-    n = 2 * d - g + 1
-    if n < 0:
-        raise ParameterError(f"point count n = 2d - g + 1 = {n} is negative")
-    if 2 * g - 2 + n <= 0:
-        raise ParameterError(f"(g, n) = ({g}, {n}) is outside the stable range")
-
+    line_dims_check(g, d)
     box = d - 1
     s = 2 * d - 2 - g
     if s < 0:

@@ -17,7 +17,7 @@ from tevdeg.engine import (
     step3_class,
     tev_hypersurface_engine,
 )
-from tevdeg.enumerativity import dims_check
+from tevdeg.enumerativity import dims_check, insertion_dims_check
 from tevdeg.errors import InvariantBreach, ParameterError
 from tevdeg.truncpoly import PolyRing, UniPoly
 
@@ -48,24 +48,25 @@ def test_standard_params_rejections():
 
 
 def test_insertion_params_match_profile():
-    p = HypParams.with_insertions(0, 6, 3, 3, [2, 2, 2, 1, 1, 1])
+    p = HypParams(0, 6, 3, 3, [2, 2, 2, 1, 1, 1])
     assert p.n == 6 and p.ell == (2, 2, 2, 1, 1, 1)
     assert HypParams.standard(0, 3, 3, 3).ell == (1, 1, 1)
     with pytest.raises(ParameterError):
-        HypParams.with_insertions(0, 6, 3, 3, (2, 2, 2, 1, 1))  # condition fails
+        HypParams(0, 6, 3, 3, (2, 2, 2, 1, 1))  # condition fails
     with pytest.raises(ParameterError, match="ell_i = 1 for every mark"):
         tev_hypersurface_engine(p)  # a count of maps needs line conditions
 
 
-def test_standard_gates_match_all_lines_insertions():
-    # standard runs dims_check and bundle_rank; at ell = (1,)*n it must accept
-    # and refuse exactly what insertion_dims_check does, with the same text.
-    def outcome(build):
-        try:
-            return build()
-        except ParameterError as ex:
-            return str(ex)
+def _outcome(build):
+    try:
+        return build()
+    except ParameterError as ex:
+        return str(ex)
 
+
+def test_standard_gates_match_all_lines_insertions():
+    # standard runs dims_check, then the insertion gate at ell = (1,)*n; it
+    # must accept and refuse exactly what that gate does, with the same text.
     for g in range(5):
         for e in range(3, 6):
             for r in range(1, 11):
@@ -74,8 +75,48 @@ def test_standard_gates_match_all_lines_insertions():
                         n = dims_check(g, d, e, r)
                     except ParameterError:
                         continue
-                    assert outcome(lambda: HypParams.standard(g, d, e, r)) == outcome(
-                        lambda: HypParams.with_insertions(g, d, e, r, (1,) * n))
+                    assert _outcome(lambda: HypParams.standard(g, d, e, r)) == _outcome(
+                        lambda: HypParams(g, d, e, r, (1,) * n))
+
+
+def test_hypparams_is_its_own_gate():
+    # n, t and N are derived, never passed; a profile that does not match
+    # (g, d, e, r) is bad input (exit 2), not a broken invariant (exit 3).
+    with pytest.raises(ParameterError, match="dimension condition"):
+        HypParams(0, 3, 3, 3, (1, 1))
+    with pytest.raises(TypeError):
+        HypParams(0, 3, 3, 3, 3, 1, 20, (1, 1))
+    p = HypParams(0, 3, 3, 3, [1, 1, 1])
+    assert p == HypParams.standard(0, 3, 3, 3)
+    assert repr(p) == "HypParams(g=0, d=3, e=3, r=3, n=3, t=1, N=20, ell=(1, 1, 1))"
+
+
+def test_hypparams_accepts_exactly_the_insertion_gate():
+    # Out-of-range entries (0 and r+2) also sit behind valid ones, and some
+    # profiles have two offenders: the first one must be the one named.
+    def profiles(r):
+        yield from ((1,), (1, 1), (1, 1, 1), (2, 1), (2, 2, 1), (1, 1, 1, 1),
+                    (2, 2, 2, 1, 1, 1), (3, 2, 1, 1), ())
+        top = r + 2
+        yield from ((1, 0, 1), (1, 1, top), (0, top), (top, 0), (2, 1, 0, top),
+                    (1, top, 1, 0), (2, 2, 0))
+
+    accepted = 0
+    for g in range(-1, 3):
+        for d in range(0, 10):
+            for e in range(2, 5):
+                for r in range(0, 5):
+                    for ell in profiles(r):
+                        want = _outcome(lambda: insertion_dims_check(g, d, e, r, ell))
+                        got = _outcome(lambda: HypParams(g, d, e, r, ell))
+                        if isinstance(want, str):
+                            assert got == want, (g, d, e, r, ell)
+                        else:
+                            accepted += 1
+                            assert (got.n, got.ell) == (want, ell)
+                            assert got.t == (d - want) * e - g + 1
+                            assert got.N == (r + 2) * (d - g + 1)
+    assert accepted > 0
 
 
 # -- point_factor ---------------------------------------------------------------
@@ -160,7 +201,7 @@ def test_integrate_theta():
 def test_deg_T_contract_values():
     assert deg_T(HypParams.standard(0, 3, 3, 3)) == 648
     assert deg_T(HypParams.standard(1, 3, 3, 3)) == 1944
-    assert deg_T(HypParams.with_insertions(0, 6, 3, 3, (2, 2, 2, 1, 1, 1))) == 6001128
+    assert deg_T(HypParams(0, 6, 3, 3, (2, 2, 2, 1, 1, 1))) == 6001128
 
 
 def test_engine_contract_values():
@@ -183,7 +224,7 @@ def test_deg_T_matches_insertion_closed_form_on_mixed_profiles():
         (2, 7, 4, 4, (2, 1, 2)),
     ]
     for g, d, e, r, ell in cases:
-        p = HypParams.with_insertions(g, d, e, r, ell)
+        p = HypParams(g, d, e, r, ell)
         assert deg_T(p) == deg_T_insertions_closed(g, d, e, r, ell)
 
 
@@ -195,7 +236,7 @@ def test_deg_T_builds_one_point_factor_per_distinct_ell(monkeypatch):
         return point_factor(e, r, ell_i)
 
     monkeypatch.setattr(engine, "point_factor", counted)
-    p = HypParams.with_insertions(0, 6, 3, 3, (2, 2, 2, 1, 1, 1))
+    p = HypParams(0, 6, 3, 3, (2, 2, 2, 1, 1, 1))
     assert deg_T(p) == 6001128
     assert sorted(calls) == [1, 2]
     calls.clear()
@@ -210,9 +251,9 @@ def test_deg_T_rejects_mismatched_profile():
     # deg_T reads the profile from its HypParams, so a profile that does not
     # match (g, d, e, r) has to be refused where HypParams is built.
     with pytest.raises(ParameterError, match="dimension condition"):
-        HypParams.with_insertions(0, 3, 3, 3, (1, 1))  # too few marks
+        HypParams(0, 3, 3, 3, (1, 1))  # too few marks
     with pytest.raises(ParameterError, match="dimension condition"):
-        HypParams.with_insertions(0, 3, 3, 3, (2, 1, 1))
+        HypParams(0, 3, 3, 3, (2, 1, 1))
 
 
 def test_pipeline_support_window():

@@ -8,18 +8,31 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tevdeg.acceptance import enumerativity_grid_cases
+from tevdeg.closed_forms import tev_p1_cps, vtev_hypersurface_closed
 from tevdeg.enumerativity import (
     StratumProfile,
     admissible_strata,
+    bound_verdict,
     bundle_rank,
     certify_enumerative,
     count_admissible_strata,
     dims_check,
     enum_bound_closed,
     insertion_dims_check,
+    line_dims_check,
+    projective_dims_check,
     stratum_audit,
 )
 from tevdeg.errors import ParameterError
+from tevdeg.schubert import tev_p1_schubert
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ParameterError as ex:
+        return str(ex)
 
 
 # -- dims_check -----------------------------------------------------------------
@@ -51,6 +64,40 @@ def test_insertion_dims_check():
         insertion_dims_check(0, 3, 3, 2, (2, 2, 2, 2, 2))
 
 
+def test_insertion_dims_check_names_the_first_offender():
+    for r in range(1, 5):
+        for ell in ((1, 0, r + 2), (1, r + 2, 0), (2, 1, 1, 0), (r + 2, 1), (1, 1, 1, 9)):
+            first = next(li for li in ell if not 1 <= li <= r + 1)
+            with pytest.raises(ParameterError) as info:
+                insertion_dims_check(0, 6, 3, r, ell)
+            assert str(info.value) == f"insertion dimension {first} out of range [1, {r + 1}]"
+
+
+def test_line_gate_is_the_gate_of_both_p1_routes():
+    for g in range(-1, 9):
+        for d in range(-1, 9):
+            n = _outcome(line_dims_check, g, d)
+            if isinstance(n, str):
+                assert _outcome(tev_p1_cps, g, d) == n, (g, d)
+                assert _outcome(tev_p1_schubert, g, d) == n, (g, d)
+            else:
+                assert n == 2 * d - g + 1
+                assert isinstance(tev_p1_cps(g, d), int)
+                assert isinstance(tev_p1_schubert(g, d), int)
+
+
+def test_projective_dims_check():
+    assert projective_dims_check(2, 2, 2) == 2
+    assert projective_dims_check(0, 1, 1) == 3
+    assert projective_dims_check(-1, 3, 3) == 6  # g is left to the quantum route
+    with pytest.raises(ParameterError, match="dimension must be >= 1, got 0"):
+        projective_dims_check(0, 1, 0)
+    with pytest.raises(ParameterError, match="not an integer for d=3, r=2"):
+        projective_dims_check(0, 3, 2)
+    with pytest.raises(ParameterError, match="n = 0 must be >= 1"):
+        projective_dims_check(4, 2, 2)
+
+
 def test_bundle_rank():
     assert bundle_rank(1, 3, 3, 2) == 3
     with pytest.raises(ParameterError, match="d >= 2g"):
@@ -72,6 +119,36 @@ def test_bound_values():
 def test_bound_rejects_small_r():
     with pytest.raises(ParameterError):
         enum_bound_closed(1, 3, 4)  # needs r > 4
+
+
+def test_bound_verdict():
+    assert bound_verdict(1, 61, 3, 5) == (Fraction(60), True, True)
+    assert bound_verdict(1, 60, 3, 5) == (Fraction(60), True, False)
+    assert bound_verdict(0, 1, 3, 5) == (None, True, True)
+    assert bound_verdict(1, 100, 3, 4) == (None, False, False)
+
+
+def test_bound_ok_is_applicable_and_satisfied():
+    # The hyp flag and the certificate read one verdict: on the criterion-5
+    # tuples and on every valid tuple near the threshold r = (e+1)(e-2).
+    cases = list(enumerativity_grid_cases())
+    for e in (3, 4):
+        edge = (e + 1) * (e - 2)
+        for r in range(edge - 1, edge + 3):
+            for g in range(3):
+                for d in range(1, 80):
+                    try:
+                        dims_check(g, d, e, r)
+                    except ParameterError:
+                        continue
+                    cases.append((g, d, e, r))
+    seen = set()
+    for g, d, e, r in cases:
+        rep = certify_enumerative(g, d, e, r)
+        bound_ok = vtev_hypersurface_closed(g, d, e, r).bound_ok
+        assert bound_ok == (rep.bound_applicable and rep.bound_satisfied), (g, d, e, r)
+        seen.add((rep.bound_applicable, bound_ok))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 # -- stratum_audit -------------------------------------------------------------------

@@ -153,6 +153,12 @@ def test_qmul_calls_logarithmic(monkeypatch, g, d, r, n):
     assert 0 < calls <= 2 * (n.bit_length() + g.bit_length()) + r + 2
 
 
+def test_names_the_dimension_before_other_parameters():
+    for g, d, n in ((0, 1, 3), (-1, 0, 0)):
+        with pytest.raises(ParameterError, match="dimension must be >= 1, got 0"):
+            vtev_projective_qh(g, d, 0, n)
+
+
 def test_rejects_unstable_range():
     with pytest.raises(ParameterError):
         vtev_projective_qh(0, 1, 1, 2)  # (g, n) = (0, 2) unstable
