@@ -48,7 +48,7 @@ assert degree == deg_T(p)
 count = tev_hypersurface_engine(p)
 closed = vtev_hypersurface_closed(p.g, p.d, p.e, p.r)
 print(f"count of maps:   {degree} / {p.e}^{p.n} = {count}")
-print(f"closed form:     {closed.value} (agreement: {count == closed.value})")
+print(f"closed form:     {closed} (agreement: {count == closed})")
 
 # The same pipeline at genus 3, degree 300, on a cubic 10-fold: the result
 # has over a hundred digits and still takes a fraction of a second.

@@ -17,7 +17,7 @@ from tevdeg import (
 # middle dimensions, palindromic, summing to (r+2) e^e.
 for r in (3, 5):
     al = alpha_coefficients(3, r)
-    print(f"alpha(e=3, r={r}): {list(al.values)}  sum = {sum(al.values)}")
+    print(f"alpha(e=3, r={r}): {list(al)}  sum = {sum(al)}")
 
 # A mixed profile on the cubic threefold: three marks on general planes
 # (ell = 2) and three on general lines (ell = 1).  Trading plane for line

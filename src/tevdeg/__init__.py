@@ -17,8 +17,6 @@ and rationals throughout, no floating point.
 
 from .closed_forms import (
     CPS_VS_SCHUBERT_DISCREPANCIES,
-    AlphaList,
-    HypClosedResult,
     alpha_coefficients,
     deg_T_insertions_closed,
     tev_p1_cps,
@@ -53,11 +51,9 @@ from .truncpoly import PolyRing, TruncPoly, UniPoly, binom
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaList",
     "AuditReport",
     "CertificationReport",
     "CPS_VS_SCHUBERT_DISCREPANCIES",
-    "HypClosedResult",
     "HypParams",
     "InvariantBreach",
     "ParameterError",

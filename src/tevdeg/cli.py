@@ -34,8 +34,6 @@ def parse_range(text: str) -> list[int]:
         if hi < lo:
             raise ParameterError(f"empty range {part!r}")
         values.update(range(lo, hi + 1))
-    if not values:
-        raise ParameterError(f"empty range {text!r}")
     return sorted(values)
 
 
@@ -113,27 +111,30 @@ def cmd_p1(args) -> int:
     return 0
 
 
-def _hyp_flags(closed, g, d, e, r) -> dict:
-    """The validity flags of a hypersurface count, given its closed form."""
+def _hyp_flags(rep) -> dict:
+    """The validity flags of a hypersurface count, all from its certificate.
+
+    ``virtual_range`` is 2e <= r + 3, the range in which the closed form is
+    proved as a virtual count.
+    """
     return {
-        "virtual_range": closed.virtual_range,
-        "bound_ok": closed.bound_ok,
-        "certified": certify_enumerative(g, d, e, r).certified,
+        "virtual_range": 2 * rep.e <= rep.r + 3,
+        "bound_ok": rep.bound_satisfied,
+        "certified": rep.certified,
     }
 
 
 def cmd_hyp(args) -> int:
     g, d, e, r = args.g, args.d, args.e, args.r
-    n = enumerativity.dims_check(g, d, e, r)
-    closed = closed_forms.vtev_hypersurface_closed(g, d, e, r)
+    rep = certify_enumerative(g, d, e, r)
     methods = []
     if args.method in ("closed", "both"):
-        methods.append(("closed", closed.value))
+        methods.append(("closed", closed_forms.vtev_hypersurface_closed(g, d, e, r)))
     if args.method in ("engine", "both"):
         methods.append(("engine", engine.tev_hypersurface_engine(
             engine.HypParams.standard(g, d, e, r))))
-    params = {"g": g, "d": d, "e": e, "r": r, "n": n}
-    _print_result(params, methods, _hyp_flags(closed, g, d, e, r), args.json)
+    params = {"g": g, "d": d, "e": e, "r": r, "n": rep.n}
+    _print_result(params, methods, _hyp_flags(rep), args.json)
     return 0
 
 
@@ -154,10 +155,10 @@ def cmd_insert(args) -> int:
 def cmd_alpha(args) -> int:
     al = closed_forms.alpha_coefficients(args.e, args.r)
     if args.json:
-        doc = {"e": al.e, "r": al.r, "alpha": [str(v) for v in al.values]}
+        doc = {"e": args.e, "r": args.r, "alpha": [str(v) for v in al]}
         print(json.dumps(doc))
     else:
-        for i, v in enumerate(al.values, start=1):
+        for i, v in enumerate(al, start=1):
             print(f"alpha_{i} {v}")
     return 0
 
@@ -221,10 +222,10 @@ def sweep_record(g: int, d: int, e: int, r: int) -> dict | None:
     value_engine = engine.tev_hypersurface_engine(p)
     return {
         "g": g, "d": d, "e": e, "r": r, "n": p.n, "t": p.t,
-        "value_closed": int_str(closed.value),
+        "value_closed": int_str(closed),
         "value_engine": int_str(value_engine),
-        "agreement": closed.value == value_engine,
-        **_hyp_flags(closed, g, d, e, r),
+        "agreement": closed == value_engine,
+        **_hyp_flags(certify_enumerative(g, d, e, r)),
     }
 
 

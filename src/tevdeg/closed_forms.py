@@ -1,8 +1,11 @@
 """Closed-form count formulas, the oracles for the other routes.
 
 Every formula here is a direct transcription evaluated in exact integer
-arithmetic; nothing is shared with the Schubert, quantum, or intersection
-pipelines, so agreement between routes is meaningful evidence.
+arithmetic and returns a plain int (or a tuple of them); nothing is shared
+with the Schubert, quantum, or intersection pipelines, so agreement between
+routes is meaningful evidence.  The only imports from ``enumerativity`` are
+the validity gates: whether a count is enumerative is decided by
+``certify_enumerative`` alone.
 
 A documented caveat: for maps to the line, the binomial formula
 ``tev_p1_cps`` agrees with the Grassmannian integral (and with direct
@@ -14,15 +17,9 @@ table ``CPS_VS_SCHUBERT_DISCREPANCIES`` records every disagreement with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
-from .enumerativity import (
-    bound_verdict,
-    dims_check,
-    insertion_dims_check,
-    line_dims_check,
-)
+from .enumerativity import dims_check, insertion_dims_check, line_dims_check
 from .errors import ParameterError
 from .truncpoly import UniPoly, binom
 
@@ -54,39 +51,19 @@ def vtev_projective_closed(g: int, r: int) -> int:
     return (r + 1) ** g
 
 
-@dataclass(frozen=True)
-class HypClosedResult:
-    """Closed-form hypersurface count plus its two validity flags.
-
-    ``virtual_range``: 3 <= e <= (r+3)/2, the range in which the formula is
-    proved as a virtual count.  ``bound_ok``: the closed-form enumerativity
-    threshold applies (r > (e+1)(e-2)) and d clears it, so the value counts
-    honest maps.
-    """
-
-    value: int
-    virtual_range: bool
-    bound_ok: bool
-
-
-def vtev_hypersurface_closed(g: int, d: int, e: int, r: int) -> HypClosedResult:
+def vtev_hypersurface_closed(g: int, d: int, e: int, r: int) -> int:
     """Closed-form count for a degree-e hypersurface of dimension r:
 
         ((e-1)!)^n * (r+2-e)^g * e^t,   t = (d-n)e - g + 1,
 
-    with n from the dimension gate.  Always returned together with the
-    virtual-range and enumerativity-bound flags.
+    with n from the dimension gate.
     """
     n = dims_check(g, d, e, r)
     t = (d - n) * e - g + 1
-    value = factorial(e - 1) ** n * (r + 2 - e) ** g * e**t
-    virtual_range = 2 * e <= r + 3
-    _, _, bound_ok = bound_verdict(g, d, e, r)
-    return HypClosedResult(value, virtual_range, bound_ok)
+    return factorial(e - 1) ** n * (r + 2 - e) ** g * e**t
 
 
-@dataclass(frozen=True)
-class AlphaList:
+def alpha_coefficients(e: int, r: int) -> tuple[int, ...]:
     """Per-point insertion multipliers alpha_1 .. alpha_{e+r+1}.
 
     Coefficients of (1 + z + ... + z^{r+1}) * prod_{j=0}^{e-1} (j + (e-j) z);
@@ -94,21 +71,6 @@ class AlphaList:
     starts at z^1.  All entries are positive, the list is palindromic, and
     it sums to (r+2) e^e (both sides evaluated at z = 1).
     """
-
-    e: int
-    r: int
-    values: tuple[int, ...]
-
-    def alpha(self, ell: int) -> int:
-        if not (1 <= ell <= self.e + self.r + 1):
-            raise ParameterError(
-                f"alpha index {ell} out of range [1, {self.e + self.r + 1}]"
-            )
-        return self.values[ell - 1]
-
-
-def alpha_coefficients(e: int, r: int) -> AlphaList:
-    """Expand the insertion generating polynomial exactly."""
     if e < 3:
         raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
     if r < 1:
@@ -118,7 +80,7 @@ def alpha_coefficients(e: int, r: int) -> AlphaList:
         poly = poly * UniPoly("z", [j, e - j])
     if poly.coeff(0) != 0 or poly.degree() != e + r + 1:
         raise AssertionError("insertion polynomial has unexpected shape")
-    return AlphaList(e, r, tuple(poly.coeff(k) for k in range(1, e + r + 2)))
+    return tuple(poly.coeff(k) for k in range(1, e + r + 2))
 
 
 def deg_T_insertions_closed(g: int, d: int, e: int, r: int, ell) -> int:
@@ -133,8 +95,9 @@ def deg_T_insertions_closed(g: int, d: int, e: int, r: int, ell) -> int:
     t = (d - n) * e - g + 1
     alphas = alpha_coefficients(e, r)
     prod = 1
+    # The gate holds every ell_i to [1, r+1], so no index wraps around.
     for li in ell:
-        prod *= alphas.alpha(li)
+        prod *= alphas[li - 1]
     return (r + 2 - e) ** g * e**t * prod
 
 

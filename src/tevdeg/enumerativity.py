@@ -172,16 +172,6 @@ def enum_bound_closed(g: int, e: int, r: int) -> Fraction | None:
     return Fraction(r * ((3 * g - 2) * (1 + e) + 1 + g * (r + 2)), slack)
 
 
-def bound_verdict(g: int, d: int, e: int, r: int) -> tuple[Fraction | None, bool, bool]:
-    """(bound, applicable, satisfied): ``enum_bound_closed(g, e, r)``, whether
-    it accepts (g, e, r), and whether it does and d clears the bound."""
-    try:
-        bound = enum_bound_closed(g, e, r)
-    except ParameterError:
-        return None, False, False
-    return bound, True, bound is None or d > bound
-
-
 @dataclass(frozen=True)
 class StratumProfile:
     """Counts of degenerate base-points: off-mark (b0), simple (b1), double (b2)."""
@@ -250,6 +240,9 @@ def stratum_audit(
 class CertificationReport:
     """Outcome of the stratum sweep for one parameter tuple.
 
+    ``bound_applicable``: ``enum_bound_closed`` accepts (g, e, r), that is
+    r > (e+1)(e-2); ``closed_bound`` is its value.  ``bound_satisfied``: it
+    applies and d clears it, so the closed bound alone vouches for the count.
     ``audit_sharper`` marks certificates obtained with d at or below the
     closed-form threshold (or where that threshold does not apply): the
     audit alone vouches for them, which is a strictly stronger claim than
@@ -314,7 +307,12 @@ def certify_enumerative(g: int, d: int, e: int, r: int) -> CertificationReport:
     ``test_certify_matches_run_heads`` in ``tests/test_enumerativity.py``).
     """
     n = dims_check(g, d, e, r)
-    bound, bound_applicable, bound_satisfied = bound_verdict(g, d, e, r)
+    try:
+        bound = enum_bound_closed(g, e, r)
+        bound_applicable = True
+    except ParameterError:
+        bound, bound_applicable = None, False
+    bound_satisfied = bound_applicable and (bound is None or d > bound)
 
     def report(certified, reason, witness, checked):
         return CertificationReport(

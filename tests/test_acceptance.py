@@ -4,7 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines; ``tevdeg verify`` prints the same table.
 """
 
-import pytest
+import itertools
+from types import SimpleNamespace
 
 from tevdeg import acceptance
 
@@ -29,6 +30,27 @@ def test_criterion_3_p1_cross_check():
 
 def test_criterion_4_quantum_route():
     _check(acceptance.criterion_4_quantum())
+
+
+def _fake_clock(monkeypatch, step):
+    """Make each perf_counter call in ``acceptance`` advance by ``step`` s."""
+    ticks = itertools.count()
+    clock = SimpleNamespace(perf_counter=lambda: next(ticks) * step)
+    monkeypatch.setattr(acceptance, "time", clock)
+
+
+def test_criterion_4_detail_is_independent_of_the_clock(monkeypatch):
+    # verify prints the detail on stdout, which must not vary between runs.
+    details = []
+    for step in (0.01, 4.0):
+        _fake_clock(monkeypatch, step)
+        res = acceptance.criterion_4_quantum()
+        assert res.passed
+        details.append(res.detail)
+    assert details[0] == details[1]
+    _fake_clock(monkeypatch, 6.0)
+    res = acceptance.criterion_4_quantum()
+    assert not res.passed and "6.00s >= 5s" in res.detail
 
 
 def test_criterion_5_enumerativity():

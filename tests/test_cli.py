@@ -1,6 +1,9 @@
 """Tests for the command-line interface: output, schema, exit codes."""
 
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -340,7 +343,7 @@ def test_hyp_prints_big_count(capsys):
 
 
 def test_big_count_equals_closed_form(capsys, tmp_path, no_digit_limit):
-    want = str(vtev_hypersurface_closed(*BIG).value)
+    want = str(vtev_hypersurface_closed(*BIG))
     code, out, _ = run(capsys, ["hyp", *_big_args(), "--json"])
     assert code == 0
     assert [r["value"] for r in json.loads(out)["results"]] == [want, want]
@@ -396,3 +399,52 @@ def test_sweep_jobs_below_1_exits_2(tmp_path, capsys, jobs):
                                 "--d", "3", "--out", str(tmp_path / "x.csv"),
                                 "--jobs", jobs])
     assert code == 2 and "--jobs" in err
+
+
+# -- byte identity of the query verbs -------------------------------------------------
+
+def _query_corpus():
+    """argv lists for hyp, certify, alpha and insert over small grids.
+
+    The grids include invalid values of every parameter, so the corpus pins
+    the error messages and exit statuses as well as the counts and flags.
+    """
+    argvs = []
+    for g, d, e, r in itertools.product((-1, 0, 1, 2), (0, 3, 5, 10), (3, 5), (3, 5)):
+        tup = [f"--g={g}", f"--d={d}", f"--e={e}", f"--r={r}"]
+        for method in ("closed", "engine", "both"):
+            argvs.append(["hyp", *tup, "--method", method])
+            argvs.append(["hyp", *tup, "--method", method, "--json"])
+    for g, d, e, r in itertools.product((-1, 0, 1, 2), (0, 3, 5, 10), (2, 3, 5), (0, 3, 5)):
+        tup = [f"--g={g}", f"--d={d}", f"--e={e}", f"--r={r}"]
+        argvs.append(["certify", *tup])
+        argvs.append(["certify", *tup, "--json"])
+    for e, r in itertools.product((2, 3, 4, 5), (0, 1, 3, 6)):
+        argvs.append(["alpha", f"--e={e}", f"--r={r}"])
+        argvs.append(["alpha", f"--e={e}", f"--r={r}", "--json"])
+    for g, d, ell in ((0, 3, "1,1,1"), (1, 3, "1,1"), (0, 6, "2,2,2,1,1,1"),
+                      (0, 3, "2,1,1"), (0, 3, "1,1,5"), (0, 3, "1,1,0"),
+                      (0, 3, "x"), (0, 3, ""), (2, 3, "1")):
+        tup = [f"--g={g}", f"--d={d}", "--e=3", "--r=3", f"--ell={ell}"]
+        for method in ("closed", "engine", "both"):
+            argvs.append(["insert", *tup, "--method", method])
+            argvs.append(["insert", *tup, "--method", method, "--json"])
+    return argvs
+
+
+# SHA-256 of every (argv, exit status, stdout, stderr) of the corpus above.
+QUERY_CORPUS_SIZE = 758
+QUERY_CORPUS_DIGEST = "cf1e7ae28fd8ef6ed5877d5561d29154dd0aeb9efd83437ac410999ae8959741"
+
+
+def test_query_verbs_digest():
+    digest = hashlib.sha256()
+    argvs = _query_corpus()
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        digest.update((json.dumps([argv, code, out.getvalue(), err.getvalue()])
+                       + "\n").encode())
+    assert len(argvs) == QUERY_CORPUS_SIZE
+    assert digest.hexdigest() == QUERY_CORPUS_DIGEST

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from tevdeg.cli import sweep_record
 from tevdeg.closed_forms import (
     CPS_VS_SCHUBERT_DISCREPANCIES,
     alpha_coefficients,
@@ -61,10 +62,13 @@ def test_discrepancy_table_contents():
 # -- hypersurface closed form ----------------------------------------------------
 
 def test_hypersurface_closed_values():
-    res = vtev_hypersurface_closed(0, 3, 3, 3)
-    assert res.value == 24 and res.virtual_range and not res.bound_ok
-    assert vtev_hypersurface_closed(1, 3, 3, 3).value == 216
-    assert vtev_hypersurface_closed(0, 8, 3, 8).value == 768
+    value = vtev_hypersurface_closed(0, 3, 3, 3)
+    assert value == 24 and type(value) is int
+    assert vtev_hypersurface_closed(1, 3, 3, 3) == 216
+    assert vtev_hypersurface_closed(0, 8, 3, 8) == 768
+    # The flags come from the certificate; a sweep row carries both.
+    row = sweep_record(0, 3, 3, 3)
+    assert row["value_closed"] == "24" and row["virtual_range"] and not row["bound_ok"]
 
 
 def test_hypersurface_closed_rejects_non_integral_n():
@@ -74,11 +78,11 @@ def test_hypersurface_closed_rejects_non_integral_n():
 
 def test_hypersurface_flags():
     # e = 3, r = 5: virtual range needs 2e <= r + 3, bound needs r > 4.
-    res = vtev_hypersurface_closed(0, 10, 3, 5)
-    assert res.virtual_range and res.bound_ok
-    assert not vtev_hypersurface_closed(1, 5, 3, 5).bound_ok  # below the bound 60
-    assert not vtev_hypersurface_closed(0, 9, 3, 3).bound_ok  # bound inapplicable
-    assert not vtev_hypersurface_closed(0, 8, 5, 6).virtual_range  # 2e > r + 3
+    row = sweep_record(0, 10, 3, 5)
+    assert row["virtual_range"] and row["bound_ok"]
+    assert not sweep_record(1, 5, 3, 5)["bound_ok"]  # below the bound 60
+    assert not sweep_record(0, 9, 3, 3)["bound_ok"]  # bound inapplicable
+    assert not sweep_record(0, 8, 5, 6)["virtual_range"]  # 2e > r + 3
 
 
 def test_projective_closed():
@@ -90,13 +94,14 @@ def test_projective_closed():
 # -- alpha coefficients -----------------------------------------------------------
 
 def test_alpha_e3_r3():
-    assert alpha_coefficients(3, 3).values == (6, 21, 27, 27, 27, 21, 6)
+    assert alpha_coefficients(3, 3) == (6, 21, 27, 27, 27, 21, 6)
 
 
 def test_alpha_invariants():
     for e in range(3, 7):
         for r in range(1, 11):
-            vals = alpha_coefficients(e, r).values
+            vals = alpha_coefficients(e, r)
+            assert type(vals) is tuple and all(type(v) is int for v in vals)
             assert len(vals) == e + r + 1
             assert vals[0] == factorial(e)
             assert vals == vals[::-1]
@@ -105,12 +110,11 @@ def test_alpha_invariants():
 
 
 def test_alpha_index_bounds():
-    al = alpha_coefficients(3, 3)
-    assert al.alpha(1) == 6 and al.alpha(7) == 6
-    with pytest.raises(ParameterError):
-        al.alpha(0)
-    with pytest.raises(ParameterError):
-        al.alpha(8)
+    # alpha_1 .. alpha_{e+r+1}, with alpha_1 = alpha_{e+r+1} = e!.
+    for e, r in ((3, 3), (3, 1), (5, 2)):
+        vals = alpha_coefficients(e, r)
+        assert len(vals) == e + r + 1
+        assert vals[0] == vals[-1] == factorial(e)
 
 
 # -- insertion closed form ---------------------------------------------------------
@@ -123,9 +127,9 @@ def test_insertions_closed_values():
 
 def test_insertions_all_lines_matches_count_times_e_to_n():
     for g, d, e, r in ((0, 3, 3, 3), (1, 3, 3, 3), (0, 10, 3, 5), (2, 6, 4, 6)):
-        res = vtev_hypersurface_closed(g, d, e, r)
+        count = vtev_hypersurface_closed(g, d, e, r)
         n = (r + 2 - e) * d // r - g + 1
-        assert deg_T_insertions_closed(g, d, e, r, (1,) * n) == e**n * res.value
+        assert deg_T_insertions_closed(g, d, e, r, (1,) * n) == e**n * count
 
 
 def test_insertions_rejects_bad_profiles():
@@ -135,3 +139,6 @@ def test_insertions_rejects_bad_profiles():
         deg_T_insertions_closed(0, 3, 3, 3, (1, 1, 5))  # ell_i > r + 1
     with pytest.raises(ParameterError):
         deg_T_insertions_closed(0, 3, 3, 3, ())
+    with pytest.raises(ParameterError):
+        # A bare tuple index would read alpha_0 as the last entry.
+        deg_T_insertions_closed(0, 3, 3, 3, (1, 1, 0))

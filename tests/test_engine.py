@@ -133,7 +133,7 @@ def test_point_factor_is_alpha_monomial():
             alphas = alpha_coefficients(e, r)
             for ell in range(1, r + 2):
                 mono = point_factor(e, r, ell)
-                assert mono == _mono(r + 1 + e - ell, alphas.alpha(ell))
+                assert mono == _mono(r + 1 + e - ell, alphas[ell - 1])
 
 
 def test_point_factor_rejects_out_of_range():

@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tevdeg.acceptance import enumerativity_grid_cases
-from tevdeg.closed_forms import tev_p1_cps, vtev_hypersurface_closed
+from tevdeg.cli import _hyp_flags
+from tevdeg.closed_forms import tev_p1_cps
 from tevdeg.enumerativity import (
     StratumProfile,
     admissible_strata,
-    bound_verdict,
     bundle_rank,
     certify_enumerative,
     count_admissible_strata,
@@ -121,11 +121,15 @@ def test_bound_rejects_small_r():
         enum_bound_closed(1, 3, 4)  # needs r > 4
 
 
-def test_bound_verdict():
-    assert bound_verdict(1, 61, 3, 5) == (Fraction(60), True, True)
-    assert bound_verdict(1, 60, 3, 5) == (Fraction(60), True, False)
-    assert bound_verdict(0, 1, 3, 5) == (None, True, True)
-    assert bound_verdict(1, 100, 3, 4) == (None, False, False)
+def test_certificate_bound_fields():
+    def verdict(g, d, e, r):
+        rep = certify_enumerative(g, d, e, r)
+        return rep.closed_bound, rep.bound_applicable, rep.bound_satisfied
+
+    assert verdict(1, 65, 3, 5) == (Fraction(60), True, True)
+    assert verdict(1, 60, 3, 5) == (Fraction(60), True, False)
+    assert verdict(0, 5, 3, 5) == (None, True, True)
+    assert verdict(1, 100, 3, 4) == (None, False, False)
 
 
 def test_bound_ok_is_applicable_and_satisfied():
@@ -145,8 +149,15 @@ def test_bound_ok_is_applicable_and_satisfied():
     seen = set()
     for g, d, e, r in cases:
         rep = certify_enumerative(g, d, e, r)
-        bound_ok = vtev_hypersurface_closed(g, d, e, r).bound_ok
+        bound_ok = _hyp_flags(rep)["bound_ok"]
         assert bound_ok == (rep.bound_applicable and rep.bound_satisfied), (g, d, e, r)
+        try:
+            bound = enum_bound_closed(g, e, r)
+        except ParameterError:
+            assert not rep.bound_applicable and rep.closed_bound is None
+        else:
+            assert rep.bound_applicable and rep.closed_bound == bound
+            assert bound_ok == (bound is None or d > bound), (g, d, e, r)
         seen.add((rep.bound_applicable, bound_ok))
     assert seen == {(False, False), (True, False), (True, True)}
 

@@ -2,8 +2,9 @@
 
 The engine must not reach the closed forms, the Schubert route or the
 quantum ring; the Schubert route must not reach the closed forms (the
-binomial formula); and the quantum ring must not reach the closed forms,
-the engine or the Schubert route.  Imports are read from the source with
+binomial formula); the quantum ring must not reach the closed forms,
+the engine or the Schubert route; and the closed forms must not reach the
+engine or the quantum ring.  Imports are read from the source with
 ``ast``, function-local ones included, and followed through the package.
 """
 
@@ -60,6 +61,7 @@ def test_import_scan_sees_the_package():
         ("engine", {"closed_forms", "schubert", "quantum", "__init__"}),
         ("schubert", {"closed_forms", "__init__"}),
         ("quantum", {"closed_forms", "engine", "schubert", "__init__"}),
+        ("closed_forms", {"engine", "quantum", "__init__"}),
     ],
 )
 def test_route_reaches_no_other_route(route, forbidden):
