@@ -8,6 +8,7 @@ the source curve (a point here, since g = 0).
 
 from tevdeg import (
     HypParams,
+    TruncPoly,
     deg_T,
     integrate_theta,
     point_factor,
@@ -34,10 +35,10 @@ chern = step3_class(p.e, p.t, p.g)
 print(f"global factor:   {chern}")
 
 # Assemble, push down to the Jacobian, and integrate.  All n marks carry
-# the same line condition, so their factors just multiply up.
+# the same line condition, so their factors just multiply up into one
+# monomial in H, which joins the Chern class's (H, theta) coefficient list.
 per_mark = mono.coeff(mono.degree())
-full = chern.ring.monomial({"H": p.n * mono.degree()}, per_mark**p.n)
-full = full * chern
+full = TruncPoly(p.n * mono.degree(), "theta", p.g, [per_mark**p.n]) * chern
 print(f"assembled class: {full}   (H-degree N-1 = {p.N - 1}: a number times the point)")
 degree = integrate_theta(pushforward_theta(full, p), p.g)
 print(f"cycle degree:    {degree}")

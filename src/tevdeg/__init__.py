@@ -46,7 +46,7 @@ from .enumerativity import (
 from .errors import InvariantBreach, ParameterError
 from .quantum import QPolyClass, qmul, quantum_euler, vtev_projective_qh
 from .schubert import grassmann_integral, pieri_special, tev_p1_schubert
-from .truncpoly import PolyRing, TruncPoly, UniPoly, binom
+from .truncpoly import TruncPoly, UniPoly, binom
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "HypParams",
     "InvariantBreach",
     "ParameterError",
-    "PolyRing",
     "QPolyClass",
     "StratumProfile",
     "TruncPoly",

@@ -126,14 +126,15 @@ def _hyp_flags(rep) -> dict:
 
 def cmd_hyp(args) -> int:
     g, d, e, r = args.g, args.d, args.e, args.r
+    # The tuple's own gate decides for every method, as in `insert` and `sweep`.
+    p = engine.HypParams.standard(g, d, e, r)
     rep = certify_enumerative(g, d, e, r)
     methods = []
     if args.method in ("closed", "both"):
         methods.append(("closed", closed_forms.vtev_hypersurface_closed(g, d, e, r)))
     if args.method in ("engine", "both"):
-        methods.append(("engine", engine.tev_hypersurface_engine(
-            engine.HypParams.standard(g, d, e, r))))
-    params = {"g": g, "d": d, "e": e, "r": r, "n": rep.n}
+        methods.append(("engine", engine.tev_hypersurface_engine(p)))
+    params = {"g": g, "d": d, "e": e, "r": r, "n": p.n}
     _print_result(params, methods, _hyp_flags(rep), args.json)
     return 0
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import factorial
 
 from .enumerativity import dims_check, insertion_dims_check, line_dims_check
-from .errors import ParameterError
+from .errors import InvariantBreach, ParameterError
 from .truncpoly import UniPoly, binom
 
 
@@ -79,7 +79,7 @@ def alpha_coefficients(e: int, r: int) -> tuple[int, ...]:
     for j in range(e):
         poly = poly * UniPoly("z", [j, e - j])
     if poly.coeff(0) != 0 or poly.degree() != e + r + 1:
-        raise AssertionError("insertion polynomial has unexpected shape")
+        raise InvariantBreach(f"insertion polynomial has unexpected shape: {poly!r}")
     return tuple(poly.coeff(k) for k in range(1, e + r + 2))
 
 

@@ -17,10 +17,14 @@ of C and integrating:
 Since each H_i appears in the factors for mark i only, extracting the
 H_i^{r+1} coefficient factorizes: each mark contributes a *monomial*
 alpha * H^{r+1+e-ell_i}, turning an (n+2)-variable expansion into one
-bivariate expansion per distinct ell_i, raised to the number of marks that
-share it.  The remaining class in H and theta is pushed down to the
+expansion in (H, H_i) per distinct ell_i, raised to the number of marks
+that share it.  The remaining class in H and theta is pushed down to the
 Jacobian (H^{N-1+k} -> (r+2)^k theta^k / k!, N = (r+2)(d-g+1)) and
 integrated there (theta^g has degree g!).
+
+Every class on the way is homogeneous in H and one capped variable (H_i
+capped at H_i^{r+1}, theta at theta^g), so each is a single
+``TruncPoly``: a degree and one list of coefficients.
 
 The count of honest maps is the resulting degree divided by e^n: each
 line condition meets the hypersurface in e points, only one of which is
@@ -36,7 +40,7 @@ from math import factorial
 
 from .enumerativity import dims_check, insertion_dims_check
 from .errors import InvariantBreach, ParameterError
-from .truncpoly import PolyRing, TruncPoly, UniPoly
+from .truncpoly import TruncPoly, UniPoly
 
 
 @dataclass(frozen=True)
@@ -75,43 +79,31 @@ class HypParams:
         return cls(g, d, e, r, (1,) * dims_check(g, d, e, r))
 
 
-def _jac_ring(g: int) -> PolyRing:
-    return PolyRing("H", ("theta", g))
-
-
-def _theta_ring(g: int) -> PolyRing:
-    return PolyRing(("theta", g))
-
-
 def point_factor(e: int, r: int, ell_i: int) -> UniPoly:
     """Contribution of one mark: the H_i^{r+1} coefficient of its factors.
 
     Expands (sum_{a+b=r+1} H^a H_i^b) * prod_{k=1}^{e} ((k-1)H + (e+1-k)H_i)
-    * H_i^{r+1-ell_i} as an honest bivariate polynomial and extracts the
-    top H_i power.  The result is always the single monomial
-    alpha_{ell_i} * H^{r+1+e-ell_i}; that shape is asserted, not assumed.
+    * H_i^{r+1-ell_i} as an honest class in H and H_i (capped at H_i^{r+1})
+    and extracts the top H_i power.  By homogeneity it sits at H-degree
+    r+1+e-ell_i, so the result is the monomial alpha_{ell_i} * H^{r+1+e-ell_i};
+    that its coefficient is nonzero is asserted, not assumed.
     """
     if e < 3:
         raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
     if not (1 <= ell_i <= r + 1):
         raise ParameterError(f"insertion dimension {ell_i} out of range [1, {r + 1}]")
-    ring = PolyRing("H", ("Hi", r + 1))
-    incidence = ring.from_terms(
-        {(a, r + 1 - a): 1 for a in range(r + 2)}
+    total = TruncPoly(r + 1, "Hi", r + 1, [1] * (r + 2)) * TruncPoly(
+        r + 1 - ell_i, "Hi", r + 1, [0] * (r + 1 - ell_i) + [1]
     )
-    total = incidence * ring.monomial({"Hi": r + 1 - ell_i}, 1)
     for k in range(1, e + 1):
-        total = total * (
-            ring.monomial({"H": 1}, k - 1) + ring.monomial({"Hi": 1}, e + 1 - k)
-        )
-    top = {h: c for (h, hi), c in total.terms.items() if hi == r + 1}
-    out = UniPoly("H", [top.get(j, 0) for j in range(max(top, default=-1) + 1)])
-    if not (out.is_monomial() and out.degree() == r + 1 + e - ell_i):
+        total = total * TruncPoly(1, "Hi", r + 1, [k - 1, e + 1 - k])
+    top = total.terms[r + 1] if len(total.terms) > r + 1 else 0
+    if top == 0:
         raise InvariantBreach(
-            f"point factor for (e={e}, r={r}, ell={ell_i}) is not the "
-            f"expected monomial: {out!r}"
+            f"point factor for (e={e}, r={r}, ell={ell_i}) has no term at "
+            f"H^{r + 1 + e - ell_i}: {total!r}"
         )
-    return out
+    return UniPoly("H", [0] * (r + 1 + e - ell_i) + [top])
 
 
 def step3_class(e: int, t: int, g: int) -> TruncPoly:
@@ -128,40 +120,43 @@ def step3_class(e: int, t: int, g: int) -> TruncPoly:
         raise ParameterError(f"genus must be nonnegative, got g={g}")
     if t < g:
         raise ParameterError(f"rank t = {t} below genus g = {g}: out of model")
-    ring = _jac_ring(g)
     scale = e**t
-    terms = {}
-    for m in range(g + 1):
-        terms[(t - m, m)] = scale * Fraction((-e) ** m, factorial(m))
-    return ring.from_terms(terms)
+    return TruncPoly(
+        t, "theta", g, [scale * Fraction((-e) ** m, factorial(m)) for m in range(g + 1)]
+    )
+
+
+def _require_theta(c: TruncPoly, g: int) -> None:
+    if (c.var, c.cap) != ("theta", g):
+        raise ParameterError(
+            f"class lives in {c.var}<={c.cap}, not the Jacobian's theta<={g}"
+        )
 
 
 def pushforward_theta(c: TruncPoly, p: HypParams) -> TruncPoly:
     """Push a class in H and theta down to the Jacobian.
 
     H^{N-1+k} becomes the Segre class (r+2)^k * theta^k / k!; powers of H
-    below the fiber dimension N-1 push to zero.  The theta cap at g is
-    the ring structure and still applies.
+    below the fiber dimension N-1 push to zero.  Every term of a class of
+    degree D lands on theta^{D-N+1}, where the theta cap at g still applies.
     """
-    if c.ring != _jac_ring(p.g):
-        raise ParameterError(f"class lives in {c.ring!r}, not the bundle ring")
-    out_ring = _theta_ring(p.g)
-    terms: dict[tuple[int, ...], Fraction | int] = {}
-    for (hexp, texp), coeff in c.terms.items():
-        k = hexp - (p.N - 1)
-        if k < 0:
-            continue
-        key = (texp + k,)
-        seg = coeff * Fraction((p.r + 2) ** k, factorial(k))
-        terms[key] = terms.get(key, 0) + seg
-    return out_ring.from_terms(terms)
+    _require_theta(c, p.g)
+    out = c.degree - (p.N - 1)
+    if not 0 <= out <= p.g:
+        return TruncPoly(out, "theta", p.g, [])
+    total = 0
+    for j, coeff in enumerate(c.terms[: out + 1]):
+        k = out - j
+        total += coeff * Fraction((p.r + 2) ** k, factorial(k))
+    return TruncPoly(out, "theta", p.g, [0] * out + [total])
 
 
 def integrate_theta(c: TruncPoly, g: int) -> Fraction:
     """Integrate over the Jacobian: g! times the theta^g coefficient."""
-    if c.ring != _theta_ring(g):
-        raise ParameterError(f"class lives in {c.ring!r}, not the Jacobian ring")
-    return Fraction(factorial(g) * c.coeff((g,)))
+    _require_theta(c, g)
+    if c.degree != g or len(c.terms) <= g:
+        return Fraction(0)
+    return Fraction(factorial(g) * c.terms[g])
 
 
 def cycle_degree(p: HypParams) -> Fraction:
@@ -180,12 +175,12 @@ def cycle_degree(p: HypParams) -> Fraction:
         coeff *= mono.coeff(d) ** mult
         hdeg += d * mult
 
-    ring = _jac_ring(p.g)
-    full = ring.monomial({"H": hdeg}, coeff) * step3_class(p.e, p.t, p.g)
+    full = TruncPoly(hdeg, "theta", p.g, [coeff]) * step3_class(p.e, p.t, p.g)
 
     lo, hi = p.N - 1, p.N - 1 + p.g
-    for h in full.degrees_of("H"):
-        if not (lo <= h <= hi):
+    for j, c in enumerate(full.terms):
+        h = full.degree - j
+        if c and not (lo <= h <= hi):
             raise InvariantBreach(
                 f"pipeline class has H-degree {h} outside [{lo}, {hi}]"
             )

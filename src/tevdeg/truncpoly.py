@@ -1,11 +1,9 @@
-"""Sparse truncated multivariate polynomials over exact rationals.
+"""Exact graded classes for the engine, dense univariates, and binomials.
 
-This is the ring model of the engine; the closed forms use only ``UniPoly``
-and ``binom``, and the Schubert and quantum routes do not import it.  Named
-variables may carry a degree cap, and any product term whose exponent
-exceeds a cap is discarded.  Truncation is part of the ring structure
-(it models nilpotence, e.g. a hyperplane class h on P^m has h^{m+1} = 0),
-so multiplication remains associative and commutative.
+``TruncPoly`` is the engine's ring model: a class homogeneous in the
+hyperplane class H and one capped variable, stored as one coefficient list.
+The closed forms use only ``UniPoly`` and ``binom``, and the Schubert and
+quantum routes do not import this module.
 
 Coefficients are Python ints or ``fractions.Fraction``; floats are refused.
 All values are immutable after construction and every operation is a pure
@@ -16,9 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-
-Exponent = tuple[int, ...]
-Coeff = int | Fraction
 
 
 def binom(n: int, k: int) -> int:
@@ -43,168 +38,77 @@ def _check_coeff(c):
     return c
 
 
-class PolyRing:
-    """A roster of named variables with optional per-variable degree caps.
-
-    Variables are given as a name (uncapped) or a ``(name, cap)`` pair:
-
-        PolyRing("H", ("theta", 2))   # H free, theta^3 == 0
-
-    Two rings are compatible for arithmetic iff they have the same names
-    and caps in the same order.
-    """
-
-    __slots__ = ("names", "caps", "_index")
-
-    def __init__(self, *variables: str | tuple[str, int | None]):
-        names = []
-        caps = []
-        for v in variables:
-            if isinstance(v, str):
-                name, cap = v, None
-            else:
-                name, cap = v
-            if cap is not None and cap < 0:
-                raise ValueError(f"cap for {name!r} must be nonnegative, got {cap}")
-            names.append(name)
-            caps.append(cap)
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in {names}")
-        self.names = tuple(names)
-        self.caps = tuple(caps)
-        self._index = {name: i for i, name in enumerate(names)}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyRing)
-            and self.names == other.names
-            and self.caps == other.caps
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.names, self.caps))
-
-    def __repr__(self) -> str:
-        parts = [
-            name if cap is None else f"{name}<={cap}"
-            for name, cap in zip(self.names, self.caps)
-        ]
-        return f"PolyRing({', '.join(parts)})"
-
-    def index(self, name: str) -> int:
-        if name not in self._index:
-            raise ValueError(f"unknown variable {name!r} in {self!r}")
-        return self._index[name]
-
-    def in_caps(self, exps: Exponent) -> bool:
-        return all(cap is None or e <= cap for e, cap in zip(exps, self.caps))
-
-    def monomial(self, exps_by_name: dict[str, int], c) -> TruncPoly:
-        """The single term c * prod(v^e); a term over any cap is just 0."""
-        exps = [0] * len(self.names)
-        for name, e in exps_by_name.items():
-            if e < 0:
-                raise ValueError(f"negative exponent {e} for {name!r}")
-            exps[self.index(name)] = e
-        return TruncPoly(self, {tuple(exps): _check_coeff(c)})
-
-    def from_terms(self, terms: dict[Exponent, Coeff]) -> TruncPoly:
-        return TruncPoly(self, terms)
-
-
 class TruncPoly:
-    """An element of a ``PolyRing``: exponent tuple -> nonzero coefficient.
+    """A homogeneous class in H and one capped variable ``var`` (var^{cap+1} = 0).
 
-    Construction canonicalizes: zero coefficients are pruned and terms over
-    a cap are discarded, so equality is plain structural equality.  Treat
-    instances as immutable.
+    ``terms[j]`` is the coefficient of H^{degree-j} * var^j, so the list
+    stops at min(degree, cap) and a product adds the degrees and takes the
+    capped convolution of the two lists.  The cap is the ring structure: it
+    models nilpotence (theta^{g+1} = 0 on a Jacobian, H_i^{r+1} = 0 on a
+    point factor), so multiplication remains associative and commutative.
+    Trailing zeros are stripped, so 0 has no terms and equality is plain
+    structural equality.  Treat instances as immutable.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("degree", "var", "cap", "terms")
 
-    def __init__(self, ring: PolyRing, terms: dict[Exponent, Coeff]):
-        nvars = len(ring.names)
-        clean: dict[Exponent, Coeff] = {}
-        for exps, c in terms.items():
-            if len(exps) != nvars:
-                raise ValueError(
-                    f"exponent tuple {exps} has wrong arity for {ring!r}"
-                )
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            _check_coeff(c)
-            if c == 0 or not ring.in_caps(exps):
-                continue
-            clean[exps] = c
-        self.ring = ring
-        self.terms = clean
-
-    # -- ring arithmetic ---------------------------------------------------
-
-    def _require_compatible(self, other: TruncPoly) -> None:
-        if self.ring != other.ring:
-            raise ValueError(f"incompatible rings {self.ring!r} and {other.ring!r}")
-
-    def __add__(self, other: TruncPoly) -> TruncPoly:
-        self._require_compatible(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, 0) + c
-        return TruncPoly(self.ring, out)
+    def __init__(self, degree: int, var: str, cap: int, terms):
+        if cap < 0:
+            raise ValueError(f"cap for {var!r} must be nonnegative, got {cap}")
+        terms = [_check_coeff(c) for c in terms][: cap + 1]
+        while terms and terms[-1] == 0:
+            terms.pop()
+        if len(terms) > degree + 1:
+            raise ValueError(f"{var}^{len(terms) - 1} exceeds the degree {degree}")
+        self.degree = degree
+        self.var = var
+        self.cap = cap
+        self.terms = tuple(terms)
 
     def __mul__(self, other: TruncPoly) -> TruncPoly:
-        self._require_compatible(other)
-        caps = self.ring.caps
-        out: dict[Exponent, Coeff] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                if any(cap is not None and e > cap for e, cap in zip(exps, caps)):
-                    continue  # truncation: the product lands in a nilpotent slot
-                out[exps] = out.get(exps, 0) + ca * cb
-        # The loop kept arity, signs, coefficient types and caps; only the
-        # cancelled terms are left to prune, so the constructor is skipped.
+        if (self.var, self.cap) != (other.var, other.cap):
+            raise ValueError(
+                f"incompatible classes: {self.var}<={self.cap} and {other.var}<={other.cap}"
+            )
+        b = other.terms
+        out = [0] * min(len(self.terms) + len(b) - 1, self.cap + 1)
+        for i, x in enumerate(self.terms):
+            if x:
+                for j, y in enumerate(b[: len(out) - i], i):
+                    out[j] += x * y
+        while out and out[-1] == 0:
+            out.pop()
+        # Sums and products of checked coefficients stay exact and within
+        # the cap, so the validating constructor is skipped.
         product = object.__new__(TruncPoly)
-        product.ring = self.ring
-        product.terms = {exps: c for exps, c in out.items() if c != 0}
+        product.degree = self.degree + other.degree
+        product.var = self.var
+        product.cap = self.cap
+        product.terms = tuple(out)
         return product
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncPoly)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
+        return isinstance(other, TruncPoly) and (
+            self.degree, self.var, self.cap, self.terms
+        ) == (other.degree, other.var, other.cap, other.terms)
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.terms.items())))
-
-    # -- coefficient access --------------------------------------------------
-
-    def coeff(self, exps: Exponent):
-        """Coefficient of a single monomial (0 if absent)."""
-        return self.terms.get(tuple(exps), 0)
-
-    def degrees_of(self, name: str) -> list[int]:
-        """Sorted list of exponents of ``name`` that occur in some term."""
-        i = self.ring.index(name)
-        return sorted({exps[i] for exps in self.terms})
+        return hash((self.degree, self.var, self.cap, self.terms))
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
         bits = []
-        for exps in sorted(self.terms, reverse=True):
-            c = self.terms[exps]
+        for j, c in enumerate(self.terms):
+            if c == 0:
+                continue
             mono = "*".join(
-                f"{n}^{e}" if e > 1 else n
-                for n, e in zip(self.ring.names, exps)
-                if e > 0
+                f"{n}^{k}" if k > 1 else n
+                for n, k in (("H", self.degree - j), (self.var, j))
+                if k > 0
             )
             bits.append(f"{c}*{mono}" if mono else f"{c}")
-        return " + ".join(bits)
+        return " + ".join(bits) or "0"
 
 
 class UniPoly:

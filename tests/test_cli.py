@@ -116,6 +116,14 @@ def test_hyp_breach_exits_3(capsys, monkeypatch):
     assert code == 3 and "invariant breach" in err
 
 
+@pytest.mark.parametrize("method", ["closed", "engine", "both"])
+def test_hyp_gate_does_not_depend_on_method(capsys, method):
+    # d < 2g: the tuple's own gate refuses it, whichever route is asked for.
+    code, out, err = run(capsys, ["hyp", "--g", "2", "--d", "3", "--e", "3",
+                                  "--r", "3", "--method", method])
+    assert (code, out) == (2, "") and "need d >= 2g" in err
+
+
 # -- insert, alpha, qh, certify ------------------------------------------------------
 
 def test_insert(capsys):
@@ -132,6 +140,18 @@ def test_alpha(capsys):
     code, out, _ = run(capsys, ["alpha", "--e", "3", "--r", "3", "--json"])
     assert code == 0
     assert json.loads(out)["alpha"] == ["6", "21", "27", "27", "27", "21", "6"]
+
+
+def test_alpha_breach_exits_3(capsys, monkeypatch):
+    original = UniPoly.__mul__
+
+    def corrupted(a, b):
+        u = original(a, b)
+        return UniPoly(u.var, [1, *u.coeffs[1:]])  # a constant term alpha lacks
+
+    monkeypatch.setattr(UniPoly, "__mul__", corrupted)
+    code, out, err = run(capsys, ["alpha", "--e", "3", "--r", "3"])
+    assert (code, out) == (3, "") and "unexpected shape" in err
 
 
 def test_qh(capsys):
@@ -433,8 +453,10 @@ def _query_corpus():
 
 
 # SHA-256 of every (argv, exit status, stdout, stderr) of the corpus above.
+# `hyp --method closed` at (2, 3, 3, 3), text and --json, exits 2 like the
+# other methods; those are the only two argv that moved from the first digest.
 QUERY_CORPUS_SIZE = 758
-QUERY_CORPUS_DIGEST = "cf1e7ae28fd8ef6ed5877d5561d29154dd0aeb9efd83437ac410999ae8959741"
+QUERY_CORPUS_DIGEST = "f70502acc39410c6b400872327056b30acaa18a08e71286d5999c2f9cd1527f3"
 
 
 def test_query_verbs_digest():

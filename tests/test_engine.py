@@ -19,7 +19,7 @@ from tevdeg.engine import (
 )
 from tevdeg.enumerativity import dims_check, insertion_dims_check
 from tevdeg.errors import InvariantBreach, ParameterError
-from tevdeg.truncpoly import PolyRing, UniPoly
+from tevdeg.truncpoly import TruncPoly, UniPoly
 
 
 def _mono(k, c, var="H"):
@@ -136,6 +136,34 @@ def test_point_factor_is_alpha_monomial():
                 assert mono == _mono(r + 1 + e - ell, alphas[ell - 1])
 
 
+def _brute_point_factor(e, r, ell):
+    """The H_i^{r+1} part of the point factor, expanded over (H, H_i) exponent pairs."""
+
+    def mul(a, b):
+        out = {}
+        for (ha, ia), ca in a.items():
+            for (hb, ib), cb in b.items():
+                key = (ha + hb, ia + ib)
+                out[key] = out.get(key, 0) + ca * cb
+        return out
+
+    total = {(a, r + 1 - a): 1 for a in range(r + 2)}
+    total = mul(total, {(0, r + 1 - ell): 1})
+    for k in range(1, e + 1):
+        total = mul(total, {(1, 0): k - 1, (0, 1): e + 1 - k})
+    return {h: c for (h, hi), c in total.items() if hi == r + 1 and c}
+
+
+def test_point_factor_matches_brute_expansion():
+    for e in range(3, 7):
+        for r in range(1, 11):
+            for ell in range(1, r + 2):
+                top = _brute_point_factor(e, r, ell)
+                assert len(top) == 1, (e, r, ell, top)
+                [(h, c)] = top.items()
+                assert point_factor(e, r, ell) == _mono(h, c), (e, r, ell)
+
+
 def test_point_factor_rejects_out_of_range():
     with pytest.raises(ParameterError):
         point_factor(3, 3, 0)
@@ -145,21 +173,21 @@ def test_point_factor_rejects_out_of_range():
 
 # -- step3_class ------------------------------------------------------------------
 
-def _jac(g):
-    return PolyRing("H", ("theta", g))
+def _jac(degree, g, terms):
+    """The class sum_j terms[j] * H^{degree-j} * theta^j, theta capped at g."""
+    return TruncPoly(degree, "theta", g, terms)
 
 
 def test_step3_genus_zero():
-    assert step3_class(3, 1, 0) == _jac(0).monomial({"H": 1}, 3)
+    assert step3_class(3, 1, 0) == _jac(1, 0, [3])
 
 
 def test_step3_genus_one():
-    want = _jac(1).from_terms({(3, 0): 27, (2, 1): -81})
-    assert step3_class(3, 3, 1) == want
+    assert step3_class(3, 3, 1) == _jac(3, 1, [27, -81])
 
 
 def test_step3_genus_two_has_rational_term():
-    want = _jac(2).from_terms({(4, 0): 81, (3, 1): -243, (2, 2): Fraction(729, 2)})
+    want = _jac(4, 2, [81, -243, Fraction(729, 2)])
     assert step3_class(3, 4, 2) == want
 
 
@@ -172,28 +200,33 @@ def test_step3_rejects_rank_below_genus():
 
 def test_pushforward_examples():
     p = HypParams.standard(1, 3, 3, 3)  # N = 15, r = 3
-    ring = _jac(1)
-    theta = PolyRing(("theta", 1))
-    assert pushforward_theta(ring.monomial({"H": 14}, 1), p) == theta.monomial({}, 1)
-    assert pushforward_theta(ring.monomial({"H": 15}, 1), p) == theta.monomial(
-        {"theta": 1}, 5
-    )
-    assert pushforward_theta(ring.monomial({"H": 13}, 1), p).terms == {}
+    assert pushforward_theta(_jac(14, 1, [1]), p) == _jac(0, 1, [1])
+    assert pushforward_theta(_jac(15, 1, [1]), p) == _jac(1, 1, [0, 5])
+    assert pushforward_theta(_jac(13, 1, [1]), p).terms == ()
+    # H^15 + H^14 theta: both terms land on theta^1.
+    assert pushforward_theta(_jac(15, 1, [1, 1]), p) == _jac(1, 1, [0, 6])
 
 
 def test_pushforward_respects_theta_cap():
     p = HypParams.standard(1, 3, 3, 3)
-    ring = _jac(1)
     # theta * H^{N+1} would give theta^3; the cap at g = 1 kills it.
-    c = ring.monomial({"H": p.N + 1, "theta": 1}, 1)
-    assert pushforward_theta(c, p).terms == {}
+    c = _jac(p.N + 2, 1, [0, 1])
+    assert pushforward_theta(c, p).terms == ()
+
+
+def test_pushforward_and_integral_reject_other_classes():
+    p = HypParams.standard(1, 3, 3, 3)
+    for c in (_jac(15, 2, [1]), TruncPoly(15, "Hi", 1, [1])):
+        with pytest.raises(ParameterError):
+            pushforward_theta(c, p)
+        with pytest.raises(ParameterError):
+            integrate_theta(c, 1)
 
 
 def test_integrate_theta():
-    theta2 = PolyRing(("theta", 2))
-    assert integrate_theta(theta2.monomial({"theta": 2}, 1), 2) == 2
-    assert integrate_theta(PolyRing(("theta", 0)).monomial({}, 1), 0) == 1
-    assert integrate_theta(theta2.monomial({"theta": 1}, 1), 2) == 0
+    assert integrate_theta(_jac(2, 2, [0, 0, 1]), 2) == 2
+    assert integrate_theta(_jac(0, 0, [1]), 0) == 1
+    assert integrate_theta(_jac(1, 2, [0, 1]), 2) == 0
 
 
 # -- the full pipeline ---------------------------------------------------------------
@@ -265,9 +298,9 @@ def test_pipeline_support_window():
             mono = point_factor(e, r, li)
             coeff *= mono.coeff(mono.degree())
             hdeg += mono.degree()
-        chern = step3_class(e, p.t, g)
-        full = chern.ring.monomial({"H": hdeg}, coeff) * chern
-        assert full.degrees_of("H") == list(range(p.N - 1, p.N - 1 + g + 1))
+        full = _jac(hdeg, g, [coeff]) * step3_class(e, p.t, g)
+        hdegs = sorted(full.degree - j for j, c in enumerate(full.terms) if c)
+        assert hdegs == list(range(p.N - 1, p.N - 1 + g + 1))
 
 
 def test_exactness_and_divisibility_on_sample():

@@ -1,4 +1,4 @@
-"""Tests for the truncated polynomial engine and binomials."""
+"""Tests for the graded classes of the engine, dense univariates and binomials."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tevdeg.truncpoly import PolyRing, TruncPoly, UniPoly, binom
+from tevdeg.truncpoly import TruncPoly, UniPoly, binom
 
 
 # -- binom -------------------------------------------------------------------
@@ -33,63 +33,77 @@ def test_binom_pascal_identity():
 # -- TruncPoly ---------------------------------------------------------------
 
 def test_trunc_mul_drops_over_cap():
-    ring = PolyRing(("x", 1))
-    p = ring.from_terms({(0,): 1, (1,): 1})
-    assert p * p == ring.from_terms({(0,): 1, (1,): 2})
+    p = TruncPoly(1, "x", 1, [1, 1])  # H + x with x^2 = 0
+    assert p * p == TruncPoly(2, "x", 1, [1, 2])
+    assert TruncPoly(3, "x", 1, [1, 2, 3]).terms == (1, 2)
 
 
 def test_trunc_mul_genus_zero_kills_theta():
-    ring = PolyRing(("theta", 0))
-    assert (ring.monomial({"theta": 1}, 1) * ring.monomial({}, 1)).terms == {}
+    theta = TruncPoly(1, "theta", 0, [0, 1])
+    assert theta.terms == ()
+    assert (theta * TruncPoly(0, "theta", 0, [1])).terms == ()
 
 
 def test_trunc_mul_below_caps_is_plain_product():
-    ring = PolyRing("H", ("H1", 2))
-    p = ring.monomial({"H": 1}, 1) + ring.monomial({"H1": 1}, 1)
-    assert p * p == ring.from_terms({(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    p = TruncPoly(1, "H1", 2, [1, 1])
+    assert p * p == TruncPoly(2, "H1", 2, [1, 2, 1])
+    assert repr(p * p) == "1*H^2 + 2*H*H1 + 1*H1^2"
 
 
-def test_incompatible_rings_rejected():
-    a = PolyRing(("x", 1)).monomial({"x": 1}, 1)
-    b = PolyRing(("x", 2)).monomial({"x": 1}, 1)
+def test_mismatched_var_or_cap_rejected():
+    a = TruncPoly(1, "x", 1, [0, 1])
+    for b in (TruncPoly(1, "x", 2, [0, 1]), TruncPoly(1, "y", 1, [0, 1])):
+        with pytest.raises(ValueError):
+            a * b
+
+
+def test_negative_h_exponent_rejected():
     with pytest.raises(ValueError):
-        a * b
-    with pytest.raises(ValueError):
-        a + b
+        TruncPoly(0, "x", 2, [1, 1])
 
 
 def test_zero_coefficients_never_stored():
-    ring = PolyRing("x")
-    p = ring.monomial({"x": 1}, 1) + ring.monomial({"x": 1}, -1)
-    assert p.terms == {}
-    q = ring.from_terms({(3,): 0, (1,): 2})
-    assert (1,) in q.terms and (3,) not in q.terms
-    # (x + 1)(x - 1) = x^2 - 1: the two x terms cancel inside the product.
-    prod = ring.from_terms({(1,): 1, (0,): 1}) * ring.from_terms({(1,): 1, (0,): -1})
-    assert prod.terms == {(2,): 1, (0,): -1}
+    assert TruncPoly(3, "x", 5, [0, 2, 0, 0]).terms == (0, 2)
+    assert TruncPoly(3, "x", 5, [0, 0]).terms == ()
+    assert repr(TruncPoly(3, "x", 5, [])) == "0"
+    # (H^2 + Hx + x^2)(H - x) = H^3 - x^3, and x^3 = 0 under the cap.
+    prod = TruncPoly(2, "x", 2, [1, 1, 1]) * TruncPoly(1, "x", 2, [1, -1])
+    assert prod.terms == (1,)
 
 
 def test_float_coefficients_rejected():
-    ring = PolyRing("x")
     with pytest.raises(TypeError):
-        ring.from_terms({(0,): 0.5})
+        TruncPoly(0, "x", 1, [0.5])
     with pytest.raises(TypeError):
-        ring.monomial({"x": 1}, 0.5)
+        TruncPoly(2, "x", 1, [1, 0, 0.5])  # refused even past the cap
 
 
-RING = PolyRing(("x", 3), ("y", 2), "z")
+CAP = 3
 
 _coeffs = st.one_of(
     st.integers(min_value=-9, max_value=9),
     st.fractions(min_value=-3, max_value=3, max_denominator=6),
 )
-_polys = st.dictionaries(
-    st.tuples(
-        st.integers(0, 3), st.integers(0, 2), st.integers(0, 4)
-    ),
-    _coeffs,
-    max_size=5,
-).map(RING.from_terms)
+_polys = st.integers(0, 5).flatmap(
+    lambda degree: st.lists(_coeffs, max_size=min(degree, CAP) + 1).map(
+        lambda terms: TruncPoly(degree, "x", CAP, terms)
+    )
+)
+
+
+def _brute(p):
+    """The class as a dict (H exponent, x exponent) -> coefficient."""
+    return {(p.degree - j, j): c for j, c in enumerate(p.terms) if c}
+
+
+def _brute_mul(a, b):
+    out = {}
+    for (ha, xa), ca in _brute(a).items():
+        for (hb, xb), cb in _brute(b).items():
+            if xa + xb <= CAP:
+                key = (ha + hb, xa + xb)
+                out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
 
 
 @given(_polys, _polys, _polys)
@@ -97,13 +111,11 @@ def test_mul_associative_and_commutative(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     # The product skips the validating constructor; passing its terms back
-    # through it must change nothing (no zero, no over-cap term is stored).
-    assert RING.from_terms((a * b).terms) == a * b
-
-
-@given(_polys, _polys, _polys)
-def test_mul_distributes_over_add(a, b, c):
-    assert a * (b + c) == a * b + a * c
+    # through it must change nothing (no trailing zero, no over-cap term).
+    prod = a * b
+    assert TruncPoly(prod.degree, "x", CAP, prod.terms) == prod
+    assert prod.degree == a.degree + b.degree
+    assert _brute(prod) == _brute_mul(a, b)
 
 
 # -- UniPoly -----------------------------------------------------------------
