@@ -10,8 +10,10 @@ anywhere.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import decimal
+import itertools
 import json
 import os
 import sys
@@ -21,9 +23,14 @@ from .enumerativity import certify_enumerative
 from .errors import InvariantBreach, ParameterError
 
 
-def parse_range(text: str) -> list[int]:
-    """Parse '7', '3..5' (inclusive), or '3,4,7' into a sorted value list."""
-    values = set()
+def parse_range(text: str) -> list[range]:
+    """Parse '7', '3..5' (inclusive), or '3,4,7' into sorted, disjoint ranges.
+
+    Overlapping and adjacent parts are merged, so the ranges in order give
+    each value once, ascending.  No value list is built: a part of any
+    length costs the same memory.
+    """
+    parts = []
     for part in text.split(","):
         part = part.strip()
         lo, dots, hi = part.partition("..")
@@ -33,8 +40,14 @@ def parse_range(text: str) -> list[int]:
             raise ParameterError(f"bad range {text!r}") from None
         if hi < lo:
             raise ParameterError(f"empty range {part!r}")
-        values.update(range(lo, hi + 1))
-    return sorted(values)
+        parts.append((lo, hi + 1))
+    merged = []
+    for lo, stop in sorted(parts):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], stop)
+        else:
+            merged.append([lo, stop])
+    return [range(lo, stop) for lo, stop in merged]
 
 
 def parse_ell(text: str) -> tuple[int, ...]:
@@ -213,14 +226,19 @@ SWEEP_COLUMNS = (
 )
 
 
-def sweep_record(g: int, d: int, e: int, r: int) -> dict | None:
-    """One sweep row, or None when the tuple is invalid."""
+def sweep_record(g: int, d: int, e: int, r: int,
+                 marks: dict | None = None) -> dict | None:
+    """One sweep row, or None when the tuple is invalid.
+
+    ``marks`` is the engine's point-factor dict; ``cmd_sweep`` shares one
+    across the rows of a serial sweep or of one ``--jobs`` chunk.
+    """
     try:
         p = engine.HypParams.standard(g, d, e, r)
     except ParameterError:
         return None
     closed = closed_forms.vtev_hypersurface_closed(g, d, e, r)
-    value_engine = engine.tev_hypersurface_engine(p)
+    value_engine = engine.tev_hypersurface_engine(p, marks)
     return {
         "g": g, "d": d, "e": e, "r": r, "n": p.n, "t": p.t,
         "value_closed": int_str(closed),
@@ -230,20 +248,48 @@ def sweep_record(g: int, d: int, e: int, r: int) -> dict | None:
     }
 
 
-def _sweep_worker(tup):
-    return sweep_record(*tup)
+SWEEP_CHUNK = 64    # tuples per --jobs task; each task has its own point factors
+SWEEP_WINDOW = 4    # tasks in flight per worker process
+
+
+def _sweep_chunk(chunk):
+    marks = {}
+    return [sweep_record(*tup, marks) for tup in chunk]
+
+
+def _sweep_records(tuples, jobs):
+    """The records of ``tuples`` in order, None for an invalid tuple.
+
+    Lazy on both sides: tuples are read and records made as the caller
+    consumes them.  With jobs > 1 at most ``SWEEP_WINDOW * jobs`` chunks are
+    in flight; ``Pool.imap`` would read all of ``tuples`` up front.
+    """
+    if jobs == 1:
+        marks = {}
+        for tup in tuples:
+            yield sweep_record(*tup, marks)
+        return
+    import multiprocessing
+
+    with multiprocessing.Pool(jobs) as pool:
+        pending = collections.deque()
+        while chunk := list(itertools.islice(tuples, SWEEP_CHUNK)):
+            pending.append(pool.apply_async(_sweep_chunk, (chunk,)))
+            if len(pending) == SWEEP_WINDOW * jobs:
+                yield from pending.popleft().get()
+        while pending:
+            yield from pending.popleft().get()
 
 
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
-    tuples = [
-        (g, d, e, r)
-        for e in parse_range(args.e)
-        for r in parse_range(args.r)
-        for g in parse_range(args.g)
-        for d in parse_range(args.d)
-    ]
+    es, rs, gs, ds = [parse_range(text) for text in (args.e, args.r, args.g, args.d)]
+    # Nested loops, not itertools.product, which would first copy each
+    # range into a tuple.
+    chain = itertools.chain
+    tuples = ((g, d, e, r) for e in chain(*es) for r in chain(*rs)
+              for g in chain(*gs) for d in chain(*ds))
 
     try:
         out = open(args.out, "w", encoding="utf-8", newline="")
@@ -252,25 +298,19 @@ def cmd_sweep(args) -> int:
         return 2
     with out:
         jobs = min(args.jobs, os.cpu_count() or 1)
-        if jobs > 1:
-            import multiprocessing
-
-            with multiprocessing.Pool(jobs) as pool:
-                records = pool.map(_sweep_worker, tuples, chunksize=64)
-        else:
-            records = [sweep_record(*tup) for tup in tuples]
-        records = [rec for rec in records if rec is not None]
-
         if args.format == "csv":
             writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
             writer.writeheader()
-            for rec in records:
+        # Rows are written as they come, so a breach leaves a prefix behind.
+        for rec in _sweep_records(tuples, jobs):
+            if rec is None:
+                continue
+            if args.format == "csv":
                 writer.writerow(
                     {k: (str(v).lower() if isinstance(v, bool) else v)
                      for k, v in rec.items()}
                 )
-        else:
-            for rec in records:
+            else:
                 out.write(json.dumps(rec) + "\n")
     return 0
 

@@ -24,7 +24,14 @@ integrated there (theta^g has degree g!).
 
 Every class on the way is homogeneous in H and one capped variable (H_i
 capped at H_i^{r+1}, theta at theta^g), so each is a single
-``TruncPoly``: a degree and one list of coefficients.
+``TruncPoly``: a degree and one list of coefficients.  A coefficient is an
+``int`` wherever the division that made it is exact, and a ``Fraction``
+only where it is not (the 1/m! and 1/k! of genus >= 2).
+
+A point factor depends on (e, r, ell_i) alone, so the entry points take an
+optional ``marks`` dict that keeps the factors built so far under that key;
+a sweep passes one dict for all its rows, and a one-off query gets a fresh
+one.
 
 The count of honest maps is the resulting degree divided by e^n: each
 line condition meets the hypersurface in e points, only one of which is
@@ -106,6 +113,12 @@ def point_factor(e: int, r: int, ell_i: int) -> UniPoly:
     return UniPoly("H", [0] * (r + 1 + e - ell_i) + [top])
 
 
+def _exact(num: int, den: int) -> int | Fraction:
+    """num / den: ``num // den`` when den divides num, else ``Fraction(num, den)``."""
+    q, rem = divmod(num, den)
+    return q if rem == 0 else Fraction(num, den)
+
+
 def step3_class(e: int, t: int, g: int) -> TruncPoly:
     """Top Chern class of the twisted push-down bundle, in H and theta:
 
@@ -113,6 +126,8 @@ def step3_class(e: int, t: int, g: int) -> TruncPoly:
 
     Requires t >= g; otherwise a negative H power would be needed, which
     is outside this model (and unreachable from validated parameters).
+    A coefficient is an ``int`` when m! divides e^t * (-e)^m, which always
+    holds for m <= 1.
     """
     if e < 3:
         raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
@@ -122,7 +137,7 @@ def step3_class(e: int, t: int, g: int) -> TruncPoly:
         raise ParameterError(f"rank t = {t} below genus g = {g}: out of model")
     scale = e**t
     return TruncPoly(
-        t, "theta", g, [scale * Fraction((-e) ** m, factorial(m)) for m in range(g + 1)]
+        t, "theta", g, [_exact(scale * (-e) ** m, factorial(m)) for m in range(g + 1)]
     )
 
 
@@ -139,6 +154,8 @@ def pushforward_theta(c: TruncPoly, p: HypParams) -> TruncPoly:
     H^{N-1+k} becomes the Segre class (r+2)^k * theta^k / k!; powers of H
     below the fiber dimension N-1 push to zero.  Every term of a class of
     degree D lands on theta^{D-N+1}, where the theta cap at g still applies.
+    The Segre factor is an ``int`` when k! divides (r+2)^k, as it does for
+    k <= 1.
     """
     _require_theta(c, p.g)
     out = c.degree - (p.N - 1)
@@ -147,7 +164,7 @@ def pushforward_theta(c: TruncPoly, p: HypParams) -> TruncPoly:
     total = 0
     for j, coeff in enumerate(c.terms[: out + 1]):
         k = out - j
-        total += coeff * Fraction((p.r + 2) ** k, factorial(k))
+        total += coeff * _exact((p.r + 2) ** k, factorial(k))
     return TruncPoly(out, "theta", p.g, [0] * out + [total])
 
 
@@ -159,18 +176,25 @@ def integrate_theta(c: TruncPoly, g: int) -> Fraction:
     return Fraction(factorial(g) * c.terms[g])
 
 
-def cycle_degree(p: HypParams) -> Fraction:
+def cycle_degree(p: HypParams, marks: dict | None = None) -> Fraction:
     """Exact degree of the incidence cycle for marks with dimensions ``p.ell``.
 
     The whole pipeline: point factors, Chern class, support-window check,
     pushforward and integral.  Marks with equal ell_i share one monomial,
-    so ``point_factor`` runs once per distinct value.  No integrality or
-    sign check is made here; ``deg_T`` adds those.
+    and ``marks`` maps (e, r, ell_i) to the point factors built so far: a
+    missing one is built by ``point_factor`` and stored there, so it runs
+    once per key and dict.  With no dict each call starts from an empty
+    one.  No integrality or sign check is made here; ``deg_T`` adds those.
     """
+    if marks is None:
+        marks = {}
     coeff = 1
     hdeg = 0
     for li, mult in Counter(p.ell).items():
-        mono = point_factor(p.e, p.r, li)
+        key = (p.e, p.r, li)
+        mono = marks.get(key)
+        if mono is None:
+            mono = marks[key] = point_factor(p.e, p.r, li)
         d = mono.degree()
         coeff *= mono.coeff(d) ** mult
         hdeg += d * mult
@@ -187,13 +211,14 @@ def cycle_degree(p: HypParams) -> Fraction:
     return integrate_theta(pushforward_theta(full, p), p.g)
 
 
-def deg_T(p: HypParams) -> int:
+def deg_T(p: HypParams, marks: dict | None = None) -> int:
     """Degree of the incidence cycle: the full pipeline, integrated.
 
     The result is e^n times the count of maps when every mark is on a
     line; it is certified integral and nonnegative before being returned.
+    ``marks`` is the point-factor dict of ``cycle_degree``.
     """
-    value = cycle_degree(p)
+    value = cycle_degree(p, marks)
     if value.denominator != 1:
         raise InvariantBreach(f"cycle degree {value} is not an integer")
     if value < 0:
@@ -201,13 +226,16 @@ def deg_T(p: HypParams) -> int:
     return int(value)
 
 
-def tev_hypersurface_engine(p: HypParams) -> int:
-    """The count of honest maps through points: deg_T divided exactly by e^n."""
+def tev_hypersurface_engine(p: HypParams, marks: dict | None = None) -> int:
+    """The count of honest maps through points: deg_T divided exactly by e^n.
+
+    ``marks`` is the point-factor dict of ``cycle_degree``.
+    """
     if p.ell.count(1) != p.n:
         raise ParameterError(
             f"a count of maps needs ell_i = 1 for every mark, got ell = {p.ell}"
         )
-    total = deg_T(p)
+    total = deg_T(p, marks)
     q, rem = divmod(total, p.e**p.n)
     if rem != 0:
         raise InvariantBreach(

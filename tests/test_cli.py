@@ -8,9 +8,14 @@ import json
 import multiprocessing
 import os
 import random
+import resource
+import signal
+import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +26,8 @@ from tevdeg.closed_forms import vtev_hypersurface_closed
 from tevdeg.errors import ParameterError
 from tevdeg.truncpoly import UniPoly
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -30,11 +37,18 @@ def run(capsys, argv):
 
 # -- flag parsing --------------------------------------------------------------
 
+def _values(text):
+    return [v for part in parse_range(text) for v in part]
+
+
 def test_parse_range():
-    assert parse_range("7") == [7]
-    assert parse_range("3..5") == [3, 4, 5]
-    assert parse_range("3,9,4") == [3, 4, 9]
-    assert parse_range("1..2,8") == [1, 2, 8]
+    assert _values("7") == [7]
+    assert _values("3..5") == [3, 4, 5]
+    assert _values("3,9,4") == [3, 4, 9]
+    assert _values("1..2,8") == [1, 2, 8]
+    assert _values("5..9,1..3,2..6,9") == list(range(1, 10))
+    assert parse_range("4..6,1..2,3") == [range(1, 7)]
+    assert parse_range("0..1000000000000") == [range(0, 1000000000001)]
     with pytest.raises(Exception):
         parse_range("5..3")
     for bad in ("x", ",", "3..", "1..y"):
@@ -103,7 +117,8 @@ def test_hyp_invalid_input_exits_2(capsys):
     assert code == 2 and "not an integer" in err
 
 
-def test_hyp_breach_exits_3(capsys, monkeypatch):
+def _scaled_point_factor(monkeypatch):
+    """Rebind engine.point_factor to the true factor scaled by 1/p, p prime."""
     original = engine.point_factor
 
     def corrupted(e, r, ell_i):
@@ -111,6 +126,10 @@ def test_hyp_breach_exits_3(capsys, monkeypatch):
         return UniPoly(u.var, [c * Fraction(1, 1_000_000_007) for c in u.coeffs])
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
+
+
+def test_hyp_breach_exits_3(capsys, monkeypatch):
+    _scaled_point_factor(monkeypatch)
     code, _, err = run(capsys, ["hyp", "--g", "0", "--d", "3", "--e", "3",
                                 "--r", "3", "--method", "engine"])
     assert code == 3 and "invariant breach" in err
@@ -286,7 +305,7 @@ def test_sweep_jobs_clamped_to_cpu_count(tmp_path, capsys, monkeypatch):
     sizes = []
 
     class SerialPool:
-        """Records the requested size and maps in this process."""
+        """Records the requested size and runs each task in this process."""
 
         def __init__(self, processes):
             sizes.append(processes)
@@ -297,8 +316,9 @@ def test_sweep_jobs_clamped_to_cpu_count(tmp_path, capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return [fn(item) for item in items]
+        def apply_async(self, fn, args):
+            result = fn(*args)
+            return types.SimpleNamespace(get=lambda: result)
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     base = ["sweep", "--e", "3", "--r", "3..5", "--g", "0..1", "--d", "1..10",
@@ -330,6 +350,68 @@ def test_sweep_acceptance_grid_digest(tmp_path, capsys, fmt, jobs):
                               "--out", str(path), "--jobs", jobs])
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ACCEPTANCE_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_breach_exits_3(tmp_path, capsys, monkeypatch, jobs):
+    # The sweep's shared point factors come from engine.point_factor too.
+    _scaled_point_factor(monkeypatch)
+    code, _, err = run(capsys, ["sweep", "--e", "3", "--r", "3..4", "--g", "0..1",
+                                "--d", "1..6", "--out", str(tmp_path / "x.csv"),
+                                "--jobs", jobs])
+    assert code == 3 and "invariant breach" in err
+
+
+def test_serial_sweep_builds_each_point_factor_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = engine.point_factor
+
+    def counted(e, r, ell_i):
+        calls.append((e, r, ell_i))
+        return original(e, r, ell_i)
+
+    monkeypatch.setattr(engine, "point_factor", counted)
+    path = tmp_path / "grid.csv"
+    code, _, _ = run(capsys, ["sweep", *ACCEPTANCE_GRID, "--out", str(path)])
+    assert code == 0
+    valid = {(int(row.split(",")[2]), int(row.split(",")[3]), 1)
+             for row in path.read_text().splitlines()[1:]}
+    assert sorted(calls) == sorted(valid) and len(calls) == 23
+
+
+HUGE_SWEEP = ["sweep", "--e", "3", "--r", "3", "--g", "0", "--d", "1..1000000000000"]
+ADDRESS_SPACE = 1 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_of_a_huge_range_streams_in_bounded_memory(tmp_path, jobs):
+    path = tmp_path / "huge.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from tevdeg.cli import entrypoint; entrypoint()",
+         *HUGE_SWEEP, "--out", str(path), "--jobs", jobs],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=_cap_address_space, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        lines = []
+        while len(lines) < 3 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            lines = path.read_text().splitlines()[:3] if path.exists() else []
+        running = proc.poll() is None
+    finally:
+        # The whole group, so that no pool worker outlives the sweep.
+        os.killpg(proc.pid, signal.SIGKILL)
+        _, err = proc.communicate(timeout=30)
+    assert running, err
+    assert "Traceback" not in err and "MemoryError" not in err
+    assert lines[:3] == [SWEEP_HEADER, "0,3,3,3,3,1,24,24,true,true,false,true",
+                         "0,6,3,3,5,4,2592,2592,true,true,false,true"]
 
 
 # -- counts past the interpreter's 4300-digit str limit -------------------------------

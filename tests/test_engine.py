@@ -191,6 +191,24 @@ def test_step3_genus_two_has_rational_term():
     assert step3_class(3, 4, 2) == want
 
 
+def _is_integer(x):
+    return Fraction(x).denominator == 1
+
+
+def test_step3_matches_all_fraction_oracle():
+    # A term is a Fraction exactly where m! does not divide e^t (-e)^m.
+    for e in range(3, 7):
+        for g in range(7):
+            for t in range(g, g + 9):
+                want = [Fraction(e) ** t * Fraction(-e) ** m / factorial(m)
+                        for m in range(g + 1)]
+                c = step3_class(e, t, g)
+                assert c == _jac(t, g, want), (e, t, g)
+                for x in c.terms:
+                    assert isinstance(x, Fraction) != _is_integer(x), (e, t, g, x)
+                    assert isinstance(x, (int, Fraction))
+
+
 def test_step3_rejects_rank_below_genus():
     with pytest.raises(ParameterError):
         step3_class(3, 1, 2)
@@ -221,6 +239,48 @@ def test_pushforward_and_integral_reject_other_classes():
             pushforward_theta(c, p)
         with pytest.raises(ParameterError):
             integrate_theta(c, 1)
+
+
+def _pushforward_oracle(c, p):
+    """The pushforward's all-Fraction sum, as its term list."""
+    out = c.degree - (p.N - 1)
+    if not 0 <= out <= p.g:
+        return []
+    total = sum(Fraction(x) * Fraction(p.r + 2) ** (out - j) / factorial(out - j)
+                for j, x in enumerate(c.terms[: out + 1]))
+    return [0] * out + [total]
+
+
+def _sample_params():
+    for e in range(3, 7):
+        for r in range(e - 1, e + 3):
+            for g in range(7):
+                for d in range(2 * g, 2 * g + 7):
+                    try:
+                        yield HypParams.standard(g, d, e, r)
+                    except ParameterError:
+                        pass
+
+
+def test_pushforward_matches_all_fraction_oracle():
+    seen = 0
+    for p in _sample_params():
+        mono = point_factor(p.e, p.r, 1)
+        h = mono.degree()
+        full = _jac(h * p.n, p.g, [mono.coeff(h) ** p.n]) * step3_class(p.e, p.t, p.g)
+        classes = [full] + [_jac(p.N - 1 + k, p.g, [1]) for k in range(-1, p.g + 2)]
+        for c in classes:
+            got = pushforward_theta(c, p)
+            assert got == _jac(got.degree, p.g, _pushforward_oracle(c, p)), (p, c)
+            if p.g <= 1:
+                assert all(type(x) is int for x in got.terms), (p, c)
+        # One monomial H^{N-1+k} pushes to the Segre factor alone, which is
+        # a Fraction exactly where k! does not divide (r+2)^k.
+        for k in range(p.g + 1):
+            (x,) = pushforward_theta(_jac(p.N - 1 + k, p.g, [1]), p).terms[k:]
+            assert isinstance(x, Fraction) != _is_integer(x), (p, k, x)
+        seen += 1
+    assert seen > 100
 
 
 def test_integrate_theta():
@@ -278,6 +338,24 @@ def test_deg_T_builds_one_point_factor_per_distinct_ell(monkeypatch):
     calls.clear()
     deg_T(HypParams.standard(3, 300, 3, 10))  # 268 marks, all ell = 1
     assert calls == [1]
+    # A shared dict builds each (e, r, ell) once, across calls.
+    calls.clear()
+    marks = {}
+    for g, d in ((0, 3), (1, 3), (0, 6)):
+        tev_hypersurface_engine(HypParams.standard(g, d, 3, 3), marks)
+    deg_T(p, marks)
+    assert sorted(calls) == [1, 2]
+    assert sorted(marks) == [(3, 3, 1), (3, 3, 2)]
+    assert marks[(3, 3, 2)] == point_factor(3, 3, 2)
+
+
+def test_engine_reads_point_factors_from_marks():
+    p = HypParams.standard(0, 3, 3, 3)
+    u = point_factor(3, 3, 1)
+    scaled = UniPoly(u.var, [c * Fraction(1, 1_000_000_007) for c in u.coeffs])
+    with pytest.raises(InvariantBreach, match="not an integer"):
+        deg_T(p, {(3, 3, 1): scaled})
+    assert deg_T(p, {(3, 3, 1): u}) == deg_T(p) == 648
 
 
 def test_deg_T_rejects_mismatched_profile():
