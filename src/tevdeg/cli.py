@@ -10,7 +10,6 @@ anywhere.
 from __future__ import annotations
 
 import argparse
-import collections
 import csv
 import decimal
 import itertools
@@ -230,8 +229,8 @@ def sweep_record(g: int, d: int, e: int, r: int,
                  marks: dict | None = None) -> dict | None:
     """One sweep row, or None when the tuple is invalid.
 
-    ``marks`` is the engine's point-factor dict; ``cmd_sweep`` shares one
-    across the rows of a serial sweep or of one ``--jobs`` chunk.
+    ``marks`` is the engine's point-factor dict; ``cmd_sweep`` keeps one
+    per process, shared by all the rows that process makes.
     """
     try:
         p = engine.HypParams.standard(g, d, e, r)
@@ -248,37 +247,97 @@ def sweep_record(g: int, d: int, e: int, r: int,
     }
 
 
-SWEEP_CHUNK = 64    # tuples per --jobs task; each task has its own point factors
-SWEEP_WINDOW = 4    # tasks in flight per worker process
+SWEEP_CHUNK = 64    # tuples per unit of --jobs work
 
 
-def _sweep_chunk(chunk):
-    marks = {}
-    return [sweep_record(*tup, marks) for tup in chunk]
+def _chunks(tuples):
+    while chunk := list(itertools.islice(tuples, SWEEP_CHUNK)):
+        yield chunk
+
+
+def _sweep_worker(tuples, k, jobs, wfd, read_fds):
+    """Send chunks k, k + jobs, ... down ``wfd``, one JSON line each.
+
+    A line is ``[records, fault]``: the chunk's records, or those before a
+    failure, and ``fault`` None, ``["breach", message]`` or ``["error",
+    traceback]``.  A worker closes the pipe ends ``read_fds`` it inherited,
+    and never returns: ``os._exit`` skips the buffers and exit hooks it
+    inherited too, such as those of ``--out`` and stdout.
+    """
+    try:
+        for fd in read_fds:
+            os.close(fd)
+        with open(wfd, "wb") as pipe:
+            marks = {}
+            for chunk in itertools.islice(_chunks(tuples), k, None, jobs):
+                records, fault = [], None
+                try:
+                    for tup in chunk:
+                        records.append(sweep_record(*tup, marks))
+                except InvariantBreach as ex:
+                    fault = ["breach", str(ex)]
+                except Exception:
+                    import traceback
+
+                    fault = ["error", traceback.format_exc()]
+                pipe.write(json.dumps([records, fault]).encode() + b"\n")
+                pipe.flush()
+                if fault:
+                    break
+    finally:
+        os._exit(0)
 
 
 def _sweep_records(tuples, jobs):
     """The records of ``tuples`` in order, None for an invalid tuple.
 
     Lazy on both sides: tuples are read and records made as the caller
-    consumes them.  With jobs > 1 at most ``SWEEP_WINDOW * jobs`` chunks are
-    in flight; ``Pool.imap`` would read all of ``tuples`` up front.
+    consumes them.  With jobs > 1, process k of 0 .. jobs-1 (this one is
+    k = 0) makes the 64-tuple chunks i with i = k mod jobs, each on its own
+    copy of ``tuples``; the jobs - 1 forked workers send theirs down a pipe,
+    and block when it is full.  Every worker is killed and reaped on the
+    way out, whatever the way.  The program starts no threads, so a forked
+    worker inherits no lock held by another thread.
     """
+    marks = {}
     if jobs == 1:
-        marks = {}
         for tup in tuples:
             yield sweep_record(*tup, marks)
         return
-    import multiprocessing
+    import signal
 
-    with multiprocessing.Pool(jobs) as pool:
-        pending = collections.deque()
-        while chunk := list(itertools.islice(tuples, SWEEP_CHUNK)):
-            pending.append(pool.apply_async(_sweep_chunk, (chunk,)))
-            if len(pending) == SWEEP_WINDOW * jobs:
-                yield from pending.popleft().get()
-        while pending:
-            yield from pending.popleft().get()
+    pipes, pids = [], []
+    try:
+        for k in range(1, jobs):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _sweep_worker(tuples, k, jobs, wfd, [rfd, *(p.fileno() for p in pipes)])
+            os.close(wfd)
+            pids.append(pid)
+            pipes.append(open(rfd, "rb"))
+        for i, chunk in enumerate(_chunks(tuples)):
+            k = i % jobs
+            if k == 0:
+                for tup in chunk:
+                    yield sweep_record(*tup, marks)
+                continue
+            line = pipes[k - 1].readline()
+            if not line.endswith(b"\n"):
+                raise RuntimeError(f"sweep worker {k} ended before chunk {i}")
+            records, fault = json.loads(line)
+            yield from records
+            if fault:
+                kind, message = fault
+                if kind == "breach":
+                    raise InvariantBreach(message)
+                raise RuntimeError(f"sweep worker {k} failed on chunk {i}:\n{message}")
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def cmd_sweep(args) -> int:
@@ -297,7 +356,7 @@ def cmd_sweep(args) -> int:
         print(f"error: cannot write {args.out}: {ex}", file=sys.stderr)
         return 2
     with out:
-        jobs = min(args.jobs, os.cpu_count() or 1)
+        jobs = min(args.jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
         if args.format == "csv":
             writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
             writer.writeheader()

@@ -32,13 +32,16 @@ def tev_p1_cps(g: int, d: int) -> int:
         2^g - sum_{i=0}^{g-d-1} C(g,i) + (g-d-1) C(g,g-d) + (d-g-1) C(g,g-d+1)
 
     where binomials with negative lower index vanish.  Evaluates to 2^g
-    whenever d >= g + 1.  Transcribed literally; see the module docstring
-    for its validity domain.
+    whenever d >= g + 1.  Transcribed as written, except that the sum runs
+    one binomial along, C(g, i+1) = C(g, i) (g-i) / (i+1); see the module
+    docstring for its validity domain.
     """
     line_dims_check(g, d)
     total = 2**g
+    c = 1   # C(g, i)
     for i in range(g - d):
-        total -= binom(g, i)
+        total -= c
+        c = c * (g - i) // (i + 1)
     total += (g - d - 1) * binom(g, g - d)
     total += (d - g - 1) * binom(g, g - d + 1)
     return total

@@ -5,7 +5,6 @@ import hashlib
 import io
 import itertools
 import json
-import multiprocessing
 import os
 import random
 import resource
@@ -13,7 +12,6 @@ import signal
 import subprocess
 import sys
 import time
-import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -117,12 +115,17 @@ def test_hyp_invalid_input_exits_2(capsys):
     assert code == 2 and "not an integer" in err
 
 
-def _scaled_point_factor(monkeypatch):
-    """Rebind engine.point_factor to the true factor scaled by 1/p, p prime."""
+def _scaled_point_factor(monkeypatch, only_r=None):
+    """Rebind engine.point_factor to the true factor scaled by 1/p, p prime.
+
+    With ``only_r``, only the factors of that r are scaled.
+    """
     original = engine.point_factor
 
     def corrupted(e, r, ell_i):
         u = original(e, r, ell_i)
+        if only_r not in (None, r):
+            return u
         return UniPoly(u.var, [c * Fraction(1, 1_000_000_007) for c in u.coeffs])
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
@@ -292,6 +295,7 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     assert run(capsys, base + ["--out", str(paths[0])])[0] == 0
     assert run(capsys, base + ["--out", str(paths[1]), "--jobs", "2"])[0] == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    _assert_no_child()
 
 
 @pytest.mark.parametrize("bad", ["x", ","])
@@ -301,37 +305,131 @@ def test_sweep_bad_range_exits_2(tmp_path, capsys, bad):
     assert code == 2 and "bad range" in err and "Traceback" not in err
 
 
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_sweep_jobs_clamped_to_cpu_count(tmp_path, capsys, monkeypatch):
-    sizes = []
+    forks = []
+    real_fork = os.fork
 
-    class SerialPool:
-        """Records the requested size and runs each task in this process."""
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
 
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def apply_async(self, fn, args):
-            result = fn(*args)
-            return types.SimpleNamespace(get=lambda: result)
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    base = ["sweep", "--e", "3", "--r", "3..5", "--g", "0..1", "--d", "1..10",
+    monkeypatch.setattr(os, "fork", counted_fork)
+    base = ["sweep", "--e", "3", "--r", "3..5", "--g", "0..1", "--d", "1..40",
             "--format", "csv"]
-    paths = [tmp_path / "many.csv", tmp_path / "none.csv", tmp_path / "serial.csv"]
+    paths = [tmp_path / "many.csv", tmp_path / "none.csv", tmp_path / "nofork.csv",
+             tmp_path / "serial.csv"]
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert run(capsys, base + ["--out", str(paths[0]), "--jobs", "1000000"])[0] == 0
-    assert sizes == [3]
+    assert len(forks) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert run(capsys, base + ["--out", str(paths[1]), "--jobs", "1000000"])[0] == 0
-    assert sizes == [3]  # an unknown CPU count runs serially
-    assert run(capsys, base + ["--out", str(paths[2])])[0] == 0
-    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+    assert len(forks) == 2  # an unknown CPU count runs serially
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.delattr(os, "fork")
+    assert run(capsys, base + ["--out", str(paths[2]), "--jobs", "1000000"])[0] == 0
+    assert len(forks) == 2  # so does a platform without fork
+    assert run(capsys, base + ["--out", str(paths[3])])[0] == 0
+    serial = paths[3].read_bytes()
+    assert all(path.read_bytes() == serial for path in paths[:3])
+    _assert_no_child()
+
+
+# e 3, r 3..n, g 0, d 1..64: chunk i of 64 tuples is r = 3 + i, with valid rows.
+def _one_r_per_chunk(rs):
+    return ["sweep", "--e", "3", "--r", rs, "--g", "0", "--d", "1..64"]
+
+
+@pytest.mark.parametrize("jobs,rs", [
+    ("2", "3"),         # one chunk: the worker gets none
+    ("2", "3..5"),      # three chunks on two processes
+    ("3", "3..7"),      # five chunks on three processes
+    ("3", "3..4"),      # fewer chunks than processes
+])
+def test_sweep_jobs_shapes_match_serial(tmp_path, capsys, monkeypatch, jobs, rs):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    paths = [tmp_path / "serial.csv", tmp_path / "par.csv"]
+    assert run(capsys, _one_r_per_chunk(rs) + ["--out", str(paths[0])])[0] == 0
+    assert run(capsys, _one_r_per_chunk(rs) + ["--out", str(paths[1]),
+                                               "--jobs", jobs])[0] == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("jobs", ["2", "3"])
+@pytest.mark.parametrize("bad_r", [3, 4, 5])   # chunk 0 is the caller's
+def test_sweep_breach_in_any_chunk_leaves_the_serial_prefix(
+        tmp_path, capsys, monkeypatch, jobs, bad_r):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _scaled_point_factor(monkeypatch, only_r=bad_r)
+    paths = [tmp_path / "serial.csv", tmp_path / "par.csv"]
+    code, _, err = run(capsys, _one_r_per_chunk("3..5") + ["--out", str(paths[0])])
+    assert code == 3 and "invariant breach" in err
+    code, _, err_par = run(capsys, _one_r_per_chunk("3..5") + ["--out", str(paths[1]),
+                                                               "--jobs", jobs])
+    assert code == 3 and err_par == err
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert paths[1].read_text().count("\n") == 1 + 21 * (bad_r > 3) + 16 * (bad_r > 4)
+    _assert_no_child()
+
+
+def _boom():
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("fail,message", [
+    (_boom, "(?s)sweep worker 1 failed on chunk 1:.*RuntimeError: boom"),
+    (lambda: os._exit(0), "sweep worker 1 ended before chunk 1"),
+])
+def test_sweep_worker_failure_is_never_silent(tmp_path, capsys, monkeypatch,
+                                              fail, message):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = _one_r_per_chunk("3..5") + ["--jobs", "2"]
+    full = tmp_path / "full.csv"
+    assert run(capsys, argv + ["--out", str(full)])[0] == 0
+    record = cli.sweep_record
+
+    def failing(*args):
+        if args[:4] == (0, 20, 3, 4):   # a valid tuple of chunk 1
+            fail()
+        return record(*args)
+
+    monkeypatch.setattr(cli, "sweep_record", failing)
+    path = tmp_path / "cut.csv"
+    with pytest.raises(RuntimeError, match=message):
+        main(argv + ["--out", str(path)])
+    cut, full = path.read_text(), full.read_text()
+    assert full.startswith(cut) and len(cut) < len(full)
+    if fail is _boom:   # the rows before the failing tuple, as a serial sweep leaves
+        assert cut.splitlines()[-1].startswith("0,16,3,4,")
+    _assert_no_child()
+
+
+def test_closing_a_jobs_sweep_early_leaves_no_child():
+    tuples = ((0, d, 3, 3) for d in range(1, 10_000))
+    records = cli._sweep_records(tuples, 2)
+    assert next(records) is None
+    records.close()
+    _assert_no_child()
+
+
+def test_sweep_jobs_does_not_import_multiprocessing(tmp_path):
+    argv = _one_r_per_chunk("3..5") + ["--out", str(tmp_path / "x.csv"), "--jobs", "2"]
+    code = (
+        "import os, sys\n"
+        "os.cpu_count = lambda: 2\n"
+        "from tevdeg.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "print(rc, 'multiprocessing' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "0 False\n", proc.stderr
 
 
 # SHA-256 of the acceptance grid's output; any refactor must keep these bytes.
@@ -342,9 +440,10 @@ ACCEPTANCE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_sweep_acceptance_grid_digest(tmp_path, capsys, fmt, jobs):
+def test_sweep_acceptance_grid_digest(tmp_path, capsys, monkeypatch, fmt, jobs):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     path = tmp_path / f"grid.{fmt}"
     code, _, _ = run(capsys, ["sweep", *ACCEPTANCE_GRID, "--format", fmt,
                               "--out", str(path), "--jobs", jobs])
@@ -360,6 +459,7 @@ def test_sweep_breach_exits_3(tmp_path, capsys, monkeypatch, jobs):
                                 "--d", "1..6", "--out", str(tmp_path / "x.csv"),
                                 "--jobs", jobs])
     assert code == 3 and "invariant breach" in err
+    _assert_no_child()
 
 
 def test_serial_sweep_builds_each_point_factor_once(tmp_path, capsys, monkeypatch):

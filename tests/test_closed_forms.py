@@ -14,8 +14,10 @@ from tevdeg.closed_forms import (
     vtev_hypersurface_closed,
     vtev_projective_closed,
 )
+from tevdeg.enumerativity import line_dims_check
 from tevdeg.errors import ParameterError
 from tevdeg.schubert import tev_p1_schubert
+from tevdeg.truncpoly import binom
 
 
 # -- tev_p1_cps ----------------------------------------------------------------
@@ -36,6 +38,25 @@ def test_cps_agrees_with_schubert_for_d_at_least_g():
     for g in range(11):
         for d in range(max(g, 1), g + 4):
             assert tev_p1_cps(g, d) == tev_p1_schubert(g, d)
+
+
+def _cps_as_transcribed(g, d):
+    return (2**g - sum(binom(g, i) for i in range(g - d))
+            + (g - d - 1) * binom(g, g - d) + (d - g - 1) * binom(g, g - d + 1))
+
+
+def test_cps_running_binomial_equals_the_transcribed_sum():
+    checked = []
+    for g in range(61):
+        for d in range(1, g + 4):   # past d = g + 1 every binomial term is empty or 0
+            try:
+                line_dims_check(g, d)
+            except ParameterError:
+                continue
+            assert tev_p1_cps(g, d) == _cps_as_transcribed(g, d), (g, d)
+            checked.append((g, d))
+    assert {g for g, _ in checked} == set(range(61))
+    assert sum(d < g for g, d in checked) == 929    # a nonempty running sum
 
 
 def test_cps_rejections():
