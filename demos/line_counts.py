@@ -6,7 +6,7 @@ ways: a binomial closed form, and a Schubert-calculus integral on the
 Grassmannian Gr(2, d+1).
 """
 
-from tevdeg import CPS_VS_SCHUBERT_DISCREPANCIES, tev_p1_cps, tev_p1_schubert
+from tevdeg import tev_p1_cps, tev_p1_schubert
 
 # The famous stable value: once d >= g + 1, the count is exactly 2^g.
 print("the 2^g phenomenon (rows: g, columns: d = g+1, g+2, g+3)")
@@ -28,11 +28,17 @@ print("route agreement for g <= 10, g <= d <= g+3:", all(
     for d in range(max(g, 1), g + 4)
 ))
 
-# Below d = g the two formulas part ways.  The Schubert integral matches
-# direct pencil counts -- e.g. a general genus-4 curve carries exactly two
-# degree-3 pencils, and genus 6 carries five degree-4 ones -- so it is the
-# oracle of record; the binomial formula's transcription overshoots there.
+# Below d = g the routes agree as well, wherever n = 2d - g + 1 >= 0.
 print()
-print("where the binomial formula disagrees (d < g):  g d cps schubert")
-for g, d, cps, sch in CPS_VS_SCHUBERT_DISCREPANCIES:
-    print(f"  {g} {d} {cps} {sch}")
+print("route agreement for g <= 10, (g-1)/2 <= d < g:", all(
+    tev_p1_cps(g, d) == tev_p1_schubert(g, d)
+    for g in range(2, 11)
+    for d in range(g // 2, g)
+))
+
+# Two classical pencil counts: a general genus-4 curve carries exactly two
+# degree-3 pencils, and a general genus-6 curve five degree-4 ones.
+print()
+print("pencils (g, d): cps schubert")
+for g, d in ((4, 3), (6, 4)):
+    print(f"  ({g}, {d}): {tev_p1_cps(g, d)} {tev_p1_schubert(g, d)}")

@@ -5,8 +5,7 @@ Four independent routes compute (or bound) the same counts:
 * :mod:`tevdeg.engine` -- intersection theory on a projective bundle over
   the Jacobian, the general-purpose pipeline;
 * :mod:`tevdeg.closed_forms` -- direct closed-form evaluation;
-* :mod:`tevdeg.schubert` -- the Grassmannian integral for maps to the line
-  (the oracle of record there);
+* :mod:`tevdeg.schubert` -- the Grassmannian integral for maps to the line;
 * :mod:`tevdeg.quantum` -- the small quantum ring of P^r.
 
 :mod:`tevdeg.enumerativity` certifies when the computed numbers count
@@ -16,7 +15,6 @@ and rationals throughout, no floating point.
 """
 
 from .closed_forms import (
-    CPS_VS_SCHUBERT_DISCREPANCIES,
     alpha_coefficients,
     deg_T_insertions_closed,
     tev_p1_cps,
@@ -53,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditReport",
     "CertificationReport",
-    "CPS_VS_SCHUBERT_DISCREPANCIES",
     "HypParams",
     "InvariantBreach",
     "ParameterError",

@@ -292,20 +292,16 @@ def _sweep_records(tuples, jobs):
     """The records of ``tuples`` in order, None for an invalid tuple.
 
     Lazy on both sides: tuples are read and records made as the caller
-    consumes them.  With jobs > 1, process k of 0 .. jobs-1 (this one is
-    k = 0) makes the 64-tuple chunks i with i = k mod jobs, each on its own
-    copy of ``tuples``; the jobs - 1 forked workers send theirs down a pipe,
-    and block when it is full.  Every worker is killed and reaped on the
+    consumes them.  Process k of 0 .. jobs-1 (this one is k = 0) makes the
+    64-tuple chunks i with i = k mod jobs, each on its own copy of
+    ``tuples``; the jobs - 1 forked workers send theirs down a pipe, and
+    block when it is full.  Every worker is killed and reaped on the
     way out, whatever the way.  The program starts no threads, so a forked
     worker inherits no lock held by another thread.
     """
-    marks = {}
-    if jobs == 1:
-        for tup in tuples:
-            yield sweep_record(*tup, marks)
-        return
     import signal
 
+    marks = {}
     pipes, pids = [], []
     try:
         for k in range(1, jobs):
@@ -382,11 +378,6 @@ def cmd_verify(args) -> int:
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"criterion {res.number}  {res.name:<{width}}  {status}  {res.detail}")
-    print()
-    print("cps-vs-schubert discrepancies for d < g (g <= 10):")
-    print("g d cps schubert")
-    for g, d, a, b in closed_forms.CPS_VS_SCHUBERT_DISCREPANCIES:
-        print(f"{g} {d} {a} {b}")
     if all(res.passed for res in results):
         print()
         print("all criteria passed")

@@ -6,13 +6,6 @@ with the Schubert, quantum, or intersection pipelines, so agreement between
 routes is meaningful evidence.  The only imports from ``enumerativity`` are
 the validity gates: whether a count is enumerative is decided by
 ``certify_enumerative`` alone.
-
-A documented caveat: for maps to the line, the binomial formula
-``tev_p1_cps`` agrees with the Grassmannian integral (and with direct
-geometric counts) on every tested pair with d >= g, but disagrees for
-d < g.  The Schubert route is the oracle of record there; the frozen
-table ``CPS_VS_SCHUBERT_DISCREPANCIES`` records every disagreement with
-1 <= d < g <= 10 and is reproduced by the ``verify`` command.
 """
 
 from __future__ import annotations
@@ -21,30 +14,31 @@ from math import factorial
 
 from .enumerativity import dims_check, insertion_dims_check, line_dims_check
 from .errors import InvariantBreach, ParameterError
-from .truncpoly import UniPoly, binom
+from .truncpoly import UniPoly
 
 
 def tev_p1_cps(g: int, d: int) -> int:
     """Binomial formula for counts of degree-d maps to the line.
 
-    With n = 2d - g + 1 point conditions:
+    Cela, Pandharipande and Schmitt, "Tevelev degrees and Hurwitz moduli
+    spaces": with l = d - g - 1 and n = 2d - g + 1 point conditions,
 
-        2^g - sum_{i=0}^{g-d-1} C(g,i) + (g-d-1) C(g,g-d) + (d-g-1) C(g,g-d+1)
+        2^g - 2 sum_{i=0}^{-l-2} C(g,i) + (-l-2) C(g,-l-1) + l C(g,-l)
 
-    where binomials with negative lower index vanish.  Evaluates to 2^g
-    whenever d >= g + 1.  Transcribed as written, except that the sum runs
-    one binomial along, C(g, i+1) = C(g, i) (g-i) / (i+1); see the module
-    docstring for its validity domain.
+    where binomials with negative lower index vanish, so the count is 2^g
+    whenever d > g.  The sum runs one binomial along, C(g, i+1) =
+    C(g, i) (g-i) / (i+1), and ends at c = C(g, g-d), which gives both
+    boundary terms: C(g, g-d+1) = c d / (g-d+1).
     """
     line_dims_check(g, d)
+    if d > g:
+        return 2**g
     total = 2**g
     c = 1   # C(g, i)
     for i in range(g - d):
-        total -= c
+        total -= 2 * c
         c = c * (g - i) // (i + 1)
-    total += (g - d - 1) * binom(g, g - d)
-    total += (d - g - 1) * binom(g, g - d + 1)
-    return total
+    return total + (g - d - 1) * c + (d - g - 1) * (c * d // (g - d + 1))
 
 
 def vtev_projective_closed(g: int, r: int) -> int:
@@ -104,56 +98,23 @@ def deg_T_insertions_closed(g: int, d: int, e: int, r: int, ell) -> int:
     return (r + 2 - e) ** g * e**t * prod
 
 
-# Disagreements between the binomial formula and the Grassmannian integral,
-# over 1 <= d < g <= 10 with n = 2d - g + 1 >= 0: (g, d, cps, schubert).
-# Regenerated by compute_cps_schubert_discrepancies(); frozen here so the
-# documented table is itself under test.  Every pair in that domain
-# disagrees; direct counts of pencils back the schubert column.
-CPS_VS_SCHUBERT_DISCREPANCIES: tuple[tuple[int, int, int, int], ...] = (
-    (2, 1, 1, 0),
-    (3, 1, 4, 0),
-    (3, 2, 1, 0),
-    (4, 2, 5, 0),
-    (4, 3, 3, 2),
-    (5, 2, 16, 0),
-    (5, 3, 6, 0),
-    (5, 4, 11, 10),
-    (6, 3, 22, 0),
-    (6, 4, 12, 5),
-    (6, 5, 33, 32),
-    (7, 3, 64, 0),
-    (7, 4, 29, 0),
-    (7, 5, 36, 28),
-    (7, 6, 85, 84),
-    (8, 4, 93, 0),
-    (8, 5, 51, 14),
-    (8, 6, 107, 98),
-    (8, 7, 199, 198),
-    (9, 4, 256, 0),
-    (9, 5, 130, 0),
-    (9, 6, 130, 84),
-    (9, 7, 286, 276),
-    (9, 8, 439, 438),
-    (10, 5, 386, 0),
-    (10, 6, 218, 42),
-    (10, 7, 368, 312),
-    (10, 8, 698, 687),
-    (10, 9, 933, 932),
-)
-
-
 def compute_cps_schubert_discrepancies(
     g_max: int = 10,
 ) -> tuple[tuple[int, int, int, int], ...]:
-    """Recompute the (g, d, cps, schubert) table for 1 <= d < g <= g_max."""
+    """Rows (g, d, cps, schubert) where the two routes to the line differ.
+
+    Covers every valid (g, d) with g <= g_max and d <= g + 3; empty when the
+    binomial formula and the Grassmannian integral agree.
+    """
     from .schubert import tev_p1_schubert
 
     rows = []
-    for g in range(2, g_max + 1):
-        for d in range(1, g):
-            if 2 * d - g + 1 < 0:
+    for g in range(g_max + 1):
+        for d in range(1, g + 4):
+            try:
+                a = tev_p1_cps(g, d)
+            except ParameterError:
                 continue
-            a = tev_p1_cps(g, d)
             b = tev_p1_schubert(g, d)
             if a != b:
                 rows.append((g, d, a, b))

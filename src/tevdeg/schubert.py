@@ -15,9 +15,9 @@ than min(t, box) - ceil(t/2) + 1 entries.  In the count below every
 degree is at least 2d - 2 - g, which bounds every list by about g/2
 entries whatever d is.
 
-This module is the oracle of record for counts of degree-d maps from a
-general genus-g curve to the projective line through n = 2d - g + 1
-general point conditions: such counts equal the Grassmannian integral
+Counts of degree-d maps from a general genus-g curve to the projective
+line through n = 2d - g + 1 general point conditions equal the
+Grassmannian integral
 
     int_{Gr(2,d+1)}  sigma_1^g * sum_{i+j = 2d-2-g} sigma_i sigma_j .
 """

@@ -2,8 +2,8 @@
 
 ``TruncPoly`` is the engine's ring model: a class homogeneous in the
 hyperplane class H and one capped variable, stored as one coefficient list.
-The closed forms use only ``UniPoly`` and ``binom``, and the Schubert and
-quantum routes do not import this module.
+The closed forms use only ``UniPoly``, and the Schubert and quantum routes
+do not import this module.
 
 Coefficients are Python ints or ``fractions.Fraction``; floats are refused.
 All values are immutable after construction and every operation is a pure
@@ -19,9 +19,9 @@ from math import comb
 def binom(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), with C(n, k) = 0 for k < 0 or k > n.
 
-    The vanishing convention for out-of-range k matters: several closed
-    formulas downstream are stated with binomials whose lower index goes
-    negative and are meant to drop those terms.
+    The vanishing convention for out-of-range k matters: the binomial
+    formula for maps to the line is stated with binomials whose lower index
+    goes negative and is meant to drop those terms.
     """
     if n < 0:
         raise ValueError(f"binom requires n >= 0, got n={n}")
@@ -136,9 +136,6 @@ class UniPoly:
         if k < 0 or k >= len(self.coeffs):
             return 0
         return self.coeffs[k]
-
-    def is_monomial(self) -> bool:
-        return sum(1 for c in self.coeffs if c != 0) == 1
 
     def __mul__(self, other: UniPoly) -> UniPoly:
         if self.var != other.var:

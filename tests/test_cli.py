@@ -72,15 +72,18 @@ def test_p1_agreeing(capsys):
     assert doc["agreement"] is True
 
 
-def test_p1_documented_disagreement_is_not_an_error(capsys):
-    code, out, _ = run(capsys, ["p1", "--g", "4", "--d", "3", "--json"])
-    assert code == 0
-    doc = json.loads(out)
-    assert {r["method"]: r["value"] for r in doc["results"]} == {
-        "cps": "3",
-        "schubert": "2",
-    }
-    assert doc["agreement"] is False
+def test_p1_pencil_counts_agree(capsys):
+    # Two trigonal pencils on a general genus-4 curve, five tetragonal
+    # pencils in genus 6, and none of degree 3 in genus 5.
+    for g, d, want in ((4, 3, "2"), (6, 4, "5"), (5, 3, "0")):
+        code, out, _ = run(capsys, ["p1", "--g", str(g), "--d", str(d), "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert {r["method"]: r["value"] for r in doc["results"]} == {
+            "cps": want,
+            "schubert": want,
+        }
+        assert doc["agreement"] is True
 
 
 def test_p1_single_method(capsys):
@@ -641,14 +644,42 @@ QUERY_CORPUS_SIZE = 758
 QUERY_CORPUS_DIGEST = "f70502acc39410c6b400872327056b30acaa18a08e71286d5999c2f9cd1527f3"
 
 
-def test_query_verbs_digest():
+def _corpus_digest(argvs):
     digest = hashlib.sha256()
-    argvs = _query_corpus()
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         digest.update((json.dumps([argv, code, out.getvalue(), err.getvalue()])
                        + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_query_verbs_digest():
+    argvs = _query_corpus()
     assert len(argvs) == QUERY_CORPUS_SIZE
-    assert digest.hexdigest() == QUERY_CORPUS_DIGEST
+    assert _corpus_digest(argvs) == QUERY_CORPUS_DIGEST
+
+
+def _p1_corpus():
+    """argv lists for p1 over g -1..12 and d 0..g+3, every method, text and --json."""
+    argvs = []
+    for g in range(-1, 13):
+        for d in range(g + 4):
+            tup = [f"--g={g}", f"--d={d}"]
+            for method in ("cps", "schubert", "both"):
+                argvs.append(["p1", *tup, "--method", method])
+                argvs.append(["p1", *tup, "--method", method, "--json"])
+    return argvs
+
+
+# SHA-256 of every (argv, exit status, stdout, stderr) of the p1 corpus,
+# hashed as for the query corpus.
+P1_CORPUS_SIZE = 798
+P1_CORPUS_DIGEST = "b0150cc9bae85e7df343386216aeae5709f4ed6990bbc26f402fe74c10a0914d"
+
+
+def test_p1_digest():
+    argvs = _p1_corpus()
+    assert len(argvs) == P1_CORPUS_SIZE
+    assert _corpus_digest(argvs) == P1_CORPUS_DIGEST

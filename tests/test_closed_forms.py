@@ -1,4 +1,4 @@
-"""Tests for the closed-form formulas and their documented caveats."""
+"""Tests for the closed-form formulas."""
 
 from math import factorial
 
@@ -6,7 +6,6 @@ import pytest
 
 from tevdeg.cli import sweep_record
 from tevdeg.closed_forms import (
-    CPS_VS_SCHUBERT_DISCREPANCIES,
     alpha_coefficients,
     compute_cps_schubert_discrepancies,
     deg_T_insertions_closed,
@@ -41,7 +40,9 @@ def test_cps_agrees_with_schubert_for_d_at_least_g():
 
 
 def _cps_as_transcribed(g, d):
-    return (2**g - sum(binom(g, i) for i in range(g - d))
+    # Cela, Pandharipande and Schmitt, "Tevelev degrees and Hurwitz moduli
+    # spaces", with l = d - g - 1: the sum over i <= -l-2 is doubled.
+    return (2**g - 2 * sum(binom(g, i) for i in range(g - d))
             + (g - d - 1) * binom(g, g - d) + (d - g - 1) * binom(g, g - d + 1))
 
 
@@ -67,17 +68,21 @@ def test_cps_rejections():
 
 
 def test_discrepancy_table_is_current():
-    assert compute_cps_schubert_discrepancies(10) == CPS_VS_SCHUBERT_DISCREPANCIES
+    assert compute_cps_schubert_discrepancies(12) == ()
 
 
-def test_discrepancy_table_contents():
-    rows = {(g, d): (a, b) for g, d, a, b in CPS_VS_SCHUBERT_DISCREPANCIES}
-    assert rows[(4, 3)] == (3, 2)
-    assert rows[(6, 4)] == (12, 5)
-    assert rows[(5, 3)] == (6, 0)
-    # every listed pair is in the d < g domain and genuinely disagrees
-    for (g, d), (a, b) in rows.items():
-        assert 1 <= d < g <= 10 and a != b
+def test_cps_agrees_with_schubert_everywhere():
+    checked = []
+    for g in range(61):
+        for d in range(1, g + 8):
+            try:
+                line_dims_check(g, d)
+            except ParameterError:
+                continue
+            assert tev_p1_cps(g, d) == tev_p1_schubert(g, d), (g, d)
+            checked.append((g, d))
+    assert len(checked) == 1416
+    assert sum(d < g for g, d in checked) == 929
 
 
 # -- hypersurface closed form ----------------------------------------------------

@@ -19,7 +19,7 @@ STDOUT_SHA256 = {
     "enumerativity_audit.py": "705de4a4b8d627465ebf2193b0e7c96adaeff5a0d56556f536d690c23a17d52e",
     "hypersurface_pipeline.py": "9e6371c97e772ff6ca9c4767bb12366bc157be8b3ced61749a7db848fc56745f",
     "insertions.py": "f9573d0de978e9c7d8d108be84e4b025e91c43072817f8611fe83a1556ef4f0b",
-    "line_counts.py": "562cf502aa91ce1641a0f5d1313bd55434467e41386802f29d83b25c9bb951ba",
+    "line_counts.py": "41c6244f7709aeb8f1e1c64096bb3a2f6783e821e24d69be95f60a761629388d",
     "quantum_ring.py": "6246cbf55690385557d2da4ddcb62786293c1f83f76e99860ba35424775d3c6b",
 }
 
