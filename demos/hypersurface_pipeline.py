@@ -24,9 +24,9 @@ print(f"  n = {p.n} marks, bundle rank t = {p.t}, ambient rank N = {p.N}")
 
 # Each mark contributes one factor: the incidence class times the excess
 # factors times the line condition, with the top H_i power extracted.
-# The result is a single monomial in the hyperplane class H.
-mono = point_factor(p.e, p.r, 1)
-print(f"per-mark factor: {mono}")
+# The result is a single monomial alpha * H^h in the hyperplane class H.
+alpha, h = point_factor(p.e, p.r, 1)
+print(f"per-mark factor: {alpha}*H^{h}")
 
 # The global factor forces the tuple to define a map into the cubic: the
 # top Chern class of a twisted push-down bundle, polynomial in H and the
@@ -37,8 +37,7 @@ print(f"global factor:   {chern}")
 # Assemble, push down to the Jacobian, and integrate.  All n marks carry
 # the same line condition, so their factors just multiply up into one
 # monomial in H, which joins the Chern class's (H, theta) coefficient list.
-per_mark = mono.coeff(mono.degree())
-full = TruncPoly(p.n * mono.degree(), "theta", p.g, [per_mark**p.n]) * chern
+full = TruncPoly(p.n * h, "theta", p.g, [alpha**p.n]) * chern
 print(f"assembled class: {full}   (H-degree N-1 = {p.N - 1}: a number times the point)")
 degree = integrate_theta(pushforward_theta(full, p), p.g)
 print(f"cycle degree:    {degree}")

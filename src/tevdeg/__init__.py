@@ -44,7 +44,7 @@ from .enumerativity import (
 from .errors import InvariantBreach, ParameterError
 from .quantum import QPolyClass, qmul, quantum_euler, vtev_projective_qh
 from .schubert import grassmann_integral, pieri_special, tev_p1_schubert
-from .truncpoly import TruncPoly, UniPoly, binom
+from .truncpoly import TruncPoly, UniPoly
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "TruncPoly",
     "UniPoly",
     "alpha_coefficients",
-    "binom",
     "certify_enumerative",
     "cycle_degree",
     "deg_T",

@@ -23,7 +23,6 @@ from .enumerativity import (
     stratum_audit,
 )
 from .errors import ParameterError
-from .truncpoly import UniPoly
 
 #: The main verification grid: e, r in [2e-3, 10], g in [0, 3], d in [1, 30].
 MAIN_GRID_E = (3, 4, 5)
@@ -283,8 +282,8 @@ def _run_cli_with_corrupted_point_factor() -> int:
     original = engine.point_factor
 
     def corrupted(e, r, ell_i):
-        u = original(e, r, ell_i)
-        return UniPoly(u.var, [c * Fraction(1, 1_000_000_007) for c in u.coeffs])
+        alpha, h = original(e, r, ell_i)
+        return alpha * Fraction(1, 1_000_000_007), h
 
     engine.point_factor = corrupted
     try:

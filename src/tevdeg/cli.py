@@ -112,14 +112,21 @@ def _print_result(params: dict, results: list[tuple[str, int]],
         print(f"{k:<14} {str(v).lower()}")
 
 
+def _routes(args, **routes) -> list[tuple[str, int]]:
+    """(name, value) for each route ``--method`` selects, in the order given.
+
+    Each route is a thunk, so only the selected ones run; "both" selects all.
+    """
+    names = routes if args.method == "both" else (args.method,)
+    return [(name, routes[name]()) for name in names]
+
+
 def cmd_p1(args) -> int:
-    n = enumerativity.line_dims_check(args.g, args.d)
-    methods = []
-    if args.method in ("cps", "both"):
-        methods.append(("cps", closed_forms.tev_p1_cps(args.g, args.d)))
-    if args.method in ("schubert", "both"):
-        methods.append(("schubert", schubert.tev_p1_schubert(args.g, args.d)))
-    _print_result({"g": args.g, "d": args.d, "n": n}, methods, {}, args.json)
+    g, d = args.g, args.d
+    n = enumerativity.line_dims_check(g, d)
+    results = _routes(args, cps=lambda: closed_forms.tev_p1_cps(g, d),
+                      schubert=lambda: schubert.tev_p1_schubert(g, d))
+    _print_result({"g": g, "d": d, "n": n}, results, {}, args.json)
     return 0
 
 
@@ -127,7 +134,9 @@ def _hyp_flags(rep) -> dict:
     """The validity flags of a hypersurface count, all from its certificate.
 
     ``virtual_range`` is 2e <= r + 3, the range in which the closed form is
-    proved as a virtual count.
+    proved as a virtual count.  For g >= 1, ``bound_ok`` and ``certified``
+    are one condition, not two pieces of evidence: ``certified`` is
+    ``bound_ok`` and n >= 2g and d >= 2g (see ``certify_enumerative``).
     """
     return {
         "virtual_range": 2 * rep.e <= rep.r + 3,
@@ -141,13 +150,11 @@ def cmd_hyp(args) -> int:
     # The tuple's own gate decides for every method, as in `insert` and `sweep`.
     p = engine.HypParams.standard(g, d, e, r)
     rep = certify_enumerative(g, d, e, r)
-    methods = []
-    if args.method in ("closed", "both"):
-        methods.append(("closed", closed_forms.vtev_hypersurface_closed(g, d, e, r)))
-    if args.method in ("engine", "both"):
-        methods.append(("engine", engine.tev_hypersurface_engine(p)))
+    results = _routes(
+        args, closed=lambda: closed_forms.vtev_hypersurface_closed(g, d, e, r),
+        engine=lambda: engine.tev_hypersurface_engine(p))
     params = {"g": g, "d": d, "e": e, "r": r, "n": p.n}
-    _print_result(params, methods, _hyp_flags(rep), args.json)
+    _print_result(params, results, _hyp_flags(rep), args.json)
     return 0
 
 
@@ -155,13 +162,11 @@ def cmd_insert(args) -> int:
     g, d, e, r = args.g, args.d, args.e, args.r
     ell = parse_ell(args.ell)
     p = engine.HypParams(g, d, e, r, ell)
-    methods = []
-    if args.method in ("closed", "both"):
-        methods.append(("closed", closed_forms.deg_T_insertions_closed(g, d, e, r, ell)))
-    if args.method in ("engine", "both"):
-        methods.append(("engine", engine.deg_T(p)))
+    results = _routes(
+        args, closed=lambda: closed_forms.deg_T_insertions_closed(g, d, e, r, ell),
+        engine=lambda: engine.deg_T(p))
     params = {"g": g, "d": d, "e": e, "r": r, "n": p.n, "ell": list(ell)}
-    _print_result(params, methods, {}, args.json)
+    _print_result(params, results, {}, args.json)
     return 0
 
 
@@ -387,6 +392,15 @@ def cmd_verify(args) -> int:
     return 1
 
 
+def _verb(sub, name: str, help: str, func, *ints: str) -> argparse.ArgumentParser:
+    """Add the verb ``name``, run by ``func``, with a required int flag per name."""
+    verb = sub.add_parser(name, help=help)
+    for flag in ints:
+        verb.add_argument(f"--{flag}", type=int, required=True)
+    verb.set_defaults(func=func)
+    return verb
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tevdeg",
@@ -395,57 +409,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p1 = sub.add_parser("p1", help="counts of maps to the projective line")
-    p1.add_argument("--g", type=int, required=True)
-    p1.add_argument("--d", type=int, required=True)
+    p1 = _verb(sub, "p1", "counts of maps to the projective line", cmd_p1, "g", "d")
     p1.add_argument("--method", choices=("cps", "schubert", "both"), default="both")
     p1.add_argument("--json", action="store_true")
-    p1.set_defaults(func=cmd_p1)
 
-    hyp = sub.add_parser("hyp", help="counts of maps to a hypersurface")
-    hyp.add_argument("--g", type=int, required=True)
-    hyp.add_argument("--d", type=int, required=True)
-    hyp.add_argument("--e", type=int, required=True)
-    hyp.add_argument("--r", type=int, required=True)
+    hyp = _verb(sub, "hyp", "counts of maps to a hypersurface", cmd_hyp,
+                "g", "d", "e", "r")
     hyp.add_argument("--method", choices=("closed", "engine", "both"), default="both")
     hyp.add_argument("--json", action="store_true")
-    hyp.set_defaults(func=cmd_hyp)
 
-    ins = sub.add_parser("insert", help="cycle degrees with linear-space insertions")
-    ins.add_argument("--g", type=int, required=True)
-    ins.add_argument("--d", type=int, required=True)
-    ins.add_argument("--e", type=int, required=True)
-    ins.add_argument("--r", type=int, required=True)
+    ins = _verb(sub, "insert", "cycle degrees with linear-space insertions", cmd_insert,
+                "g", "d", "e", "r")
     ins.add_argument("--ell", type=str, required=True,
                      help="comma-separated dimensions, e.g. 2,2,1")
     ins.add_argument("--method", choices=("closed", "engine", "both"), default="both")
     ins.add_argument("--json", action="store_true")
-    ins.set_defaults(func=cmd_insert)
 
-    alpha = sub.add_parser("alpha", help="per-point insertion multipliers")
-    alpha.add_argument("--e", type=int, required=True)
-    alpha.add_argument("--r", type=int, required=True)
+    alpha = _verb(sub, "alpha", "per-point insertion multipliers", cmd_alpha, "e", "r")
     alpha.add_argument("--json", action="store_true")
-    alpha.set_defaults(func=cmd_alpha)
 
-    qh = sub.add_parser("qh", help="projective-space counts via the quantum ring")
-    qh.add_argument("--g", type=int, required=True)
-    qh.add_argument("--d", type=int, required=True)
-    qh.add_argument("--r", type=int, required=True)
+    qh = _verb(sub, "qh", "projective-space counts via the quantum ring", cmd_qh,
+               "g", "d", "r")
     qh.add_argument("--n", type=int, default=None,
                     help="override the point count (default: matching value)")
     qh.add_argument("--json", action="store_true")
-    qh.set_defaults(func=cmd_qh)
 
-    cert = sub.add_parser("certify", help="enumerativity certificate for a tuple")
-    cert.add_argument("--g", type=int, required=True)
-    cert.add_argument("--d", type=int, required=True)
-    cert.add_argument("--e", type=int, required=True)
-    cert.add_argument("--r", type=int, required=True)
+    cert = _verb(sub, "certify", "enumerativity certificate for a tuple", cmd_certify,
+                 "g", "d", "e", "r")
     cert.add_argument("--json", action="store_true")
-    cert.set_defaults(func=cmd_certify)
 
-    sweep = sub.add_parser("sweep", help="tabulate a parameter grid")
+    sweep = _verb(sub, "sweep", "tabulate a parameter grid", cmd_sweep)
     sweep.add_argument("--g", type=str, required=True, help="range, e.g. 0..3")
     sweep.add_argument("--d", type=str, required=True)
     sweep.add_argument("--e", type=str, required=True)
@@ -454,10 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", type=str, required=True)
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes, at most the CPU count")
-    sweep.set_defaults(func=cmd_sweep)
 
-    verify = sub.add_parser("verify", help="run the acceptance suite")
-    verify.set_defaults(func=cmd_verify)
+    _verb(sub, "verify", "run the acceptance suite", cmd_verify)
 
     return parser
 
@@ -476,6 +467,9 @@ def main(argv=None) -> int:
     except InvariantBreach as ex:
         print(f"internal invariant breach: {ex}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory: the parameters are too large", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

@@ -47,7 +47,7 @@ from math import factorial
 
 from .enumerativity import dims_check, insertion_dims_check
 from .errors import InvariantBreach, ParameterError
-from .truncpoly import TruncPoly, UniPoly
+from .truncpoly import TruncPoly
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,15 @@ class HypParams:
         return cls(g, d, e, r, (1,) * dims_check(g, d, e, r))
 
 
-def point_factor(e: int, r: int, ell_i: int) -> UniPoly:
+def point_factor(e: int, r: int, ell_i: int) -> tuple[int, int]:
     """Contribution of one mark: the H_i^{r+1} coefficient of its factors.
 
     Expands (sum_{a+b=r+1} H^a H_i^b) * prod_{k=1}^{e} ((k-1)H + (e+1-k)H_i)
     * H_i^{r+1-ell_i} as an honest class in H and H_i (capped at H_i^{r+1})
-    and extracts the top H_i power.  By homogeneity it sits at H-degree
-    r+1+e-ell_i, so the result is the monomial alpha_{ell_i} * H^{r+1+e-ell_i};
-    that its coefficient is nonzero is asserted, not assumed.
+    and extracts the top H_i power: the monomial alpha_{ell_i} * H^h, returned
+    as the pair (alpha_{ell_i}, h).  The H-degree h is read off the expanded
+    class (by homogeneity it is r+1+e-ell_i), and that alpha is nonzero is
+    asserted, not assumed.
     """
     if e < 3:
         raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
@@ -104,13 +105,14 @@ def point_factor(e: int, r: int, ell_i: int) -> UniPoly:
     )
     for k in range(1, e + 1):
         total = total * TruncPoly(1, "Hi", r + 1, [k - 1, e + 1 - k])
+    h = total.degree - (r + 1)
     top = total.terms[r + 1] if len(total.terms) > r + 1 else 0
     if top == 0:
         raise InvariantBreach(
             f"point factor for (e={e}, r={r}, ell={ell_i}) has no term at "
-            f"H^{r + 1 + e - ell_i}: {total!r}"
+            f"H^{h}: {total!r}"
         )
-    return UniPoly("H", [0] * (r + 1 + e - ell_i) + [top])
+    return top, h
 
 
 def _exact(num: int, den: int) -> int | Fraction:
@@ -181,10 +183,11 @@ def cycle_degree(p: HypParams, marks: dict | None = None) -> Fraction:
 
     The whole pipeline: point factors, Chern class, support-window check,
     pushforward and integral.  Marks with equal ell_i share one monomial,
-    and ``marks`` maps (e, r, ell_i) to the point factors built so far: a
-    missing one is built by ``point_factor`` and stored there, so it runs
-    once per key and dict.  With no dict each call starts from an empty
-    one.  No integrality or sign check is made here; ``deg_T`` adds those.
+    and ``marks`` maps (e, r, ell_i) to the (alpha, h) point factors built
+    so far: a missing one is built by ``point_factor`` and stored there, so
+    it runs once per key and dict.  With no dict each call starts from an
+    empty one.  No integrality or sign check is made here; ``deg_T`` adds
+    those.
     """
     if marks is None:
         marks = {}
@@ -192,12 +195,12 @@ def cycle_degree(p: HypParams, marks: dict | None = None) -> Fraction:
     hdeg = 0
     for li, mult in Counter(p.ell).items():
         key = (p.e, p.r, li)
-        mono = marks.get(key)
-        if mono is None:
-            mono = marks[key] = point_factor(p.e, p.r, li)
-        d = mono.degree()
-        coeff *= mono.coeff(d) ** mult
-        hdeg += d * mult
+        factor = marks.get(key)
+        if factor is None:
+            factor = marks[key] = point_factor(p.e, p.r, li)
+        alpha, h = factor
+        coeff *= alpha**mult
+        hdeg += h * mult
 
     full = TruncPoly(hdeg, "theta", p.g, [coeff]) * step3_class(p.e, p.t, p.g)
 

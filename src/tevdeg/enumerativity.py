@@ -28,8 +28,8 @@ a virtual count polluted by degenerate loci) is certified two ways:
   only one tested.  The proof is the comment above
   ``test_certify_matches_run_heads`` in ``tests/test_enumerativity.py``.
   ``count_admissible_strata`` counts them in closed form.  ``stratum_audit``
-  and ``admissible_strata`` stay as the per-stratum reference that the tests
-  compare the certificate and the count against.
+  stays as the per-stratum reference: the tests enumerate every stratum,
+  audit each one, and compare the certificate and the count against that.
 """
 
 from __future__ import annotations
@@ -264,29 +264,13 @@ class CertificationReport:
     strata_checked: int
 
 
-def admissible_strata(d: int, n: int):
-    """Yield every admissible stratum in lexicographic (b2, b1, b0) order.
+def count_admissible_strata(d: int, n: int) -> int:
+    """Number of admissible strata (b0, b1, b2), in closed form.
 
     Admissible: 0 <= b2 <= n, 0 <= b1 <= n - b2, 0 <= b0 <= d - 2*b2, not
-    all zero.  Values of b2 with d - 2*b2 < 0 contribute nothing (no map of
-    negative degree exists, so those strata are vacuous).
-    """
-    for b2 in range(n + 1):
-        b0_max = d - 2 * b2
-        if b0_max < 0:
-            continue
-        for b1 in range(n - b2 + 1):
-            for b0 in range(b0_max + 1):
-                if b0 == 0 and b1 == 0 and b2 == 0:
-                    continue
-                yield b0, b1, b2
-
-
-def count_admissible_strata(d: int, n: int) -> int:
-    """Number of strata ``admissible_strata(d, n)`` yields, in closed form.
-
-    The sum over b2 = 0 .. m, m = min(n, d // 2), of (n-b2+1)(d-2b2+1),
-    minus the excluded (0, 0, 0); the tests hold it to that loop.
+    all zero.  That is the sum over b2 = 0 .. m, m = min(n, d // 2), of
+    (n-b2+1)(d-2b2+1), minus the excluded (0, 0, 0); the tests hold it to
+    that loop and to the strata enumerated one by one.
     """
     m = max(min(n, d // 2), -1)
     a, b = n + 1, d + 1
@@ -305,6 +289,12 @@ def certify_enumerative(g: int, d: int, e: int, r: int) -> CertificationReport:
     and counted, but only the first case-B stratum (0, n - max(2g, 1) + 1, 0)
     is tested: no other stratum can fail first (proof above
     ``test_certify_matches_run_heads`` in ``tests/test_enumerativity.py``).
+
+    For g >= 1 that stratum passes iff d > ``enum_bound_closed(g, e, r)``,
+    and never when the bound does not apply, so ``certified`` is exactly
+    ``bound_satisfied`` and n >= 2g and d >= 2g: one condition, not two
+    pieces of evidence (algebra above
+    ``test_certified_is_the_bound_and_the_gates_for_positive_genus``).
     """
     n = dims_check(g, d, e, r)
     try:

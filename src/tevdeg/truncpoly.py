@@ -1,4 +1,4 @@
-"""Exact graded classes for the engine, dense univariates, and binomials.
+"""Exact graded classes for the engine, and dense univariates.
 
 ``TruncPoly`` is the engine's ring model: a class homogeneous in the
 hyperplane class H and one capped variable, stored as one coefficient list.
@@ -13,21 +13,6 @@ function, so unrestricted concurrent use is safe.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), with C(n, k) = 0 for k < 0 or k > n.
-
-    The vanishing convention for out-of-range k matters: the binomial
-    formula for maps to the line is stated with binomials whose lower index
-    goes negative and is meant to drop those terms.
-    """
-    if n < 0:
-        raise ValueError(f"binom requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def _check_coeff(c):
@@ -114,9 +99,9 @@ class TruncPoly:
 class UniPoly:
     """Dense polynomial in a single named variable, exact coefficients.
 
-    Used for the per-point factors of the intersection pipeline, which live
-    in the uncapped class H alone.  Coefficients stay ints when the inputs
-    are ints; trailing zeros are stripped so the representation is canonical.
+    Used for the generating polynomial of the closed forms' insertion
+    multipliers.  Coefficients stay ints when the inputs are ints; trailing
+    zeros are stripped so the representation is canonical.
     """
 
     __slots__ = ("var", "coeffs")

@@ -126,10 +126,10 @@ def _scaled_point_factor(monkeypatch, only_r=None):
     original = engine.point_factor
 
     def corrupted(e, r, ell_i):
-        u = original(e, r, ell_i)
+        alpha, h = original(e, r, ell_i)
         if only_r not in (None, r):
-            return u
-        return UniPoly(u.var, [c * Fraction(1, 1_000_000_007) for c in u.coeffs])
+            return alpha, h
+        return alpha * Fraction(1, 1_000_000_007), h
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
 
@@ -147,6 +147,33 @@ def test_hyp_gate_does_not_depend_on_method(capsys, method):
     code, out, err = run(capsys, ["hyp", "--g", "2", "--d", "3", "--e", "3",
                                   "--r", "3", "--method", method])
     assert (code, out) == (2, "") and "need d >= 2g" in err
+
+
+# -- --method routes -------------------------------------------------------------
+
+ROUTE_ARGV = {
+    "p1": ["--g", "3", "--d", "4"],
+    "hyp": ["--g", "0", "--d", "3", "--e", "3", "--r", "3"],
+    "insert": ["--g", "0", "--d", "6", "--e", "3", "--r", "3", "--ell", "2,2,2,1,1,1"],
+}
+
+
+def test_every_method_choice_runs_its_routes(capsys):
+    # The parser's choices and the routes each verb runs name the same
+    # routes, in the same order; "both" runs all of them.
+    verbs = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    methods = {name: action.choices for name, verb in verbs.items()
+               for action in verb._actions if action.dest == "method"}
+    assert sorted(methods) == sorted(ROUTE_ARGV)
+    for name, choices in methods.items():
+        routes = [c for c in choices if c != "both"]
+        assert choices[-1] == "both" and len(routes) >= 2
+        for choice in choices:
+            code, out, _ = run(capsys, [name, *ROUTE_ARGV[name], "--method", choice,
+                                        "--json"])
+            assert code == 0
+            got = [r["method"] for r in json.loads(out)["results"]]
+            assert got == (routes if choice == "both" else [choice]), (name, choice)
 
 
 # -- insert, alpha, qh, certify ------------------------------------------------------
@@ -515,6 +542,21 @@ def test_sweep_of_a_huge_range_streams_in_bounded_memory(tmp_path, jobs):
     assert "Traceback" not in err and "MemoryError" not in err
     assert lines[:3] == [SWEEP_HEADER, "0,3,3,3,3,1,24,24,true,true,false,true",
                          "0,6,3,3,5,4,2592,2592,true,true,false,true"]
+
+
+def test_out_of_memory_exits_2_without_a_traceback():
+    # 2*10^12 + 1 marks: the profile of HypParams.standard cannot be built
+    # under the cap, whatever the --method.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from tevdeg.cli import entrypoint; entrypoint()",
+         "hyp", "--g", "0", "--d", "3000000000000", "--e", "3", "--r", "3",
+         "--method", "closed"],
+        env=env, capture_output=True, text=True, preexec_fn=_cap_address_space,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
 
 
 # -- counts past the interpreter's 4300-digit str limit -------------------------------

@@ -1,6 +1,6 @@
 """Tests for the closed-form formulas."""
 
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -16,7 +16,6 @@ from tevdeg.closed_forms import (
 from tevdeg.enumerativity import line_dims_check
 from tevdeg.errors import ParameterError
 from tevdeg.schubert import tev_p1_schubert
-from tevdeg.truncpoly import binom
 
 
 # -- tev_p1_cps ----------------------------------------------------------------
@@ -37,6 +36,41 @@ def test_cps_agrees_with_schubert_for_d_at_least_g():
     for g in range(11):
         for d in range(max(g, 1), g + 4):
             assert tev_p1_cps(g, d) == tev_p1_schubert(g, d)
+
+
+# -- binom, the transcribed formula's binomial ---------------------------------
+
+def binom(n, k):
+    """Binomial coefficient C(n, k), with C(n, k) = 0 for k < 0 or k > n.
+
+    The vanishing convention for out-of-range k matters: the binomial
+    formula for maps to the line is stated with binomials whose lower index
+    goes negative and is meant to drop those terms.
+    """
+    if n < 0:
+        raise ValueError(f"binom requires n >= 0, got n={n}")
+    if k < 0 or k > n:
+        return 0
+    return comb(n, k)
+
+
+@pytest.mark.parametrize(
+    "n,k,want",
+    [(5, 2, 10), (3, -1, 0), (4, 6, 0), (0, 0, 1), (64, 32, 1832624140942590534)],
+)
+def test_binom_values(n, k, want):
+    assert binom(n, k) == want
+
+
+def test_binom_rejects_negative_n():
+    with pytest.raises(ValueError):
+        binom(-1, 0)
+
+
+def test_binom_pascal_identity():
+    for n in range(1, 65):
+        for k in range(1, n):
+            assert binom(n, k) == binom(n - 1, k) + binom(n - 1, k - 1)
 
 
 def _cps_as_transcribed(g, d):

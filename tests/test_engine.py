@@ -19,12 +19,7 @@ from tevdeg.engine import (
 )
 from tevdeg.enumerativity import dims_check, insertion_dims_check
 from tevdeg.errors import InvariantBreach, ParameterError
-from tevdeg.truncpoly import TruncPoly, UniPoly
-
-
-def _mono(k, c, var="H"):
-    """The univariate monomial c * var^k."""
-    return UniPoly(var, [0] * k + [c])
+from tevdeg.truncpoly import TruncPoly
 
 
 # -- parameter validation ------------------------------------------------------
@@ -122,9 +117,9 @@ def test_hypparams_accepts_exactly_the_insertion_gate():
 # -- point_factor ---------------------------------------------------------------
 
 def test_point_factor_examples():
-    assert point_factor(3, 3, 1) == _mono(6, 6)
-    assert point_factor(3, 3, 2) == _mono(5, 21)
-    assert point_factor(3, 3, 4) == _mono(3, 27)
+    assert point_factor(3, 3, 1) == (6, 6)
+    assert point_factor(3, 3, 2) == (21, 5)
+    assert point_factor(3, 3, 4) == (27, 3)
 
 
 def test_point_factor_is_alpha_monomial():
@@ -132,8 +127,7 @@ def test_point_factor_is_alpha_monomial():
         for r in range(1, 9):
             alphas = alpha_coefficients(e, r)
             for ell in range(1, r + 2):
-                mono = point_factor(e, r, ell)
-                assert mono == _mono(r + 1 + e - ell, alphas[ell - 1])
+                assert point_factor(e, r, ell) == (alphas[ell - 1], r + 1 + e - ell)
 
 
 def _brute_point_factor(e, r, ell):
@@ -161,7 +155,7 @@ def test_point_factor_matches_brute_expansion():
                 top = _brute_point_factor(e, r, ell)
                 assert len(top) == 1, (e, r, ell, top)
                 [(h, c)] = top.items()
-                assert point_factor(e, r, ell) == _mono(h, c), (e, r, ell)
+                assert point_factor(e, r, ell) == (c, h), (e, r, ell)
 
 
 def test_point_factor_rejects_out_of_range():
@@ -265,9 +259,8 @@ def _sample_params():
 def test_pushforward_matches_all_fraction_oracle():
     seen = 0
     for p in _sample_params():
-        mono = point_factor(p.e, p.r, 1)
-        h = mono.degree()
-        full = _jac(h * p.n, p.g, [mono.coeff(h) ** p.n]) * step3_class(p.e, p.t, p.g)
+        alpha, h = point_factor(p.e, p.r, 1)
+        full = _jac(h * p.n, p.g, [alpha**p.n]) * step3_class(p.e, p.t, p.g)
         classes = [full] + [_jac(p.N - 1 + k, p.g, [1]) for k in range(-1, p.g + 2)]
         for c in classes:
             got = pushforward_theta(c, p)
@@ -351,11 +344,11 @@ def test_deg_T_builds_one_point_factor_per_distinct_ell(monkeypatch):
 
 def test_engine_reads_point_factors_from_marks():
     p = HypParams.standard(0, 3, 3, 3)
-    u = point_factor(3, 3, 1)
-    scaled = UniPoly(u.var, [c * Fraction(1, 1_000_000_007) for c in u.coeffs])
+    alpha, h = point_factor(3, 3, 1)
+    scaled = (alpha * Fraction(1, 1_000_000_007), h)
     with pytest.raises(InvariantBreach, match="not an integer"):
         deg_T(p, {(3, 3, 1): scaled})
-    assert deg_T(p, {(3, 3, 1): u}) == deg_T(p) == 648
+    assert deg_T(p, {(3, 3, 1): (alpha, h)}) == deg_T(p) == 648
 
 
 def test_deg_T_rejects_mismatched_profile():
@@ -373,9 +366,9 @@ def test_pipeline_support_window():
         p = HypParams.standard(g, d, e, r)
         coeff, hdeg = 1, 0
         for li in p.ell:
-            mono = point_factor(e, r, li)
-            coeff *= mono.coeff(mono.degree())
-            hdeg += mono.degree()
+            alpha, h = point_factor(e, r, li)
+            coeff *= alpha
+            hdeg += h
         full = _jac(hdeg, g, [coeff]) * step3_class(e, p.t, g)
         hdegs = sorted(full.degree - j for j, c in enumerate(full.terms) if c)
         assert hdegs == list(range(p.N - 1, p.N - 1 + g + 1))
@@ -394,8 +387,8 @@ def test_corrupted_coefficient_breaches_integrality(monkeypatch):
     original = point_factor
 
     def corrupted(e, r, ell_i):
-        u = original(e, r, ell_i)
-        return UniPoly(u.var, [c * Fraction(1, 1_000_000_007) for c in u.coeffs])
+        alpha, h = original(e, r, ell_i)
+        return alpha * Fraction(1, 1_000_000_007), h
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
     with pytest.raises(InvariantBreach, match="not an integer"):
@@ -406,8 +399,8 @@ def test_corrupted_coefficient_breaches_divisibility(monkeypatch):
     original = point_factor
 
     def corrupted(e, r, ell_i):
-        u = original(e, r, ell_i)
-        return _mono(u.degree(), u.coeff(u.degree()) + 1, u.var)
+        alpha, h = original(e, r, ell_i)
+        return alpha + 1, h
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
     with pytest.raises(InvariantBreach, match="not divisible"):
@@ -418,8 +411,8 @@ def test_corrupted_degree_breaches_support_window(monkeypatch):
     original = point_factor
 
     def corrupted(e, r, ell_i):
-        u = original(e, r, ell_i)
-        return _mono(u.degree() + 1, u.coeff(u.degree()), u.var)
+        alpha, h = original(e, r, ell_i)
+        return alpha, h + 1
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
     with pytest.raises(InvariantBreach, match="H-degree"):

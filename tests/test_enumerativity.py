@@ -13,7 +13,6 @@ from tevdeg.cli import _hyp_flags
 from tevdeg.closed_forms import tev_p1_cps
 from tevdeg.enumerativity import (
     StratumProfile,
-    admissible_strata,
     bundle_rank,
     certify_enumerative,
     count_admissible_strata,
@@ -230,6 +229,24 @@ def test_certified_examples():
     assert rep.certified and rep.bound_satisfied and not rep.audit_sharper
 
 
+def admissible_strata(d, n):
+    """Yield every admissible stratum in lexicographic (b2, b1, b0) order.
+
+    Admissible: 0 <= b2 <= n, 0 <= b1 <= n - b2, 0 <= b0 <= d - 2*b2, not
+    all zero.  Values of b2 with d - 2*b2 < 0 contribute nothing (no map of
+    negative degree exists, so those strata are vacuous).
+    """
+    for b2 in range(n + 1):
+        b0_max = d - 2 * b2
+        if b0_max < 0:
+            continue
+        for b1 in range(n - b2 + 1):
+            for b0 in range(b0_max + 1):
+                if b0 == 0 and b1 == 0 and b2 == 0:
+                    continue
+                yield b0, b1, b2
+
+
 def test_refusal_example():
     rep = certify_enumerative(1, 5, 3, 5)
     assert not rep.certified
@@ -251,6 +268,44 @@ def test_certify_gates():
     # (g, d) with too few marks: e = 3, r = 2, d = 2 gives n = 1 < 2g = 2
     rep = certify_enumerative(1, 2, 3, 2)
     assert not rep.certified and "below" in rep.reason
+
+
+# For g >= 1 the certificate is the closed bound plus the two gates.  Past
+# the gates it audits one stratum, (0, a0, 0) with a0 = n - 2g + 1, which is
+# case B (n - a0 = 2g - 1 free marks).  With b0 = b2 = 0, d' = d:
+#   vdim = delta - a0,  target = delta,  allowance = (d - a0)e + 1 + g(r+2),
+# so it passes iff (d - a0)e + 1 + g(r+2) < a0, i.e. a0(e+1) > de + 1 + g(r+2).
+# Put n = (r+2-e)d/r - g + 1, so a0 = (r+2-e)d/r - 3g + 2:
+#   d((r+2-e)(e+1) - er)/r > (3g-2)(e+1) + 1 + g(r+2),
+# and (r+2-e)(e+1) - er = r - (e+1)(e-2).  The right side is positive for
+# g >= 1.  So when r > (e+1)(e-2) the audit passes iff d > enum_bound_closed,
+# and otherwise it never passes, just as bound_satisfied is then false.
+def test_certified_is_the_bound_and_the_gates_for_positive_genus():
+    outcomes = set()
+    for e in range(3, 7):
+        for r in range(1, 41):
+            for g in range(1, 5):
+                for d in range(1, 201):
+                    try:
+                        n = dims_check(g, d, e, r)
+                    except ParameterError:
+                        continue
+                    rep = certify_enumerative(g, d, e, r)
+                    gates = n >= 2 * g and d >= 2 * g
+                    assert rep.certified == (rep.bound_satisfied and gates), (g, d, e, r)
+                    assert not rep.audit_sharper
+                    outcomes.add((rep.certified, rep.bound_applicable, gates))
+    assert outcomes >= {(True, True, True), (False, True, True), (False, False, True)}
+
+
+def test_genus_zero_certificates_are_not_monotone_in_d():
+    # Recorded behaviour, not an endorsement: at g = 0 and r <= (e+1)(e-2)
+    # the audit certifies exactly the d with d(r - (e+1)(e-2)) > -er, so for
+    # (e, r) = (3, 3) it certifies d < 9 and refuses every larger d.
+    got = {d: certify_enumerative(0, d, 3, 3) for d in (3, 6, 9, 12, 15)}
+    assert {d: rep.certified for d, rep in got.items()} == {
+        3: True, 6: True, 9: False, 12: False, 15: False}
+    assert all(rep.audit_sharper == rep.certified for rep in got.values())
 
 
 def brute_certify(g, d, e, r):

@@ -1,4 +1,4 @@
-"""Tests for the graded classes of the engine, dense univariates and binomials."""
+"""Tests for the graded classes of the engine and dense univariates."""
 
 from fractions import Fraction
 
@@ -6,28 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tevdeg.truncpoly import TruncPoly, UniPoly, binom
-
-
-# -- binom -------------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "n,k,want",
-    [(5, 2, 10), (3, -1, 0), (4, 6, 0), (0, 0, 1), (64, 32, 1832624140942590534)],
-)
-def test_binom_values(n, k, want):
-    assert binom(n, k) == want
-
-
-def test_binom_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binom(-1, 0)
-
-
-def test_binom_pascal_identity():
-    for n in range(1, 65):
-        for k in range(1, n):
-            assert binom(n, k) == binom(n - 1, k) + binom(n - 1, k - 1)
+from tevdeg.truncpoly import TruncPoly, UniPoly
 
 
 # -- TruncPoly ---------------------------------------------------------------
