@@ -10,8 +10,10 @@ anywhere.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import decimal
+import io
 import itertools
 import json
 import os
@@ -341,6 +343,23 @@ def _sweep_records(tuples, jobs):
             os.waitpid(pid, 0)
 
 
+class _SweepOut(io.TextIOWrapper):
+    """The ``--out`` file.  An OSError from writing or closing it exits 2,
+    while one from starting or reading a worker stays a fault."""
+
+    def write(self, text):
+        try:
+            return super().write(text)
+        except OSError as ex:
+            raise ParameterError(f"cannot write {self.name}: {ex}") from ex
+
+    def close(self):
+        try:
+            super().close()
+        except OSError as ex:
+            raise ParameterError(f"cannot write {self.name}: {ex}") from ex
+
+
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
@@ -352,17 +371,17 @@ def cmd_sweep(args) -> int:
               for g in chain(*gs) for d in chain(*ds))
 
     try:
-        out = open(args.out, "w", encoding="utf-8", newline="")
+        out = _SweepOut(open(args.out, "wb"), encoding="utf-8", newline="")
     except OSError as ex:
-        print(f"error: cannot write {args.out}: {ex}", file=sys.stderr)
-        return 2
-    with out:
-        jobs = min(args.jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+        raise ParameterError(f"cannot write {args.out}: {ex}") from ex
+    jobs = min(args.jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    # Leaving the block reaps the workers before it closes the file.
+    with out, contextlib.closing(_sweep_records(tuples, jobs)) as records:
         if args.format == "csv":
             writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
             writer.writeheader()
         # Rows are written as they come, so a breach leaves a prefix behind.
-        for rec in _sweep_records(tuples, jobs):
+        for rec in records:
             if rec is None:
                 continue
             if args.format == "csv":

@@ -67,9 +67,6 @@ class QPolyClass:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.r, frozenset(self.terms.items())))
-
     def coeff(self, qe: int, he: int) -> int:
         return self.terms.get((qe, he), 0)
 

@@ -79,9 +79,6 @@ class TruncPoly:
             self.degree, self.var, self.cap, self.terms
         ) == (other.degree, other.var, other.cap, other.terms)
 
-    def __hash__(self) -> int:
-        return hash((self.degree, self.var, self.cap, self.terms))
-
     def __repr__(self) -> str:
         bits = []
         for j, c in enumerate(self.terms):
@@ -141,9 +138,6 @@ class UniPoly:
             and self.var == other.var
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self) -> int:
-        return hash((self.var, self.coeffs))
 
     def __repr__(self) -> str:
         if not self.coeffs:

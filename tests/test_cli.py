@@ -318,6 +318,31 @@ def test_sweep_unwritable_path_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and "cannot write" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_full_device_exits_2(capsys, monkeypatch, jobs):
+    # /dev/full opens but fails every write: on the acceptance grid's 53 KB
+    # the failure comes mid-stream, while a --jobs worker is still running.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, _, err = run(capsys, ["sweep", *ACCEPTANCE_GRID, "--out", "/dev/full",
+                                "--jobs", jobs])
+    assert code == 2 and "error: cannot write /dev/full:" in err
+    assert "Traceback" not in err
+    _assert_no_child()
+
+
+def test_sweep_fork_failure_is_not_bad_output(tmp_path, monkeypatch):
+    def no_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(OSError, match="temporarily unavailable"):
+        main(["sweep", "--e", "3", "--r", "3", "--g", "0", "--d", "1..200",
+              "--out", str(tmp_path / "x.csv"), "--jobs", "2"])
+    _assert_no_child()
+
+
 def test_sweep_parallel_matches_serial(tmp_path, capsys):
     paths = [tmp_path / "serial.csv", tmp_path / "par.csv"]
     base = ["sweep", "--e", "3", "--r", "3..5", "--g", "0..1", "--d", "1..10",

@@ -4,10 +4,13 @@ The Pieri rule is checked against honest two-variable Schur polynomial
 arithmetic: s_{(a,b)}(x, y) = (xy)^b * (x^{a-b} + ... + y^{a-b}), products
 expanded as plain polynomials and decomposed back into the Schur basis,
 with partitions outside the box dropped (the quotient presentation of the
-cohomology ring).  The dense slot-list kernel is also checked against the
-dict Pieri rule it replaced, and the count against the dict pipeline.
-Counting fixtures are checked against the Catalan and pencil-count closed
-forms.
+cohomology ring).  That oracle checks the test-side dict Pieri rule for
+every special class sigma_i.  The route itself only multiplies slot lists
+by sigma_1, after writing the first stage sum_{i+j=s} sigma_i sigma_j in
+closed form; its sigma_1 step is checked against the oracle and the dict
+rule, and its count against the dict pipeline, which multiplies out every
+sigma_i sigma_j.  Counting fixtures are checked against the Catalan and
+pencil-count closed forms.
 """
 
 from math import comb
@@ -49,12 +52,12 @@ def by_degree(combo):
     return degrees
 
 
-def pieri(box, combo, i):
-    """The dense kernel applied to a dict combination, one degree at a time."""
+def pieri(box, combo):
+    """The sigma_1 slot-list kernel applied to a dict combination, one degree at a time."""
     out = {}
     for t, part in by_degree(combo).items():
-        prod = pieri_special(box, t, to_list(box, t, part), i)
-        for lam, c in to_dict(box, t + i, prod).items():
+        prod = pieri_special(box, t, to_list(box, t, part))
+        for lam, c in to_dict(box, t + 1, prod).items():
             out[lam] = out.get(lam, 0) + c
     return {lam: c for lam, c in out.items() if c != 0}
 
@@ -64,7 +67,7 @@ def integral(box, combo):
                for t, part in by_degree(combo).items())
 
 
-# -- the dict Pieri rule and pipeline the dense kernel replaced ---------------
+# -- the dict Pieri rule and pipeline, for every sigma_i ----------------------
 
 def pieri_special_dict(box, combo, i):
     """Multiply a combination by the special class sigma_i.
@@ -164,27 +167,27 @@ def pencil_count(g, d):
 # -- pieri_special -------------------------------------------------------------
 
 def test_pieri_one_box():
-    assert pieri(2, {(0, 0): 1}, 1) == {(1, 0): 1}
-    assert pieri_special(2, 0, [1], 1) == [1]
+    assert pieri(2, {(0, 0): 1}) == {(1, 0): 1}
+    assert pieri_special(2, 0, [1]) == [1]
 
 
 def test_pieri_splits_rows():
-    assert pieri(2, {(1, 0): 1}, 1) == {(2, 0): 1, (1, 1): 1}
-    assert pieri_special(2, 1, [1], 1) == [1, 1]
+    assert pieri(2, {(1, 0): 1}) == {(2, 0): 1, (1, 1): 1}
+    assert pieri_special(2, 1, [1]) == [1, 1]
 
 
 def test_pieri_exceeds_box():
-    assert pieri(2, {(2, 2): 1}, 1) == {}
-    assert pieri_special(2, 4, [1], 1) == []
+    assert pieri(2, {(2, 2): 1}) == {}
+    assert pieri_special(2, 4, [1]) == []
 
 
 def test_pieri_identity_at_zero():
-    assert pieri(3, {(2, 1): 5}, 0) == {(2, 1): 5}
+    assert pieri_special_dict(3, {(2, 1): 5}, 0) == {(2, 1): 5}
 
 
 def test_pieri_rejects_negative_index():
     with pytest.raises(ParameterError):
-        pieri_special(2, 0, [1], -1)
+        pieri_special_dict(2, {(0, 0): 1}, -1)
 
 
 @pytest.mark.parametrize("box", [1, 2, 3, 4])
@@ -192,15 +195,15 @@ def test_pieri_matches_schur_oracle(box):
     for a in range(box + 1):
         for b in range(a + 1):
             for i in range(box + 2):
-                got = pieri(box, {(a, b): 1}, i)
                 want = product_via_schur(box, {(a, b): 1}, i)
-                assert got == want, (box, (a, b), i)
+                assert pieri_special_dict(box, {(a, b): 1}, i) == want, (box, (a, b), i)
+            assert pieri(box, {(a, b): 1}) == product_via_schur(box, {(a, b): 1}, 1)
 
 
 def test_pieri_raises_degree_by_exactly_i():
     for box in (2, 3):
         for i in range(box + 1):
-            out = pieri(box, {(2, 1): 1, (1, 0): 2}, i)
+            out = pieri_special_dict(box, {(2, 1): 1, (1, 0): 2}, i)
             for (a, b), c in out.items():
                 assert c != 0
                 assert a + b in (3 + i, 1 + i)
@@ -210,31 +213,31 @@ def test_pieri_raises_degree_by_exactly_i():
 def kernel_cases(draw):
     box = draw(st.integers(0, 12))
     t = draw(st.integers(0, 2 * box + 2))
-    i = draw(st.integers(0, box + 3))
     combo = draw(st.lists(st.integers(-9, 9), max_size=slots(box, t)))
-    return box, t, combo, i
+    return box, t, combo
 
 
 @given(kernel_cases())
 @settings(deadline=None, max_examples=2000)
-@example((0, 0, [], 0))
-@example((3, 2, [-4], 5))
-@example((5, 4, [0, 0, 0], 2))
-@example((12, 25, [], 15))
+@example((0, 0, []))
+@example((0, 0, [1]))
+@example((3, 2, [-4]))
+@example((5, 4, [0, 0, 0]))
+@example((3, 6, [1]))
+@example((12, 25, []))
 def test_dense_kernel_matches_dict_oracle(case):
     # Short lists (missing trailing slots), empty lists, negative and zero
-    # coefficients, t past the top degree and i past the box are all drawn.
-    box, t, combo, i = case
-    got = pieri_special(box, t, combo, i)
-    assert len(got) <= slots(box, t + i)
-    assert to_dict(box, t + i, got) == pieri_special_dict(box, to_dict(box, t, combo), i)
+    # coefficients, a zero box and t at or past the top degree are all drawn.
+    box, t, combo = case
+    got = pieri_special(box, t, combo)
+    assert len(got) <= slots(box, t + 1)
+    assert to_dict(box, t + 1, got) == pieri_special_dict(box, to_dict(box, t, combo), 1)
 
 
 def test_pieri_list_size_independent_of_box():
-    # sigma_j * sigma_i with i = j = box - 20 has the 21 classes (box - m, box - 40 + m).
-    box = 10**9
-    assert pieri_special(box, box - 20, [1], box - 20) == [1] * 21
-    assert pieri_special(box, 0, [1], box // 2) == [1]
+    # The lists hold about g/2 slots however large the box: at box 10^9 the
+    # first stage has 21 and the count is the 2^g of d > g.
+    assert tev_p1_schubert(40, 10**9) == 2**40
 
 
 # -- grassmann_integral --------------------------------------------------------
@@ -254,7 +257,7 @@ def test_integral_sigma1_power_is_catalan():
     for box in range(1, 9):
         combo = [1]
         for t in range(2 * box):
-            combo = pieri_special(box, t, combo, 1)
+            combo = pieri_special(box, t, combo)
         assert grassmann_integral(box, 2 * box, combo) == catalan(box)
 
 
@@ -262,8 +265,9 @@ def test_duality_pairing():
     # By Giambelli, s_{(a,b)} = s_a s_b - s_{a+1} s_{b-1}; pairing any class
     # with the complementary one hits the top cell exactly once.
     def times_partition(box, combo, a, b):
-        plus = pieri(box, pieri(box, combo, a), b)
-        minus = pieri(box, pieri(box, combo, a + 1), b - 1) if b else {}
+        plus = pieri_special_dict(box, pieri_special_dict(box, combo, a), b)
+        minus = (pieri_special_dict(box, pieri_special_dict(box, combo, a + 1), b - 1)
+                 if b else {})
         return {
             lam: c
             for lam in set(plus) | set(minus)
