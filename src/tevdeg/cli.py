@@ -4,7 +4,20 @@ Exit status is 0 on success (disagreement between routes is data, not an
 error), 2 on invalid input, 3 on an internal invariant breach.  All output
 is deterministic: identical invocations produce identical bytes, big
 integers are printed as decimal strings, and no floating point appears
-anywhere.
+anywhere.  A query verb whose stdout cannot be written exits 2 with one
+``error: cannot write stdout: ...`` line.
+
+The parser is built once per process, on the first ``main`` call, and
+every later call reuses it; building it costs more than most queries.
+Sharing it is safe because:
+
+- ``parse_args`` builds a fresh ``Namespace`` for each call and never
+  changes the parser;
+- the help formatter, and with it ``COLUMNS``, is read each time help or
+  usage is formatted, not when the parser is built;
+- ``set_defaults(func=cmd_*)`` binds the verb functions when the parser
+  is built, and nothing rebinds a ``cmd_*``; what callers rebind (``main``,
+  ``certify_enumerative``, ``sweep_record``) the verbs look up at call time.
 """
 
 from __future__ import annotations
@@ -13,6 +26,7 @@ import argparse
 import contextlib
 import csv
 import decimal
+import functools
 import io
 import itertools
 import json
@@ -93,6 +107,18 @@ def split_str(v: int) -> str:
     return "-" + digits if v < 0 else digits
 
 
+def _print(*values, end: str = "\n", flush: bool = False) -> None:
+    """``print`` to stdout, where an OSError is bad output (exit 2).
+
+    Only stdout is mapped so: an OSError from ``os.fork`` or ``os.pipe`` in
+    ``sweep --jobs`` stays a fault.
+    """
+    try:
+        print(*values, end=end, flush=flush)
+    except OSError as ex:
+        raise ParameterError(f"cannot write stdout: {ex}") from ex
+
+
 def _print_result(params: dict, results: list[tuple[str, int]],
                   flags: dict, as_json: bool) -> None:
     agreement = len({v for _, v in results}) <= 1
@@ -103,15 +129,15 @@ def _print_result(params: dict, results: list[tuple[str, int]],
             "agreement": agreement,
             "flags": flags,
         }
-        print(json.dumps(doc, sort_keys=False))
+        _print(json.dumps(doc, sort_keys=False))
         return
-    print(" ".join(f"{k}={v}" for k, v in params.items()))
+    _print(" ".join(f"{k}={v}" for k, v in params.items()))
     for method, value in results:
-        print(f"{method:<10} {int_str(value)}")
+        _print(f"{method:<10} {int_str(value)}")
     if len(results) > 1:
-        print(f"agreement  {str(agreement).lower()}")
+        _print(f"agreement  {str(agreement).lower()}")
     for k, v in flags.items():
-        print(f"{k:<14} {str(v).lower()}")
+        _print(f"{k:<14} {str(v).lower()}")
 
 
 def _routes(args, **routes) -> list[tuple[str, int]]:
@@ -176,10 +202,10 @@ def cmd_alpha(args) -> int:
     al = closed_forms.alpha_coefficients(args.e, args.r)
     if args.json:
         doc = {"e": args.e, "r": args.r, "alpha": [str(v) for v in al]}
-        print(json.dumps(doc))
+        _print(json.dumps(doc))
     else:
         for i, v in enumerate(al, start=1):
-            print(f"alpha_{i} {v}")
+            _print(f"alpha_{i} {v}")
     return 0
 
 
@@ -213,16 +239,16 @@ def cmd_certify(args) -> int:
             "audit_sharper": rep.audit_sharper,
             "strata_checked": rep.strata_checked,
         }
-        print(json.dumps(doc))
+        _print(json.dumps(doc))
     else:
-        print(f"g={rep.g} d={rep.d} e={rep.e} r={rep.r} n={rep.n}")
-        print(f"certified      {str(rep.certified).lower()}")
-        print(f"reason         {rep.reason}")
+        _print(f"g={rep.g} d={rep.d} e={rep.e} r={rep.r} n={rep.n}")
+        _print(f"certified      {str(rep.certified).lower()}")
+        _print(f"reason         {rep.reason}")
         if witness is not None:
-            print(f"witness        b0={witness['b0']} b1={witness['b1']} b2={witness['b2']}")
-        print(f"closed_bound   {bound_text if bound_text is not None else 'n/a'}")
-        print(f"audit_sharper  {str(rep.audit_sharper).lower()}")
-        print(f"strata_checked {rep.strata_checked}")
+            _print(f"witness        b0={witness['b0']} b1={witness['b1']} b2={witness['b2']}")
+        _print(f"closed_bound   {bound_text if bound_text is not None else 'n/a'}")
+        _print(f"audit_sharper  {str(rep.audit_sharper).lower()}")
+        _print(f"strata_checked {rep.strata_checked}")
     return 0
 
 
@@ -401,13 +427,13 @@ def cmd_verify(args) -> int:
     width = max(len(res.name) for res in results)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        print(f"criterion {res.number}  {res.name:<{width}}  {status}  {res.detail}")
+        _print(f"criterion {res.number}  {res.name:<{width}}  {status}  {res.detail}")
     if all(res.passed for res in results):
-        print()
-        print("all criteria passed")
+        _print()
+        _print("all criteria passed")
         return 0
-    print()
-    print("FAILURES PRESENT")
+    _print()
+    _print("FAILURES PRESENT")
     return 1
 
 
@@ -420,7 +446,9 @@ def _verb(sub, name: str, help: str, func, *ints: str) -> argparse.ArgumentParse
     return verb
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built on the first call and then shared."""
     parser = argparse.ArgumentParser(
         prog="tevdeg",
         description="Exact curve counts on low-degree hypersurfaces and "
@@ -479,7 +507,10 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         return int(ex.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A full device may fail only at the flush, after the last print.
+        _print(end="", flush=True)
+        return code
     except ParameterError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
@@ -492,7 +523,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main has exited 2 for a verb, and argparse ignores the error for
+        # usage and help.  Python flushes stdout once more on exit, so point
+        # it at os.devnull, or that flush would fail into exit status 120.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: output, schema, exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,6 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tevdeg.cli as cli
 import tevdeg.engine as engine
@@ -750,3 +753,175 @@ def test_p1_digest():
     argvs = _p1_corpus()
     assert len(argvs) == P1_CORPUS_SIZE
     assert _corpus_digest(argvs) == P1_CORPUS_DIGEST
+
+
+# -- the parser is built once per process ----------------------------------------------
+
+# A bad argv, a good hyp, --help, an unknown verb, a missing required flag,
+# a bad choice, a good qh, then help at another width: (argv, COLUMNS) in
+# call order.
+SHARED_PARSER_SEQUENCE = [
+    (["p1", "--g", "x", "--d", "4"], "80"),
+    (["hyp", "--g", "1", "--d", "30", "--e", "3", "--r", "10"], "80"),
+    (["--help"], "80"),
+    (["frobnicate", "--g", "1"], "80"),
+    (["hyp", "--g", "1", "--d", "30", "--e", "3"], "80"),
+    (["p1", "--g", "3", "--d", "4", "--method", "bogus"], "80"),
+    (["qh", "--g", "2", "--d", "2", "--r", "2"], "80"),
+    (["--help"], "40"),
+    (["insert", "--help"], "40"),
+]
+
+
+def _fresh_process(argv, columns):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS=columns)
+    proc = subprocess.run([sys.executable, "-m", "tevdeg.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_shared_parser_gives_the_bytes_of_a_fresh_one(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    main(["p1", "--g", "3", "--d", "4"])
+    capsys.readouterr()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv, columns in SHARED_PARSER_SEQUENCE:
+        monkeypatch.setenv("COLUMNS", columns)
+        assert run(capsys, argv) == _fresh_process(argv, columns), argv
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
+
+
+# -- an unwritable stdout ------------------------------------------------------------------
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+class _FullAtFlush(io.StringIO):
+    """Takes every write, as a buffer would, and fails at the flush."""
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+STDOUT_VERBS = [
+    ["p1", "--g", "3", "--d", "4"],
+    ["hyp", "--g", "1", "--d", "30", "--e", "3", "--r", "10", "--json"],
+    ["insert", "--g", "0", "--d", "3", "--e", "3", "--r", "3", "--ell", "1,1,1"],
+    ["alpha", "--e", "3", "--r", "3"],
+    ["qh", "--g", "2", "--d", "2", "--r", "2"],
+    ["certify", "--g", "1", "--d", "30", "--e", "3", "--r", "10"],
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize("stdout", [_FullStdout, _FullAtFlush])
+@pytest.mark.parametrize("argv", STDOUT_VERBS, ids=lambda argv: argv[0])
+def test_unwritable_stdout_exits_2(capsys, monkeypatch, argv, stdout):
+    from tevdeg import acceptance
+
+    passed = acceptance.CriterionResult(1, "stand-in", True, "ok")
+    monkeypatch.setattr(acceptance, "run_all", lambda: [passed])
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", stdout())
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_unwritable_stdout_exits_2_in_a_subprocess(unbuffered):
+    # Buffered, the write fails only at a flush, and Python flushes once
+    # more on exit.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv, want in ((["p1", "--g", "3", "--d", "4"], 2),
+                       (["qh", "--g", "2", "--d", "2", "--r", "2", "--json"], 2),
+                       (["--help"], 0)):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "tevdeg.cli", *argv], env=env,
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=60)
+        assert proc.returncode == want, (argv, proc.stderr)
+        if want == 2:
+            assert proc.stderr.startswith("error: cannot write stdout:")
+            assert proc.stderr.count("\n") == 1
+        else:
+            assert proc.stderr == ""
+
+
+# -- argv fuzz ---------------------------------------------------------------------------
+
+FUZZ_FLAGS = {
+    "p1": ["--g", "--d"],
+    "qh": ["--g", "--d", "--r", "--n"],
+    "hyp": ["--g", "--d", "--e", "--r"],
+    "certify": ["--g", "--d", "--e", "--r"],
+    "insert": ["--g", "--d", "--e", "--r", "--ell"],
+    "alpha": ["--e", "--r"],
+}
+FUZZ_METHODS = {"p1": ["cps", "schubert", "both"], "hyp": ["closed", "engine", "both"],
+                "insert": ["closed", "engine", "both"]}
+# Each int flag draws from a range that passes the dimension gates often
+# enough to reach the computations, or from all of |x| <= 60.
+FUZZ_TYPICAL = {"--g": (0, 3), "--d": (1, 60), "--e": (3, 6), "--r": (1, 12), "--n": (1, 12)}
+FUZZ_INT = st.integers(-60, 60).map(str)
+FUZZ_ELL = st.lists(st.integers(-3, 60), max_size=6).map(
+    lambda parts: ",".join(map(str, parts)))
+FUZZ_GARBAGE = st.sampled_from(
+    ["", "x", "-", "--", "3.5", "1e3", "0x10", " 7", "1,2", "1,,2", "..", "-0",
+     "\u0663", "cps", "closed", "--zz", "-q", "-h", "--json", "--meth", "--method=both",
+     "--g=3", "--g", "--n"]
+) | st.text(max_size=6)
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A verb with each of its flags, most of them with an int, then a few
+    garbage tokens, repeated or unknown flags at random places."""
+    verb = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    values = {flag: draw(FUZZ_ELL if flag == "--ell" else
+                         st.integers(*FUZZ_TYPICAL[flag]).map(str) | FUZZ_INT)
+              for flag in FUZZ_FLAGS[verb]}
+    if verb == "p1":
+        values["--g"] = str(draw(st.integers(0, 200) | st.integers(-60, 60)))
+    r = int(values.get("--r", 0))
+    if "--e" in values and 0 < r <= 12 and draw(st.booleans()):
+        # d a multiple of r, so that the point count n is an integer.
+        values["--d"] = str(r * draw(st.integers(0, 60 // r)))
+    argv = [verb]
+    for flag in draw(st.permutations(FUZZ_FLAGS[verb])):
+        if draw(st.sampled_from([True] * 19 + [False])):
+            argv += [flag, values[flag]]
+    if verb in FUZZ_METHODS and draw(st.booleans()):
+        argv += ["--method", draw(st.sampled_from(FUZZ_METHODS[verb]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        token = draw(FUZZ_GARBAGE | st.sampled_from(FUZZ_FLAGS[verb]) | FUZZ_INT)
+        argv.insert(draw(st.integers(1, len(argv))), token)
+    return argv
+
+
+@given(fuzz_argv())
+@settings(deadline=None, max_examples=400)
+def test_argv_fuzz_keeps_the_exit_status_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
