@@ -154,9 +154,10 @@ def criterion_3_p1_crosscheck() -> CriterionResult:
         got = schubert.tev_p1_schubert(g, d)
         if got != want:
             failures.append(f"schubert({g},{d}) = {got} != {want}")
-    # Far from the small grid: a large genus, above and below d = g, and a
+    # Far from the small grid: large genera, above and below d = g, and a
     # degree whose box is huge.
-    for g, d in ((300, 303), (300, 151), (300, 299), (0, 10**9)):
+    for g, d in ((300, 303), (300, 151), (300, 299),
+                 (2000, 1001), (2000, 1999), (2000, 2003), (0, 10**9)):
         a = closed_forms.tev_p1_cps(g, d)
         b = schubert.tev_p1_schubert(g, d)
         if a != b or (d > g and b != 2**g):
@@ -164,7 +165,7 @@ def criterion_3_p1_crosscheck() -> CriterionResult:
     return _result(
         3, "line counts: schubert vs binomial formula", failures,
         "routes agree for g<=12, d<=g+3 and at (300,151), (300,299), (300,303), "
-        "(0,10^9); 2^g for d>g",
+        "(2000,1001), (2000,1999), (2000,2003), (0,10^9); 2^g for d>g",
     )
 
 

@@ -4,8 +4,8 @@ Exit status is 0 on success (disagreement between routes is data, not an
 error), 2 on invalid input, 3 on an internal invariant breach.  All output
 is deterministic: identical invocations produce identical bytes, big
 integers are printed as decimal strings, and no floating point appears
-anywhere.  A query verb whose stdout cannot be written exits 2 with one
-``error: cannot write stdout: ...`` line.
+anywhere.  A query verb, or help, whose stdout cannot be written exits 2
+with one ``error: cannot write stdout: ...`` line.
 
 The parser is built once per process, on the first ``main`` call, and
 every later call reuses it; building it costs more than most queries.
@@ -446,10 +446,24 @@ def _verb(sub, name: str, help: str, func, *ints: str) -> argparse.ArgumentParse
     return verb
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help on stdout is output: an OSError writing it exits 2, as for a verb.
+
+    argparse's own ``print_help`` ignores that error.  Subparsers take the
+    class of their parent, so verb help goes through here too.
+    """
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _print(self.format_help(), end="")
+        else:
+            super().print_help(file)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every verb, built on the first call and then shared."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tevdeg",
         description="Exact curve counts on low-degree hypersurfaces and "
         "projective spaces, by independent routes.",
@@ -501,13 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as ex:
-        return int(ex.code or 0)
-    try:
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as ex:
+            # Help and usage errors exit from inside argparse.
+            code = int(ex.code or 0)
+        else:
+            code = args.func(args)
         # A full device may fail only at the flush, after the last print.
         _print(end="", flush=True)
         return code
@@ -527,9 +542,9 @@ def entrypoint() -> None:
     try:
         sys.stdout.flush()
     except OSError:
-        # main has exited 2 for a verb, and argparse ignores the error for
-        # usage and help.  Python flushes stdout once more on exit, so point
-        # it at os.devnull, or that flush would fail into exit status 120.
+        # main has already returned 2.  Python flushes stdout once more on
+        # exit, so point it at os.devnull, or that flush would fail into
+        # exit status 120.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 

@@ -6,26 +6,30 @@ rectangle; sigma_i denotes the special class (i, 0).  Pieri's rule reads
     sigma_{a,b} * sigma_i  =  sum of sigma_{a',b'}
     over a' + b' = a + b + i  with  box >= a' >= a >= b' >= b.
 
-A combination of classes of one degree t is a list ``c`` read from the
-box edge: ``c[m]`` is the coefficient of sigma_{(a, t-a)} with
-a = min(t, box) - m, and missing trailing entries are 0.  A class of
-degree t has ceil(t/2) <= a <= min(t, box), so a list never needs more
-than min(t, box) - ceil(t/2) + 1 entries.  In the count below every
-degree is at least 2d - 2 - g, which bounds every list by about g/2
-entries whatever d is.
-
 Counts of degree-d maps from a general genus-g curve to the projective
 line through n = 2d - g + 1 general point conditions equal the
 Grassmannian integral
 
     int_{Gr(2,d+1)}  sigma_1^g * sum_{i+j = 2d-2-g} sigma_i sigma_j .
 
-The sum is written down in closed form from Pieri's rule, and then
-multiplied by sigma_1 g times.
+The sum is written down in closed form from Pieri's rule.  Multiplying a
+class sigma_{a,b} by sigma_1 adds a box to either row, so integrating
+sigma_1^g sigma_{a,b} counts the lattice paths from (a, b) to (box, box)
+that keep b <= a; the reflection principle counts them as a ballot
+number.  The count is a sum of about g/2 terms, whatever d is.
+
+``pieri_special`` and ``grassmann_integral`` are the sigma_1 step and the
+integral on slot lists: the explicit multiplication that the tests hold
+the ballot numbers to.  A combination of classes of one degree t is a list
+``c`` read from the box edge: ``c[m]`` is the coefficient of
+sigma_{(a, t-a)} with a = min(t, box) - m, and missing trailing entries
+are 0.  A class of degree t has ceil(t/2) <= a <= min(t, box), so a list
+never needs more than min(t, box) - ceil(t/2) + 1 entries.
 """
 
 from __future__ import annotations
 
+from math import comb
 from operator import add
 
 from .enumerativity import line_dims_check
@@ -67,7 +71,16 @@ def tev_p1_schubert(g: int, d: int) -> int:
         return 0
     # By Pieri, sigma_i sigma_j holds sigma_{(a, s-a)} once when
     # max(i, j) <= a <= box: the ordered pairs reaching it number 2a - s + 1.
-    total = [2 * a - s + 1 for a in range(min(s, box), (s - 1) // 2, -1)]
-    for t in range(s, s + g):
-        total = pieri_special(box, t, total)
-    return grassmann_integral(box, s + g, total)
+    # A path from (a, s-a) to (box, box) takes k = box - a steps in the first
+    # row and g - k in the second.  Reflecting in b = a + 1 the part of a path
+    # up to its first touch of that line maps the paths that touch it onto all
+    # paths from (s-a-1, a+1), so sigma_1^g sigma_{(a, s-a)} integrates to
+    # C(g, k) - C(g, k-1).
+    k = box - min(s, box)
+    below, binom = (comb(g, k - 1) if k else 0), comb(g, k)
+    total = 0
+    for a in range(min(s, box), (s - 1) // 2, -1):
+        total += (2 * a - s + 1) * (binom - below)
+        below, binom = binom, binom * (g - k) // (k + 1)
+        k += 1
+    return total

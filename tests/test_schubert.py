@@ -5,12 +5,14 @@ arithmetic: s_{(a,b)}(x, y) = (xy)^b * (x^{a-b} + ... + y^{a-b}), products
 expanded as plain polynomials and decomposed back into the Schur basis,
 with partitions outside the box dropped (the quotient presentation of the
 cohomology ring).  That oracle checks the test-side dict Pieri rule for
-every special class sigma_i.  The route itself only multiplies slot lists
-by sigma_1, after writing the first stage sum_{i+j=s} sigma_i sigma_j in
-closed form; its sigma_1 step is checked against the oracle and the dict
-rule, and its count against the dict pipeline, which multiplies out every
-sigma_i sigma_j.  Counting fixtures are checked against the Catalan and
-pencil-count closed forms.
+every special class sigma_i, and the sigma_1 slot-list step.  The route
+itself writes the first stage sum_{i+j=s} sigma_i sigma_j in closed form
+and integrates sigma_1^g against each class as a ballot number.  The
+ballot numbers are checked class by class against sigma_1 steps, and the
+count against two pipelines that multiply by sigma_1 g times: one on slot
+lists and one on dicts, which multiplies out every sigma_i sigma_j.
+Counting fixtures are checked against the Catalan and pencil-count closed
+forms.
 """
 
 from math import comb
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tevdeg.enumerativity import line_dims_check
 from tevdeg.errors import ParameterError
 from tevdeg.schubert import grassmann_integral, pieri_special, tev_p1_schubert
 
@@ -105,6 +108,18 @@ def tev_p1_schubert_dict(g, d):
     for _ in range(g):
         total = pieri_special_dict(box, total, 1)
     return total.get((box, box), 0)
+
+
+def tev_p1_schubert_slots(g, d):
+    """The count by g sigma_1 steps on slot lists (parameters already valid)."""
+    box = d - 1
+    s = 2 * d - 2 - g
+    if s < 0:
+        return 0
+    total = [2 * a - s + 1 for a in range(min(s, box), (s - 1) // 2, -1)]
+    for t in range(s, s + g):
+        total = pieri_special(box, t, total)
+    return grassmann_integral(box, s + g, total)
 
 
 # -- independent Schur-polynomial oracle --------------------------------------
@@ -234,10 +249,24 @@ def test_dense_kernel_matches_dict_oracle(case):
     assert to_dict(box, t + 1, got) == pieri_special_dict(box, to_dict(box, t, combo), 1)
 
 
-def test_pieri_list_size_independent_of_box():
-    # The lists hold about g/2 slots however large the box: at box 10^9 the
-    # first stage has 21 and the count is the 2^g of d > g.
+def test_count_cost_independent_of_box():
+    # The count sums about g/2 ballot numbers however large the box: at box
+    # 10^9 it sums 21 and gives the 2^g of d > g.
     assert tev_p1_schubert(40, 10**9) == 2**40
+
+
+def test_single_class_integral_is_ballot_number():
+    # sigma_1^g sigma_{(a,b)} with g = 2 box - a - b, by g sigma_1 steps,
+    # against the reflection count C(g, k) - C(g, k-1) with k = box - a.
+    for box in range(13):
+        for a in range(box + 1):
+            for b in range(a + 1):
+                t, g, k = a + b, 2 * box - a - b, box - a
+                combo = to_list(box, t, {(a, b): 1})
+                for step in range(t, 2 * box):
+                    combo = pieri_special(box, step, combo)
+                want = comb(g, k) - (comb(g, k - 1) if k else 0)
+                assert grassmann_integral(box, 2 * box, combo) == want, (box, a, b)
 
 
 # -- grassmann_integral --------------------------------------------------------
@@ -298,6 +327,23 @@ def test_large_degree_count_is_2_to_g():
     for g in range(13):
         for d in range(g + 1, g + 4):
             assert tev_p1_schubert(g, d) == 2**g
+
+
+def _valid_line_degrees(g, d_max):
+    for d in range(1, d_max + 1):
+        try:
+            line_dims_check(g, d)
+        except ParameterError:
+            continue
+        yield d
+
+
+def test_count_matches_slot_pipeline():
+    for g in range(61):
+        for d in _valid_line_degrees(g, g + 7):
+            assert tev_p1_schubert(g, d) == tev_p1_schubert_slots(g, d), (g, d)
+    for d in (150, 151, 152, 200, 299, 300, 301, 303, 307):
+        assert tev_p1_schubert(300, d) == tev_p1_schubert_slots(300, d), d
 
 
 def test_count_matches_dict_pipeline():

@@ -3,7 +3,10 @@
 ``bench/tracing.py`` rebinds methods and module globals of the package by
 name, and ``bench/selftest.py`` is not part of this suite.  This test
 installs the tracer in a fresh interpreter and checks that the traced
-layers record work, so a renamed or deleted binding fails here.
+layers record work, so a renamed or deleted binding fails here.  No verb
+calls ``schubert.pieri_special`` (the P^1 count sums ballot numbers), so
+the script calls it through its module binding, which is the one the
+tracer replaces.
 """
 
 import json
@@ -17,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = """
 import contextlib, io, json
 import tracing
-from tevdeg import cli
+from tevdeg import cli, schubert
 
 tracer = tracing.Tracer()
 tracer.install()
@@ -29,6 +32,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["p1", "--g", "40", "--d", "43"]),
         cli.main(["qh", "--g", "3", "--d", "6", "--r", "2"]),
     ]
+schubert.pieri_special(3, 0, [1])
 print(json.dumps({"codes": codes, "layers": tracer.layer_metrics()}))
 """
 
