@@ -8,7 +8,6 @@ the source curve (a point here, since g = 0).
 
 from tevdeg import (
     HypParams,
-    TruncPoly,
     deg_T,
     integrate_theta,
     point_factor,
@@ -17,6 +16,20 @@ from tevdeg import (
     tev_hypersurface_engine,
     vtev_hypersurface_closed,
 )
+
+
+def show(scale, terms, degree):
+    """The class scale * sum_j terms[j] * theta^[j] * H^(degree-j), written out."""
+    bits = []
+    for j, c in enumerate(terms):
+        if c == 0:
+            continue
+        mono = [f"H^{degree - j}" if degree - j > 1 else "H"] if degree > j else []
+        if j > 0:
+            mono.append(f"theta^[{j}]")
+        bits.append("*".join([str(scale * c)] + mono))
+    return " + ".join(bits) or "0"
+
 
 p = HypParams.standard(g=0, d=3, e=3, r=3)
 print(f"parameters: {p}")
@@ -30,16 +43,18 @@ print(f"per-mark factor: {alpha}*H^{h}")
 
 # The global factor forces the tuple to define a map into the cubic: the
 # top Chern class of a twisted push-down bundle, polynomial in H and the
-# theta divisor of the Jacobian (no theta at genus 0).
-chern = step3_class(p.e, p.t, p.g)
-print(f"global factor:   {chern}")
+# divided powers theta^[m] = theta^m / m! of the Jacobian's theta divisor
+# (no theta at genus 0).  It comes as a scale e^t and a list of integers.
+scale, chern = step3_class(p.e, p.t, p.g)
+print(f"global factor:   {show(scale, chern, p.t)}")
 
 # Assemble, push down to the Jacobian, and integrate.  All n marks carry
 # the same line condition, so their factors just multiply up into one
-# monomial in H, which joins the Chern class's (H, theta) coefficient list.
-full = TruncPoly(p.n * h, "theta", p.g, [alpha**p.n]) * chern
-print(f"assembled class: {full}   (H-degree N-1 = {p.N - 1}: a number times the point)")
-degree = integrate_theta(pushforward_theta(full, p), p.g)
+# monomial in H, which scales the Chern class and shifts its H-degree.
+coeff, hdeg = alpha**p.n * scale, p.n * h + p.t
+print(f"assembled class: {show(coeff, chern, hdeg)}   "
+      f"(H-degree N-1 = {p.N - 1}: a number times the point)")
+degree = coeff * integrate_theta(pushforward_theta(chern, hdeg, p.r, p.N, p.g), p.g)
 print(f"cycle degree:    {degree}")
 
 # Each line meets the cubic in e = 3 points, so the honest count divides

@@ -10,8 +10,10 @@ Four independent routes compute (or bound) the same counts:
 
 :mod:`tevdeg.enumerativity` certifies when the computed numbers count
 honest maps, by a closed-form degree bound and a dimension audit over all
-degeneration strata.  Everything is exact: arbitrary-precision integers
-and rationals throughout, no floating point.
+degeneration strata.  Everything is exact and there is no floating point:
+the counts and every engine stage are arbitrary-precision integers (the
+engine works in divided powers of theta), and only the enumerativity
+bound is a rational.
 """
 
 from .closed_forms import (

@@ -9,7 +9,7 @@ of C and integrating:
 2. per mark i, the excess factor    prod_{k=1}^{e} ((k-1) H + (e+1-k) H_i)
    forcing e-fold vanishing of the defining equation at the mark;
 3. globally, the top Chern class of the twisted push-down bundle,
-       e^t * sum_{m=0}^{g} ((-e)^m / m!) * theta^m * H^{t-m},
+       e^t * sum_{m=0}^{g} (-e)^m * theta^[m] * H^{t-m},
    t = (d-n)e - g + 1, forcing the map to land in the hypersurface;
 4. per mark i, H_i^{r+1-ell_i} cutting the target to a general
    ell_i-dimensional linear space (ell_i = 1: a general line).
@@ -19,14 +19,16 @@ H_i^{r+1} coefficient factorizes: each mark contributes a *monomial*
 alpha * H^{r+1+e-ell_i}, turning an (n+2)-variable expansion into one
 expansion in (H, H_i) per distinct ell_i, raised to the number of marks
 that share it.  The remaining class in H and theta is pushed down to the
-Jacobian (H^{N-1+k} -> (r+2)^k theta^k / k!, N = (r+2)(d-g+1)) and
-integrated there (theta^g has degree g!).
+Jacobian (H^{N-1+k} -> (r+2)^k theta^[k], N = (r+2)(d-g+1)) and
+integrated there (the theta^[g] coefficient).
 
-Every class on the way is homogeneous in H and one capped variable (H_i
-capped at H_i^{r+1}, theta at theta^g), so each is a single
-``TruncPoly``: a degree and one list of coefficients.  A coefficient is an
-``int`` wherever the division that made it is exact, and a ``Fraction``
-only where it is not (the 1/m! and 1/k! of genus >= 2).
+The Jacobian stages work in the divided powers theta^[m] = theta^m / m!,
+where theta^[j] theta^[k] = C(j+k, j) theta^[j+k] and the integral of
+theta^[g] is 1.  The 1/m! of the Chern class and the 1/k! of the Segre
+class are absorbed there, so every coefficient is a plain ``int``: a class
+in H and theta is one H-degree and a list of theta^[m] coefficients.  The
+point factor's expansion in (H, H_i), with H_i capped at H_i^{r+1}, is a
+``TruncPoly``.
 
 A point factor depends on (e, r, ell_i) alone, so the entry points take an
 optional ``marks`` dict that keeps the factors built so far under that key;
@@ -42,8 +44,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import factorial
+from math import comb
 
 from .enumerativity import dims_check, insertion_dims_check
 from .errors import InvariantBreach, ParameterError
@@ -115,21 +116,16 @@ def point_factor(e: int, r: int, ell_i: int) -> tuple[int, int]:
     return top, h
 
 
-def _exact(num: int, den: int) -> int | Fraction:
-    """num / den: ``num // den`` when den divides num, else ``Fraction(num, den)``."""
-    q, rem = divmod(num, den)
-    return q if rem == 0 else Fraction(num, den)
-
-
-def step3_class(e: int, t: int, g: int) -> TruncPoly:
+def step3_class(e: int, t: int, g: int) -> tuple[int, list[int]]:
     """Top Chern class of the twisted push-down bundle, in H and theta:
 
-        e^t * sum_{m=0}^{g} ((-e)^m / m!) * theta^m * H^{t-m}.
+        e^t * sum_{m=0}^{g} (-e)^m * theta^[m] * H^{t-m},
 
-    Requires t >= g; otherwise a negative H power would be needed, which
-    is outside this model (and unreachable from validated parameters).
-    A coefficient is an ``int`` when m! divides e^t * (-e)^m, which always
-    holds for m <= 1.
+    in the divided powers theta^[m] = theta^m / m!, where every coefficient
+    is an integer.  Returned as the scale e^t and the list [(-e)^m for m in
+    0..g], term m multiplying theta^[m] H^{t-m}.  Requires t >= g;
+    otherwise a negative H power would be needed, which is outside this
+    model (and unreachable from validated parameters).
     """
     if e < 3:
         raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
@@ -137,48 +133,54 @@ def step3_class(e: int, t: int, g: int) -> TruncPoly:
         raise ParameterError(f"genus must be nonnegative, got g={g}")
     if t < g:
         raise ParameterError(f"rank t = {t} below genus g = {g}: out of model")
-    scale = e**t
-    return TruncPoly(
-        t, "theta", g, [_exact(scale * (-e) ** m, factorial(m)) for m in range(g + 1)]
-    )
+    terms = [1]
+    for _ in range(g):
+        terms.append(terms[-1] * -e)
+    return e**t, terms
 
 
-def _require_theta(c: TruncPoly, g: int) -> None:
-    if (c.var, c.cap) != ("theta", g):
-        raise ParameterError(
-            f"class lives in {c.var}<={c.cap}, not the Jacobian's theta<={g}"
-        )
+def pushforward_theta(terms: list[int], degree: int, r: int, N: int, g: int) -> list[int]:
+    """Push the class sum_j terms[j] theta^[j] H^{degree-j} down to the Jacobian.
 
-
-def pushforward_theta(c: TruncPoly, p: HypParams) -> TruncPoly:
-    """Push a class in H and theta down to the Jacobian.
-
-    H^{N-1+k} becomes the Segre class (r+2)^k * theta^k / k!; powers of H
-    below the fiber dimension N-1 push to zero.  Every term of a class of
-    degree D lands on theta^{D-N+1}, where the theta cap at g still applies.
-    The Segre factor is an ``int`` when k! divides (r+2)^k, as it does for
-    k <= 1.
+    H^{N-1+k} becomes the Segre class (r+2)^k theta^[k] on a bundle of rank
+    N; powers of H below the fiber dimension N-1 push to zero.  Since
+    theta^[j] theta^[k] = C(j+k, j) theta^[j+k], every term lands on
+    theta^[out], out = degree - N + 1, with coefficient C(out, j) (r+2)^k,
+    k = out - j.  Returns the theta^[0..g] coefficients; theta^[out] is zero
+    past the cap at g.
     """
-    _require_theta(c, p.g)
-    out = c.degree - (p.N - 1)
-    if not 0 <= out <= p.g:
-        return TruncPoly(out, "theta", p.g, [])
+    if len(terms) > g + 1:
+        raise ParameterError(
+            f"class reaches theta^[{len(terms) - 1}], past the Jacobian's cap at g = {g}"
+        )
+    pushed = [0] * (g + 1)
+    out = degree - (N - 1)
+    if not 0 <= out <= g:
+        return pushed
+    # k runs up from the smallest Segre power any term needs, carrying
+    # C(out, k) and (r+2)^k.
+    k0 = max(0, out - len(terms) + 1)
+    binom = comb(out, k0)
+    power = (r + 2) ** k0
     total = 0
-    for j, coeff in enumerate(c.terms[: out + 1]):
-        k = out - j
-        total += coeff * _exact((p.r + 2) ** k, factorial(k))
-    return TruncPoly(out, "theta", p.g, [0] * out + [total])
+    for k in range(k0, out + 1):
+        total += terms[out - k] * binom * power
+        binom = binom * (out - k) // (k + 1)
+        power *= r + 2
+    pushed[out] = total
+    return pushed
 
 
-def integrate_theta(c: TruncPoly, g: int) -> Fraction:
-    """Integrate over the Jacobian: g! times the theta^g coefficient."""
-    _require_theta(c, g)
-    if c.degree != g or len(c.terms) <= g:
-        return Fraction(0)
-    return Fraction(factorial(g) * c.terms[g])
+def integrate_theta(c: list[int], g: int) -> int:
+    """Integrate over the Jacobian: the theta^[g] coefficient, as int theta^[g] = 1."""
+    if len(c) != g + 1:
+        raise ParameterError(
+            f"class has {len(c)} theta^[k] coefficients, not the Jacobian's g + 1 = {g + 1}"
+        )
+    return c[g]
 
 
-def cycle_degree(p: HypParams, marks: dict | None = None) -> Fraction:
+def cycle_degree(p: HypParams, marks: dict | None = None) -> int:
     """Exact degree of the incidence cycle for marks with dimensions ``p.ell``.
 
     The whole pipeline: point factors, Chern class, support-window check,
@@ -186,8 +188,9 @@ def cycle_degree(p: HypParams, marks: dict | None = None) -> Fraction:
     and ``marks`` maps (e, r, ell_i) to the (alpha, h) point factors built
     so far: a missing one is built by ``point_factor`` and stored there, so
     it runs once per key and dict.  With no dict each call starts from an
-    empty one.  No integrality or sign check is made here; ``deg_T`` adds
-    those.
+    empty one.  The monomial's coefficient and the Chern scale e^t multiply
+    the pushed-down sum once, outside the stages.  No integrality or sign
+    check is made here; ``deg_T`` adds those.
     """
     if marks is None:
         marks = {}
@@ -202,16 +205,17 @@ def cycle_degree(p: HypParams, marks: dict | None = None) -> Fraction:
         coeff *= alpha**mult
         hdeg += h * mult
 
-    full = TruncPoly(hdeg, "theta", p.g, [coeff]) * step3_class(p.e, p.t, p.g)
-
-    lo, hi = p.N - 1, p.N - 1 + p.g
-    for j, c in enumerate(full.terms):
-        h = full.degree - j
-        if c and not (lo <= h <= hi):
-            raise InvariantBreach(
-                f"pipeline class has H-degree {h} outside [{lo}, {hi}]"
-            )
-    return integrate_theta(pushforward_theta(full, p), p.g)
+    scale, terms = step3_class(p.e, p.t, p.g)
+    degree = hdeg + p.t
+    if coeff:
+        lo, hi = p.N - 1, p.N - 1 + p.g
+        for j, c in enumerate(terms):
+            if c and not (lo <= degree - j <= hi):
+                raise InvariantBreach(
+                    f"pipeline class has H-degree {degree - j} outside [{lo}, {hi}]"
+                )
+    pushed = pushforward_theta(terms, degree, p.r, p.N, p.g)
+    return coeff * scale * integrate_theta(pushed, p.g)
 
 
 def deg_T(p: HypParams, marks: dict | None = None) -> int:
@@ -222,11 +226,13 @@ def deg_T(p: HypParams, marks: dict | None = None) -> int:
     ``marks`` is the point-factor dict of ``cycle_degree``.
     """
     value = cycle_degree(p, marks)
-    if value.denominator != 1:
+    # Only a non-int point factor (a corrupted fixture or marks dict) makes
+    # a non-int here, and int() would truncate it silently.
+    if type(value) is not int:
         raise InvariantBreach(f"cycle degree {value} is not an integer")
     if value < 0:
         raise InvariantBreach(f"cycle degree {value} is negative")
-    return int(value)
+    return value
 
 
 def tev_hypersurface_engine(p: HypParams, marks: dict | None = None) -> int:

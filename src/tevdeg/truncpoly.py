@@ -1,7 +1,8 @@
-"""Exact graded classes for the engine, and dense univariates.
+"""Exact graded classes for the engine's point factor, and dense univariates.
 
-``TruncPoly`` is the engine's ring model: a class homogeneous in the
+``TruncPoly`` is the point factor's ring model: a class homogeneous in the
 hyperplane class H and one capped variable, stored as one coefficient list.
+The engine's Jacobian stages work on plain int lists instead.
 The closed forms use only ``UniPoly``, and the Schubert and quantum routes
 do not import this module.
 

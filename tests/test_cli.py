@@ -248,6 +248,20 @@ def test_large_genus_p1_stays_cheap(capsys):
     assert elapsed < 2.0
 
 
+def test_large_genus_hyp_stays_cheap(capsys):
+    # The engine sums g+1 divided-power terms on small ints and multiplies
+    # the large point-factor and Chern scale in once, so genus 1000 costs
+    # about as much as printing the 21,288-digit count.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["hyp", "--g", "1000", "--d", "30000", "--e", "3",
+                                "--r", "3", "--json"])
+    elapsed = time.perf_counter() - start
+    doc = json.loads(out)
+    assert code == 0 and doc["agreement"] is True
+    assert {r["method"] for r in doc["results"]} == {"closed", "engine"}
+    assert elapsed < 2.0
+
+
 def test_certify(capsys):
     code, out, _ = run(capsys, ["certify", "--g", "1", "--d", "5", "--e", "3",
                                 "--r", "5", "--json"])

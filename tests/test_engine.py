@@ -1,5 +1,6 @@
 """Tests for the Jacobian intersection pipeline."""
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -165,42 +166,130 @@ def test_point_factor_rejects_out_of_range():
         point_factor(3, 3, 5)
 
 
-# -- step3_class ------------------------------------------------------------------
+# -- the Fraction oracle -------------------------------------------------------------
+#
+# The engine's Jacobian stages as they were before divided powers: classes in
+# H and theta^m as TruncPoly, with the 1/m! and 1/k! carried by Fraction.
+# The integer stages are held to it term by term and count by count.
 
 def _jac(degree, g, terms):
     """The class sum_j terms[j] * H^{degree-j} * theta^j, theta capped at g."""
     return TruncPoly(degree, "theta", g, terms)
 
 
+def _exact(num, den):
+    q, rem = divmod(num, den)
+    return q if rem == 0 else Fraction(num, den)
+
+
+def _fraction_step3_class(e, t, g):
+    scale = e**t
+    return _jac(t, g, [_exact(scale * (-e) ** m, factorial(m)) for m in range(g + 1)])
+
+
+def _fraction_pushforward_theta(c, p):
+    out = c.degree - (p.N - 1)
+    if not 0 <= out <= p.g:
+        return _jac(out, p.g, [])
+    total = 0
+    for j, coeff in enumerate(c.terms[: out + 1]):
+        k = out - j
+        total += coeff * _exact((p.r + 2) ** k, factorial(k))
+    return _jac(out, p.g, [0] * out + [total])
+
+
+def _fraction_integrate_theta(c, g):
+    if c.degree != g or len(c.terms) <= g:
+        return Fraction(0)
+    return Fraction(factorial(g) * c.terms[g])
+
+
+def _fraction_cycle_degree(p):
+    coeff, hdeg = 1, 0
+    for li, mult in Counter(p.ell).items():
+        alpha, h = point_factor(p.e, p.r, li)
+        coeff *= alpha**mult
+        hdeg += h * mult
+    full = _jac(hdeg, p.g, [coeff]) * _fraction_step3_class(p.e, p.t, p.g)
+    return _fraction_integrate_theta(_fraction_pushforward_theta(full, p), p.g)
+
+
+def _divided(c):
+    """A TruncPoly in theta^m as its theta^[m] = theta^m / m! coefficients."""
+    return [x * factorial(j) for j, x in enumerate(c.terms)]
+
+
+def _oracle_grid():
+    """Every valid (g, d, e, r) with e 3..6, r 1..24, g 0..4 and d 1..59."""
+    for e in range(3, 7):
+        for r in range(1, 25):
+            for g in range(5):
+                for d in range(1, 60):
+                    try:
+                        yield HypParams.standard(g, d, e, r)
+                    except ParameterError:
+                        pass
+
+
+def test_engine_matches_fraction_oracle_on_grid():
+    seen = 0
+    for p in _oracle_grid():
+        got = cycle_degree(p)
+        assert type(got) is int and got == _fraction_cycle_degree(p), p
+        seen += 1
+    assert seen == 3300
+
+
+def test_engine_matches_fraction_oracle_on_mixed_profiles():
+    cases = [
+        (0, 5, 3, 3, (2, 2, 1, 1, 1)),
+        (1, 5, 3, 3, (2, 2, 1, 1)),
+        (2, 7, 4, 4, (2, 1, 2)),
+        (0, 6, 3, 3, (2, 2, 2, 1, 1, 1)),
+        (0, 6, 3, 3, (4, 1, 1, 1, 1, 1)),
+        (2, 12, 3, 5, (6, 3, 1, 1, 1, 1, 1, 1, 1, 1)),
+        (1, 9, 4, 6, (7, 7, 1, 1, 1, 1, 1, 1)),
+        (3, 14, 3, 7, (8, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    ]
+    for g, d, e, r, ell in cases:
+        p = HypParams(g, d, e, r, ell)
+        assert deg_T(p) == _fraction_cycle_degree(p), p
+
+
+@pytest.mark.parametrize("g,d", [(200, 3000), (1000, 30000)])
+def test_engine_matches_fraction_oracle_at_large_genus(g, d):
+    p = HypParams.standard(g, d, 3, 3)
+    assert deg_T(p) == _fraction_cycle_degree(p)
+
+
+# -- step3_class ------------------------------------------------------------------
+
 def test_step3_genus_zero():
-    assert step3_class(3, 1, 0) == _jac(1, 0, [3])
+    assert step3_class(3, 1, 0) == (3, [1])
+    assert _divided(_fraction_step3_class(3, 1, 0)) == [3]
 
 
 def test_step3_genus_one():
-    assert step3_class(3, 3, 1) == _jac(3, 1, [27, -81])
+    assert step3_class(3, 3, 1) == (27, [1, -3])
+    assert _divided(_fraction_step3_class(3, 3, 1)) == [27, -81]
 
 
 def test_step3_genus_two_has_rational_term():
-    want = _jac(4, 2, [81, -243, Fraction(729, 2)])
-    assert step3_class(3, 4, 2) == want
-
-
-def _is_integer(x):
-    return Fraction(x).denominator == 1
+    # In theta^m the oracle needs 729/2; in theta^[2] it is 81 * 9 = 729.
+    assert _fraction_step3_class(3, 4, 2) == _jac(4, 2, [81, -243, Fraction(729, 2)])
+    assert step3_class(3, 4, 2) == (81, [1, -3, 9])
 
 
 def test_step3_matches_all_fraction_oracle():
-    # A term is a Fraction exactly where m! does not divide e^t (-e)^m.
+    # Scaled by e^t, each divided-power term is the oracle's times m!, an int.
     for e in range(3, 7):
         for g in range(7):
             for t in range(g, g + 9):
-                want = [Fraction(e) ** t * Fraction(-e) ** m / factorial(m)
-                        for m in range(g + 1)]
-                c = step3_class(e, t, g)
-                assert c == _jac(t, g, want), (e, t, g)
-                for x in c.terms:
-                    assert isinstance(x, Fraction) != _is_integer(x), (e, t, g, x)
-                    assert isinstance(x, (int, Fraction))
+                scale, terms = step3_class(e, t, g)
+                assert scale == e**t and len(terms) == g + 1, (e, t, g)
+                assert all(type(x) is int for x in terms), (e, t, g)
+                assert [scale * x for x in terms] == _divided(
+                    _fraction_step3_class(e, t, g)), (e, t, g)
 
 
 def test_step3_rejects_rank_below_genus():
@@ -210,39 +299,37 @@ def test_step3_rejects_rank_below_genus():
 
 # -- pushforward and integration ---------------------------------------------------
 
+def _push(terms, degree, p):
+    return pushforward_theta(terms, degree, p.r, p.N, p.g)
+
+
 def test_pushforward_examples():
     p = HypParams.standard(1, 3, 3, 3)  # N = 15, r = 3
-    assert pushforward_theta(_jac(14, 1, [1]), p) == _jac(0, 1, [1])
-    assert pushforward_theta(_jac(15, 1, [1]), p) == _jac(1, 1, [0, 5])
-    assert pushforward_theta(_jac(13, 1, [1]), p).terms == ()
-    # H^15 + H^14 theta: both terms land on theta^1.
-    assert pushforward_theta(_jac(15, 1, [1, 1]), p) == _jac(1, 1, [0, 6])
+    assert _push([1], 14, p) == [1, 0]
+    assert _push([1], 15, p) == [0, 5]
+    assert _push([1], 13, p) == [0, 0]
+    # H^15 + H^14 theta^[1]: both terms land on theta^[1].
+    assert _push([1, 1], 15, p) == [0, 6]
+    # The oracle agrees: theta^1 = theta^[1].
+    assert _fraction_pushforward_theta(_jac(15, 1, [1, 1]), p) == _jac(1, 1, [0, 6])
 
 
 def test_pushforward_respects_theta_cap():
     p = HypParams.standard(1, 3, 3, 3)
-    # theta * H^{N+1} would give theta^3; the cap at g = 1 kills it.
-    c = _jac(p.N + 2, 1, [0, 1])
-    assert pushforward_theta(c, p).terms == ()
+    # theta * H^{N+1} would give theta^[3]; the cap at g = 1 kills it.
+    assert _push([0, 1], p.N + 2, p) == [0, 0]
+    assert _fraction_pushforward_theta(_jac(p.N + 2, 1, [0, 1]), p).terms == ()
 
 
 def test_pushforward_and_integral_reject_other_classes():
+    # A class past the Jacobian's theta^[g], or a coefficient list of another
+    # genus, lives elsewhere.
     p = HypParams.standard(1, 3, 3, 3)
-    for c in (_jac(15, 2, [1]), TruncPoly(15, "Hi", 1, [1])):
-        with pytest.raises(ParameterError):
-            pushforward_theta(c, p)
-        with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="past the Jacobian's cap"):
+        _push([1, 0, 1], 15, p)
+    for c in ([0, 0, 1], [1], []):
+        with pytest.raises(ParameterError, match="theta"):
             integrate_theta(c, 1)
-
-
-def _pushforward_oracle(c, p):
-    """The pushforward's all-Fraction sum, as its term list."""
-    out = c.degree - (p.N - 1)
-    if not 0 <= out <= p.g:
-        return []
-    total = sum(Fraction(x) * Fraction(p.r + 2) ** (out - j) / factorial(out - j)
-                for j, x in enumerate(c.terms[: out + 1]))
-    return [0] * out + [total]
 
 
 def _sample_params():
@@ -260,26 +347,33 @@ def test_pushforward_matches_all_fraction_oracle():
     seen = 0
     for p in _sample_params():
         alpha, h = point_factor(p.e, p.r, 1)
-        full = _jac(h * p.n, p.g, [alpha**p.n]) * step3_class(p.e, p.t, p.g)
-        classes = [full] + [_jac(p.N - 1 + k, p.g, [1]) for k in range(-1, p.g + 2)]
-        for c in classes:
-            got = pushforward_theta(c, p)
-            assert got == _jac(got.degree, p.g, _pushforward_oracle(c, p)), (p, c)
-            if p.g <= 1:
-                assert all(type(x) is int for x in got.terms), (p, c)
-        # One monomial H^{N-1+k} pushes to the Segre factor alone, which is
-        # a Fraction exactly where k! does not divide (r+2)^k.
-        for k in range(p.g + 1):
-            (x,) = pushforward_theta(_jac(p.N - 1 + k, p.g, [1]), p).terms[k:]
-            assert isinstance(x, Fraction) != _is_integer(x), (p, k, x)
+        coeff, hdeg = alpha**p.n, h * p.n
+        scale, terms = step3_class(p.e, p.t, p.g)
+        full = _jac(hdeg, p.g, [coeff]) * _fraction_step3_class(p.e, p.t, p.g)
+        want = _fraction_pushforward_theta(full, p)
+        got = _push(terms, hdeg + p.t, p)
+        assert [coeff * scale * x for x in got] == _divided(want) + [0] * (
+            p.g + 1 - len(want.terms)), p
+        # One monomial H^{N-1+k} pushes to the Segre factor (r+2)^k theta^[k];
+        # the oracle has (r+2)^k / k! on theta^k, a Fraction where k! does
+        # not divide (r+2)^k.
+        for k in range(-1, p.g + 2):
+            got = _push([1], p.N - 1 + k, p)
+            want = _fraction_pushforward_theta(_jac(p.N - 1 + k, p.g, [1]), p)
+            assert got == _divided(want) + [0] * (p.g + 1 - len(want.terms)), (p, k)
+            if 0 <= k <= p.g:
+                assert got[k] == (p.r + 2) ** k
         seen += 1
     assert seen > 100
 
 
 def test_integrate_theta():
-    assert integrate_theta(_jac(2, 2, [0, 0, 1]), 2) == 2
-    assert integrate_theta(_jac(0, 0, [1]), 0) == 1
-    assert integrate_theta(_jac(1, 2, [0, 1]), 2) == 0
+    # theta^[g] integrates to 1, so theta^g = g! theta^[g] integrates to g!.
+    assert integrate_theta([0, 0, 2], 2) == 2 == _fraction_integrate_theta(
+        _jac(2, 2, [0, 0, 1]), 2)
+    assert integrate_theta([0, 0, 1], 2) == 1
+    assert integrate_theta([1], 0) == 1
+    assert integrate_theta([0, 1, 0], 2) == 0
 
 
 # -- the full pipeline ---------------------------------------------------------------
@@ -326,7 +420,7 @@ def test_deg_T_builds_one_point_factor_per_distinct_ell(monkeypatch):
     assert deg_T(p) == 6001128
     assert sorted(calls) == [1, 2]
     calls.clear()
-    assert cycle_degree(p) == Fraction(6001128)
+    assert cycle_degree(p) == 6001128
     assert sorted(calls) == [1, 2]
     calls.clear()
     deg_T(HypParams.standard(3, 300, 3, 10))  # 268 marks, all ell = 1
@@ -369,9 +463,11 @@ def test_pipeline_support_window():
             alpha, h = point_factor(e, r, li)
             coeff *= alpha
             hdeg += h
-        full = _jac(hdeg, g, [coeff]) * step3_class(e, p.t, g)
-        hdegs = sorted(full.degree - j for j, c in enumerate(full.terms) if c)
+        scale, terms = step3_class(e, p.t, g)
+        hdegs = sorted(hdeg + p.t - j for j, c in enumerate(terms) if coeff * scale * c)
         assert hdegs == list(range(p.N - 1, p.N - 1 + g + 1))
+        full = _jac(hdeg, g, [coeff]) * _fraction_step3_class(e, p.t, g)
+        assert hdegs == sorted(full.degree - j for j, c in enumerate(full.terms) if c)
 
 
 def test_exactness_and_divisibility_on_sample():
