@@ -7,6 +7,19 @@ integers are printed as decimal strings, and no floating point appears
 anywhere.  A query verb, or help, whose stdout cannot be written exits 2
 with one ``error: cannot write stdout: ...`` line.
 
+``main`` reads plain argv in one pass (``_read_plain``): a verb, then each
+of its flags at most once, spelled exactly as declared, as ``--flag value``
+with a value that does not start with "-" and that the flag's type and
+choices accept, or as a bare store_true flag, with every required flag
+present.  What that pass needs (option strings, dest, type, choices,
+default, required, const and the verb's ``func``) it reads from the parser,
+not from a second declaration, and it gives the ``Namespace`` argparse
+would give.  Every other argv goes to argparse, which alone decides: help
+and ``--``, ``--flag=value``, abbreviations, unknown, repeated or missing
+flags, values starting with "-" and values a flag refuses.  So argparse
+writes every help, usage and error message, and parsing costs a few
+microseconds instead of tens.
+
 The parser is built once per process, on the first ``main`` call, and
 every later call reuses it; building it costs more than most queries.
 Sharing it is safe because:
@@ -201,11 +214,11 @@ def cmd_insert(args) -> int:
 def cmd_alpha(args) -> int:
     al = closed_forms.alpha_coefficients(args.e, args.r)
     if args.json:
-        doc = {"e": args.e, "r": args.r, "alpha": [str(v) for v in al]}
+        doc = {"e": args.e, "r": args.r, "alpha": [int_str(v) for v in al]}
         _print(json.dumps(doc))
     else:
         for i, v in enumerate(al, start=1):
-            _print(f"alpha_{i} {v}")
+            _print(f"alpha_{i} {int_str(v)}")
     return 0
 
 
@@ -222,7 +235,11 @@ def cmd_certify(args) -> int:
     if rep.closed_bound is None:
         bound_text = "all d" if rep.bound_applicable else None
     else:
-        bound_text = str(rep.closed_bound)
+        # str(Fraction) past the digit limit raises, as str(int) does.
+        bound = rep.closed_bound
+        bound_text = int_str(bound.numerator)
+        if bound.denominator != 1:
+            bound_text += "/" + int_str(bound.denominator)
     witness = None
     if rep.witness is not None:
         s = rep.witness.stratum
@@ -237,9 +254,10 @@ def cmd_certify(args) -> int:
             "bound_applicable": rep.bound_applicable,
             "bound_satisfied": rep.bound_satisfied,
             "audit_sharper": rep.audit_sharper,
-            "strata_checked": rep.strata_checked,
         }
-        _print(json.dumps(doc))
+        # json.dumps writes ints with str, so strata_checked, which can pass
+        # the digit limit, is appended as the last key by hand.
+        _print(f'{json.dumps(doc)[:-1]}, "strata_checked": {int_str(rep.strata_checked)}}}')
     else:
         _print(f"g={rep.g} d={rep.d} e={rep.e} r={rep.r} n={rep.n}")
         _print(f"certified      {str(rep.certified).lower()}")
@@ -248,7 +266,7 @@ def cmd_certify(args) -> int:
             _print(f"witness        b0={witness['b0']} b1={witness['b1']} b2={witness['b2']}")
         _print(f"closed_bound   {bound_text if bound_text is not None else 'n/a'}")
         _print(f"audit_sharper  {str(rep.audit_sharper).lower()}")
-        _print(f"strata_checked {rep.strata_checked}")
+        _print(f"strata_checked {int_str(rep.strata_checked)}")
     return 0
 
 
@@ -292,8 +310,8 @@ def _sweep_worker(tuples, k, jobs, wfd, read_fds):
     """Send chunks k, k + jobs, ... down ``wfd``, one JSON line each.
 
     A line is ``[records, fault]``: the chunk's records, or those before a
-    failure, and ``fault`` None, ``["breach", message]`` or ``["error",
-    traceback]``.  A worker closes the pipe ends ``read_fds`` it inherited,
+    failure, and ``fault`` None, ``["breach", message]``, ``["overflow",
+    message]`` or ``["error", traceback]``.  A worker closes the pipe ends ``read_fds`` it inherited,
     and never returns: ``os._exit`` skips the buffers and exit hooks it
     inherited too, such as those of ``--out`` and stdout.
     """
@@ -309,6 +327,8 @@ def _sweep_worker(tuples, k, jobs, wfd, read_fds):
                         records.append(sweep_record(*tup, marks))
                 except InvariantBreach as ex:
                     fault = ["breach", str(ex)]
+                except OverflowError as ex:
+                    fault = ["overflow", str(ex)]
                 except Exception:
                     import traceback
 
@@ -360,6 +380,8 @@ def _sweep_records(tuples, jobs):
                 kind, message = fault
                 if kind == "breach":
                     raise InvariantBreach(message)
+                if kind == "overflow":
+                    raise OverflowError(message)
                 raise RuntimeError(f"sweep worker {k} failed on chunk {i}:\n{message}")
     finally:
         for pipe in pipes:
@@ -514,10 +536,90 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _plain_verbs() -> tuple[str, dict]:
+    """The subcommand's dest, and verb -> (flags, defaults, required).
+
+    All read from ``build_parser()``: ``flags`` maps each option string to
+    its action, ``defaults`` is the namespace argparse starts the verb
+    with, and ``required`` holds the dests of the required flags.  A verb
+    with an action other than help, a one-value store or a store_const
+    (such as store_true) is left out, so argparse reads all its argv.
+    """
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    verbs = {}
+    for name, verb in sub.choices.items():
+        flags, defaults, required = {}, {}, set()
+        for action in verb._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if not (isinstance(action, argparse._StoreConstAction)
+                    or type(action) is argparse._StoreAction and action.nargs is None):
+                break
+            flags.update(dict.fromkeys(action.option_strings, action))
+            if action.required:
+                required.add(action.dest)
+            defaults[action.dest] = action.default
+        else:
+            for dest, value in verb._defaults.items():
+                defaults.setdefault(dest, value)
+            verbs[name] = flags, defaults, required
+    return sub.dest, verbs
+
+
+def _read_plain(argv) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives, for plain argv.
+
+    Plain argv is a verb, then each of its flags at most once, exactly as
+    declared: ``--flag value`` with a value that does not start with "-",
+    converts by the flag's type and lies in its choices, or a bare
+    store_true flag; and every required flag given.  For any other argv,
+    help included, this returns None and argparse decides.
+    """
+    command, verbs = _plain_verbs()
+    spec = verbs.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    flags, defaults, required = spec
+    values = {}
+    i, n = 1, len(argv)
+    while i < n:
+        action = flags.get(argv[i])
+        if action is None or action.dest in values:
+            return None
+        if action.nargs == 0:
+            value = action.const
+        else:
+            i += 1
+            if i == n or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except ValueError:
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+        i += 1
+    if not required <= values.keys():
+        return None
+    args = argparse.Namespace(**{command: argv[0]})
+    vars(args).update(defaults)
+    vars(args).update(values)
+    return args
+
+
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _read_plain(argv)
+            if args is None:
+                args = build_parser().parse_args(argv)
         except SystemExit as ex:
             # Help and usage errors exit from inside argparse.
             code = int(ex.code or 0)
@@ -534,6 +636,9 @@ def main(argv=None) -> int:
         return 3
     except MemoryError:
         print("error: out of memory: the parameters are too large", file=sys.stderr)
+        return 2
+    except OverflowError as ex:
+        print(f"error: the parameters are too large: {ex}", file=sys.stderr)
         return 2
 
 

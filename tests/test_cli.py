@@ -21,9 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tevdeg.cli as cli
+import tevdeg.closed_forms as closed_forms
 import tevdeg.engine as engine
 from tevdeg.cli import int_str, main, parse_ell, parse_range, split_str
 from tevdeg.closed_forms import vtev_hypersurface_closed
+from tevdeg.enumerativity import certify_enumerative
 from tevdeg.errors import ParameterError
 from tevdeg.truncpoly import UniPoly
 
@@ -599,6 +601,29 @@ def test_sweep_of_a_huge_range_streams_in_bounded_memory(tmp_path, jobs):
                          "0,6,3,3,5,4,2592,2592,true,true,false,true"]
 
 
+@pytest.mark.parametrize("method", ["closed", "engine", "both"])
+def test_overflow_exits_2_without_a_traceback(capsys, method):
+    # n is about 3*10^22, too many marks for a tuple of any size.
+    code, out, err = run(capsys, ["hyp", "--g", "1", "--d", "3" + "0" * 22, "--e", "3",
+                                  "--r", "1" + "0" * 22, "--method", method])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the parameters are too large") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_sweep_overflow_in_a_worker_exits_2_as_a_serial_sweep(tmp_path, capsys,
+                                                              monkeypatch, jobs):
+    # Chunk 0 is d 1..64; the overflowing tuple is chunk 1, a worker's.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ["sweep", "--e", "3", "--r", "3", "--g", "0", "--d", "1..64,3" + "0" * 22]
+    paths = [tmp_path / "serial.csv", tmp_path / "par.csv"]
+    serial = run(capsys, argv + ["--out", str(paths[0])])
+    assert serial[0] == 2 and serial[2].startswith("error: the parameters are too large")
+    assert run(capsys, argv + ["--out", str(paths[1]), "--jobs", jobs]) == serial
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    _assert_no_child()
+
+
 def test_out_of_memory_exits_2_without_a_traceback():
     # 2*10^12 + 1 marks: the profile of HypParams.standard cannot be built
     # under the cap, whatever the --method.
@@ -629,6 +654,47 @@ def no_digit_limit():
     sys.set_int_max_str_digits(0)
     yield
     sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def low_digit_limit():
+    """The int/str digit limit at its floor, 640, so that small inputs pass it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no limit
+        pytest.skip("no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def _bytes_past_the_limit(capsys, argv):
+    """(status, stdout, stderr) of argv at the lowered limit and with it lifted."""
+    low = run(capsys, argv)
+    sys.set_int_max_str_digits(0)
+    return low, run(capsys, argv)
+
+
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_alpha_prints_multipliers_past_the_digit_limit(capsys, low_digit_limit, as_json):
+    low, lifted = _bytes_past_the_limit(capsys, ["alpha", "--e", "270", "--r", "1",
+                                                 *as_json])
+    assert low == lifted and low[0] == 0
+    assert max(len(str(v)) for v in closed_forms.alpha_coefficients(270, 1)) > 640
+
+
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_certify_prints_a_bound_past_the_digit_limit(capsys, low_digit_limit, as_json):
+    g, d, e, r = 1, 3 * 10**330, 3, 10**330
+    argv = ["certify", "--g", str(g), "--d", str(d), "--e", str(e), "--r", str(r)]
+    low, lifted = _bytes_past_the_limit(capsys, argv + as_json)
+    assert low == lifted and low[0] == 0
+    rep = certify_enumerative(g, d, e, r)
+    assert rep.closed_bound.denominator != 1
+    assert min(len(str(rep.closed_bound.numerator)), len(str(rep.strata_checked))) > 640
+    if as_json:
+        doc = json.loads(low[1])
+        assert doc["closed_bound"] == str(rep.closed_bound)
+        assert doc["strata_checked"] == rep.strata_checked
 
 
 def _big_args():
@@ -785,8 +851,10 @@ def test_p1_digest():
 # -- the parser is built once per process ----------------------------------------------
 
 # A bad argv, a good hyp, --help, an unknown verb, a missing required flag,
-# a bad choice, a good qh, then help at another width: (argv, COLUMNS) in
-# call order.
+# a bad choice, a good qh, help at another width, then argv the plain reader
+# leaves to argparse (--flag=value, an abbreviation, a repeated flag, a
+# value starting with "-", verb help) and one it reads in any flag order:
+# (argv, COLUMNS) in call order.
 SHARED_PARSER_SEQUENCE = [
     (["p1", "--g", "x", "--d", "4"], "80"),
     (["hyp", "--g", "1", "--d", "30", "--e", "3", "--r", "10"], "80"),
@@ -797,6 +865,12 @@ SHARED_PARSER_SEQUENCE = [
     (["qh", "--g", "2", "--d", "2", "--r", "2"], "80"),
     (["--help"], "40"),
     (["insert", "--help"], "40"),
+    (["hyp", "--g=1", "--d=30", "--e=3", "--r=10"], "80"),
+    (["p1", "--meth", "both", "--g", "3", "--d", "4"], "80"),
+    (["p1", "--g", "2", "--d", "4", "--g", "3"], "80"),
+    (["p1", "--g", "-1", "--d", "4"], "80"),
+    (["qh", "--json", "--g", "2", "--d", "2", "--r", "2"], "80"),
+    (["insert", "-h"], "80"),
 ]
 
 
@@ -962,3 +1036,87 @@ def test_argv_fuzz_keeps_the_exit_status_contract(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
+
+
+# -- the plain argv reader ----------------------------------------------------------------
+
+# One plain argv per verb, every flag given.
+PLAIN_ARGV = [
+    ["p1", "--g", "3", "--d", "4", "--method", "cps", "--json"],
+    ["hyp", "--g", "1", "--d", "30", "--e", "3", "--r", "10", "--method", "engine"],
+    ["insert", "--g", "0", "--d", "6", "--e", "3", "--r", "3", "--ell", "2,2,2,1,1,1",
+     "--method", "closed", "--json"],
+    ["alpha", "--e", "3", "--r", "3", "--json"],
+    ["qh", "--json", "--g", "2", "--d", "2", "--r", "2", "--n", "3"],
+    ["certify", "--g", "1", "--d", "5", "--e", "3", "--r", "5", "--json"],
+    ["sweep", "--g", "0..3", "--d", "1..30", "--e", "3..5", "--r", "3..10",
+     "--format", "jsonl", "--out", "grid.jsonl", "--jobs", "2"],
+    ["verify"],
+]
+
+
+def _read_plain_checked(argv):
+    """The plain reader's namespace for argv, held equal to argparse's."""
+    fast = cli._read_plain(argv)
+    if fast is not None:
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                want = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses an argv the plain reader read: {argv}")
+        assert vars(fast) == vars(want), argv
+    return fast
+
+
+def _split(argv):
+    """argv with each --flag=value token split into --flag, value."""
+    return [part for token in argv
+            for part in (token.split("=", 1) if token.startswith("--") else [token])]
+
+
+def test_plain_reader_reads_the_plain_form_of_every_verb():
+    verbs = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    assert sorted(argv[0] for argv in PLAIN_ARGV) == sorted(verbs)
+    for argv in PLAIN_ARGV:
+        assert _read_plain_checked(argv) is not None, argv
+    # With the defaults, as the other tests call them.
+    for argv in [[verb, *flags] for verb, flags in ROUTE_ARGV.items()] + STDOUT_VERBS[:-1]:
+        assert _read_plain_checked(argv) is not None, argv
+
+
+def test_plain_reader_agrees_with_argparse_on_the_corpora():
+    corpus = _query_corpus() + _p1_corpus()
+    read = 0
+    for argv in corpus:
+        assert _read_plain_checked(argv) is None, argv     # --flag=value
+        read += _read_plain_checked(_split(argv)) is not None
+    # All but those with a negative value, such as "--g", "-1", which argparse reads.
+    assert read == sum("=-" not in " ".join(argv) for argv in corpus) == 1370
+
+
+@given(fuzz_argv())
+@settings(deadline=None, max_examples=1000)
+def test_plain_reader_agrees_with_argparse_on_fuzz_argv(argv):
+    _read_plain_checked(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["frobnicate", "--g", "3"], ["p1", "--help"],
+    ["p1", "--g", "3", "--d", "4", "-h"],
+    ["p1", "--g", "3", "--", "--d", "4"],
+    ["p1", "--g=3", "--d", "4"],
+    ["p1", "--g", "3", "--d", "4", "--meth", "cps"],
+    ["p1", "--g", "3", "--d", "4", "extra"],
+    ["p1", "--g", "3", "--g", "4", "--d", "4"],
+    ["p1", "--g", "3", "--d", "4", "--json", "--json"],
+    ["p1", "--g", "3"],
+    ["p1", "--g", "3", "--d"],
+    ["p1", "--g", "-1", "--d", "4"],
+    ["p1", "--g", "--d", "4"],
+    ["p1", "--g", "x", "--d", "4"],
+    ["p1", "--g", "3.5", "--d", "4"],
+    ["p1", "--g", "3", "--d", "4", "--method", "bogus"],
+    ["sweep", "--g", "0", "--d", "3", "--e", "3", "--r", "3", "--out", "-"],
+], ids=str)
+def test_plain_reader_leaves_the_rest_to_argparse(argv):
+    assert cli._read_plain(argv) is None
