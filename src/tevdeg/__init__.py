@@ -25,7 +25,6 @@ from .closed_forms import (
 )
 from .engine import (
     HypParams,
-    cycle_degree,
     deg_T,
     integrate_theta,
     point_factor,
@@ -62,7 +61,6 @@ __all__ = [
     "UniPoly",
     "alpha_coefficients",
     "certify_enumerative",
-    "cycle_degree",
     "deg_T",
     "deg_T_insertions_closed",
     "dims_check",

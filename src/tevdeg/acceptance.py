@@ -254,10 +254,7 @@ def criterion_6_exactness() -> CriterionResult:
     failures = []
     params = main_grid_params()
     for p in params:
-        value = engine.cycle_degree(p)
-        if type(value) is not int:
-            failures.append(f"{(p.g, p.d, p.e, p.r)}: non-integral degree {value}")
-            continue
+        value = engine.deg_T(p)
         if value % p.e**p.n != 0:
             failures.append(f"{(p.g, p.d, p.e, p.r)}: e^n does not divide {value}")
     code = _run_cli_with_corrupted_point_factor()

@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import decimal
 import functools
 import io
 import itertools
@@ -48,7 +47,7 @@ import sys
 
 from . import closed_forms, engine, enumerativity, quantum, schubert
 from .enumerativity import certify_enumerative
-from .errors import InvariantBreach, ParameterError
+from .errors import InvariantBreach, ParameterError, int_str
 
 
 def parse_range(text: str) -> list[range]:
@@ -85,41 +84,6 @@ def parse_ell(text: str) -> tuple[int, ...]:
         raise ParameterError(f"bad insertion list {text!r}: {ex}") from None
 
 
-def int_str(v: int) -> str:
-    """``str(v)`` for an int of any size.
-
-    ``str`` refuses ints past the process-wide digit limit (4300 by
-    default); those go through ``split_str``, and the limit is left alone.
-    """
-    try:
-        return str(v)
-    except ValueError:
-        return split_str(v)
-
-
-def split_str(v: int) -> str:
-    """Decimal digits of ``v``, by binary splitting as in CPython 3.12's _pylong.
-
-    n = hi * 2^w + lo is split down to 128-bit pieces, which are joined
-    back in ``decimal`` at ``MAX_PREC`` with ``Inexact`` trapped: exact, and
-    in subquadratic time, unlike ``str``.
-    """
-    def convert(n, w):
-        if w <= 128:
-            return decimal.Decimal(n)
-        half = w >> 1
-        hi = n >> half
-        lo = convert(n - (hi << half), half)
-        return lo + convert(hi, w - half) * decimal.Decimal(2) ** half
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        digits = str(convert(abs(v), abs(v).bit_length()))
-    return "-" + digits if v < 0 else digits
-
-
 def _print(*values, end: str = "\n", flush: bool = False) -> None:
     """``print`` to stdout, where an OSError is bad output (exit 2).
 
@@ -132,43 +96,54 @@ def _print(*values, end: str = "\n", flush: bool = False) -> None:
         raise ParameterError(f"cannot write stdout: {ex}") from ex
 
 
-def _print_result(params: dict, results: list[tuple[str, int]],
-                  flags: dict, as_json: bool) -> None:
+def _report(args, params: dict, flags: dict, **routes) -> int:
+    """Run the routes ``--method`` selects, print their values, and return 0.
+
+    Each route is a thunk named by its method, so only the selected ones
+    run, in the order given: all of them for "both", or for a verb with no
+    ``--method``.  The text form is a params line, a line per route, the
+    agreement line when more than one ran, and a line per flag; ``--json``
+    gives one object of the same.  A params int past the digit limit, which
+    ``str`` and ``json.dumps`` refuse, is written by ``int_str``.
+    """
+    names = routes if getattr(args, "method", "both") == "both" else (args.method,)
+    results = [(name, routes[name]()) for name in names]
     agreement = len({v for _, v in results}) <= 1
-    if as_json:
+    if args.json:
         doc = {
             "params": params,
             "results": [{"method": m, "value": int_str(v)} for m, v in results],
             "agreement": agreement,
             "flags": flags,
         }
-        _print(json.dumps(doc, sort_keys=False))
-        return
-    _print(" ".join(f"{k}={v}" for k, v in params.items()))
+        try:
+            text = json.dumps(doc)
+        except ValueError:
+            # Only a params int can pass the limit: ell's parts passed int(),
+            # and str of a list of ints is its JSON.
+            fields = ", ".join(f'"{k}": {int_str(v) if isinstance(v, int) else v}'
+                               for k, v in params.items())
+            del doc["params"]
+            text = f'{{"params": {{{fields}}}, {json.dumps(doc)[1:]}'
+        _print(text)
+        return 0
+    _print(" ".join(f"{k}={int_str(v) if isinstance(v, int) else v}"
+                    for k, v in params.items()))
     for method, value in results:
         _print(f"{method:<10} {int_str(value)}")
     if len(results) > 1:
         _print(f"agreement  {str(agreement).lower()}")
     for k, v in flags.items():
         _print(f"{k:<14} {str(v).lower()}")
-
-
-def _routes(args, **routes) -> list[tuple[str, int]]:
-    """(name, value) for each route ``--method`` selects, in the order given.
-
-    Each route is a thunk, so only the selected ones run; "both" selects all.
-    """
-    names = routes if args.method == "both" else (args.method,)
-    return [(name, routes[name]()) for name in names]
+    return 0
 
 
 def cmd_p1(args) -> int:
     g, d = args.g, args.d
     n = enumerativity.line_dims_check(g, d)
-    results = _routes(args, cps=lambda: closed_forms.tev_p1_cps(g, d),
-                      schubert=lambda: schubert.tev_p1_schubert(g, d))
-    _print_result({"g": g, "d": d, "n": n}, results, {}, args.json)
-    return 0
+    return _report(args, {"g": g, "d": d, "n": n}, {},
+                   cps=lambda: closed_forms.tev_p1_cps(g, d),
+                   schubert=lambda: schubert.tev_p1_schubert(g, d))
 
 
 def _hyp_flags(rep) -> dict:
@@ -190,25 +165,20 @@ def cmd_hyp(args) -> int:
     g, d, e, r = args.g, args.d, args.e, args.r
     # The tuple's own gate decides for every method, as in `insert` and `sweep`.
     p = engine.HypParams.standard(g, d, e, r)
-    rep = certify_enumerative(g, d, e, r)
-    results = _routes(
-        args, closed=lambda: closed_forms.vtev_hypersurface_closed(g, d, e, r),
-        engine=lambda: engine.tev_hypersurface_engine(p))
-    params = {"g": g, "d": d, "e": e, "r": r, "n": p.n}
-    _print_result(params, results, _hyp_flags(rep), args.json)
-    return 0
+    flags = _hyp_flags(certify_enumerative(g, d, e, r))
+    return _report(args, {"g": g, "d": d, "e": e, "r": r, "n": p.n}, flags,
+                   closed=lambda: closed_forms.vtev_hypersurface_closed(g, d, e, r),
+                   engine=lambda: engine.tev_hypersurface_engine(p))
 
 
 def cmd_insert(args) -> int:
     g, d, e, r = args.g, args.d, args.e, args.r
     ell = parse_ell(args.ell)
     p = engine.HypParams(g, d, e, r, ell)
-    results = _routes(
-        args, closed=lambda: closed_forms.deg_T_insertions_closed(g, d, e, r, ell),
-        engine=lambda: engine.deg_T(p))
     params = {"g": g, "d": d, "e": e, "r": r, "n": p.n, "ell": list(ell)}
-    _print_result(params, results, {}, args.json)
-    return 0
+    return _report(args, params, {},
+                   closed=lambda: closed_forms.deg_T_insertions_closed(g, d, e, r, ell),
+                   engine=lambda: engine.deg_T(p))
 
 
 def cmd_alpha(args) -> int:
@@ -225,9 +195,8 @@ def cmd_alpha(args) -> int:
 def cmd_qh(args) -> int:
     g, d, r = args.g, args.d, args.r
     n = enumerativity.projective_dims_check(g, d, r) if args.n is None else args.n
-    value = quantum.vtev_projective_qh(g, d, r, n)
-    _print_result({"g": g, "d": d, "r": r, "n": n}, [("quantum", value)], {}, args.json)
-    return 0
+    return _report(args, {"g": g, "d": d, "r": r, "n": n}, {},
+                   quantum=lambda: quantum.vtev_projective_qh(g, d, r, n))
 
 
 def cmd_certify(args) -> int:
@@ -306,14 +275,20 @@ def _chunks(tuples):
         yield chunk
 
 
+# The exceptions ``main`` maps to an exit status: a sweep worker passes them on.
+_MAPPED = {cls.__name__: cls for cls in
+           (ParameterError, InvariantBreach, OverflowError, MemoryError)}
+
+
 def _sweep_worker(tuples, k, jobs, wfd, read_fds):
     """Send chunks k, k + jobs, ... down ``wfd``, one JSON line each.
 
     A line is ``[records, fault]``: the chunk's records, or those before a
-    failure, and ``fault`` None, ``["breach", message]``, ``["overflow",
-    message]`` or ``["error", traceback]``.  A worker closes the pipe ends ``read_fds`` it inherited,
-    and never returns: ``os._exit`` skips the buffers and exit hooks it
-    inherited too, such as those of ``--out`` and stdout.
+    failure, and ``fault`` None, ``[name, message]`` for an exception of a
+    class in ``_MAPPED`` or ``["error", traceback]`` for any other.  A
+    worker closes the pipe ends ``read_fds`` it inherited, and never
+    returns: ``os._exit`` skips the buffers and exit hooks it inherited
+    too, such as those of ``--out`` and stdout.
     """
     try:
         for fd in read_fds:
@@ -325,14 +300,13 @@ def _sweep_worker(tuples, k, jobs, wfd, read_fds):
                 try:
                     for tup in chunk:
                         records.append(sweep_record(*tup, marks))
-                except InvariantBreach as ex:
-                    fault = ["breach", str(ex)]
-                except OverflowError as ex:
-                    fault = ["overflow", str(ex)]
-                except Exception:
+                except Exception as ex:
                     import traceback
 
-                    fault = ["error", traceback.format_exc()]
+                    name = next((n for n, cls in _MAPPED.items() if isinstance(ex, cls)),
+                                None)
+                    fault = ([name, str(ex)] if name else
+                             ["error", traceback.format_exc()])
                 pipe.write(json.dumps([records, fault]).encode() + b"\n")
                 pipe.flush()
                 if fault:
@@ -378,10 +352,8 @@ def _sweep_records(tuples, jobs):
             yield from records
             if fault:
                 kind, message = fault
-                if kind == "breach":
-                    raise InvariantBreach(message)
-                if kind == "overflow":
-                    raise OverflowError(message)
+                if kind in _MAPPED:
+                    raise _MAPPED[kind](message)
                 raise RuntimeError(f"sweep worker {k} failed on chunk {i}:\n{message}")
     finally:
         for pipe in pipes:

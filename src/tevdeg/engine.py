@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .enumerativity import dims_check, insertion_dims_check
-from .errors import InvariantBreach, ParameterError
+from .errors import InvariantBreach, ParameterError, int_str
 from .truncpoly import TruncPoly
 
 
@@ -180,8 +180,8 @@ def integrate_theta(c: list[int], g: int) -> int:
     return c[g]
 
 
-def cycle_degree(p: HypParams, marks: dict | None = None) -> int:
-    """Exact degree of the incidence cycle for marks with dimensions ``p.ell``.
+def deg_T(p: HypParams, marks: dict | None = None) -> int:
+    """Degree of the incidence cycle for marks with dimensions ``p.ell``.
 
     The whole pipeline: point factors, Chern class, support-window check,
     pushforward and integral.  Marks with equal ell_i share one monomial,
@@ -189,8 +189,10 @@ def cycle_degree(p: HypParams, marks: dict | None = None) -> int:
     so far: a missing one is built by ``point_factor`` and stored there, so
     it runs once per key and dict.  With no dict each call starts from an
     empty one.  The monomial's coefficient and the Chern scale e^t multiply
-    the pushed-down sum once, outside the stages.  No integrality or sign
-    check is made here; ``deg_T`` adds those.
+    the pushed-down sum once, outside the stages.
+
+    The result is e^n times the count of maps when every mark is on a
+    line; it is certified integral and nonnegative before being returned.
     """
     if marks is None:
         marks = {}
@@ -207,38 +209,28 @@ def cycle_degree(p: HypParams, marks: dict | None = None) -> int:
 
     scale, terms = step3_class(p.e, p.t, p.g)
     degree = hdeg + p.t
-    if coeff:
-        lo, hi = p.N - 1, p.N - 1 + p.g
-        for j, c in enumerate(terms):
-            if c and not (lo <= degree - j <= hi):
-                raise InvariantBreach(
-                    f"pipeline class has H-degree {degree - j} outside [{lo}, {hi}]"
-                )
+    # The Chern terms (-e)^m theta^[m] H^{degree-m}, m = 0..g, are all
+    # nonzero, and all lie in the support window [N-1, N-1+g] of H-degrees
+    # just when degree = N-1+g.
+    if coeff and degree != p.N - 1 + p.g:
+        raise InvariantBreach(
+            f"pipeline class has top H-degree {degree}, not N - 1 + g = {p.N - 1 + p.g}"
+        )
     pushed = pushforward_theta(terms, degree, p.r, p.N, p.g)
-    return coeff * scale * integrate_theta(pushed, p.g)
-
-
-def deg_T(p: HypParams, marks: dict | None = None) -> int:
-    """Degree of the incidence cycle: the full pipeline, integrated.
-
-    The result is e^n times the count of maps when every mark is on a
-    line; it is certified integral and nonnegative before being returned.
-    ``marks`` is the point-factor dict of ``cycle_degree``.
-    """
-    value = cycle_degree(p, marks)
+    value = coeff * scale * integrate_theta(pushed, p.g)
     # Only a non-int point factor (a corrupted fixture or marks dict) makes
     # a non-int here, and int() would truncate it silently.
     if type(value) is not int:
         raise InvariantBreach(f"cycle degree {value} is not an integer")
     if value < 0:
-        raise InvariantBreach(f"cycle degree {value} is negative")
+        raise InvariantBreach(f"cycle degree {int_str(value)} is negative")
     return value
 
 
 def tev_hypersurface_engine(p: HypParams, marks: dict | None = None) -> int:
     """The count of honest maps through points: deg_T divided exactly by e^n.
 
-    ``marks`` is the point-factor dict of ``cycle_degree``.
+    ``marks`` is the point-factor dict of ``deg_T``.
     """
     if p.ell.count(1) != p.n:
         raise ParameterError(
@@ -248,6 +240,6 @@ def tev_hypersurface_engine(p: HypParams, marks: dict | None = None) -> int:
     q, rem = divmod(total, p.e**p.n)
     if rem != 0:
         raise InvariantBreach(
-            f"cycle degree {total} is not divisible by e^n = {p.e}^{p.n}"
+            f"cycle degree {int_str(total)} is not divisible by e^n = {p.e}^{p.n}"
         )
     return q

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import ParameterError, int_str
 
 
 def _check_tuple(g: int, d: int, e: int, r: int) -> None:
@@ -66,7 +66,7 @@ def dims_check(g: int, d: int, e: int, r: int) -> int:
         )
     n = num // r - g + 1
     if n < 1:
-        raise ParameterError(f"point count n = {n} must be >= 1")
+        raise ParameterError(f"point count n = {int_str(n)} must be >= 1")
     if 2 * g - 2 + n <= 0:
         raise ParameterError(f"(g, n) = ({g}, {n}) is outside the stable range")
     return n
@@ -108,8 +108,8 @@ def insertion_dims_check(g: int, d: int, e: int, r: int, ell) -> int:
     rhs = (r + 2 - e) * d + sum(ell) - n
     if lhs != rhs:
         raise ParameterError(
-            f"insertion dimension condition fails: r(n+g-1) = {lhs} "
-            f"!= (r+2-e)d + sum(ell_i - 1) = {rhs}"
+            f"insertion dimension condition fails: r(n+g-1) = {int_str(lhs)} "
+            f"!= (r+2-e)d + sum(ell_i - 1) = {int_str(rhs)}"
         )
     if 2 * g - 2 + n <= 0:
         raise ParameterError(f"(g, n) = ({g}, {n}) is outside the stable range")
@@ -144,7 +144,7 @@ def projective_dims_check(g: int, d: int, r: int) -> int:
         )
     n = (r + 1) * d // r - g + 1
     if n < 1:
-        raise ParameterError(f"point count n = {n} must be >= 1")
+        raise ParameterError(f"point count n = {int_str(n)} must be >= 1")
     return n
 
 
@@ -180,10 +180,6 @@ class StratumProfile:
     b1: int
     b2: int
 
-    def d_prime(self, d: int) -> int:
-        """Degree left after twisting down all base-points."""
-        return d - self.b0 - 2 * self.b2
-
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -215,7 +211,8 @@ def stratum_audit(
         raise ParameterError("stratum must have at least one base-point")
     if b1 + b2 > n:
         raise ParameterError(f"b1 + b2 = {b1 + b2} exceeds n = {n}")
-    dp = stratum.d_prime(d)
+    # d', the degree left after twisting down all base-points.
+    dp = d - b0 - 2 * b2
     if dp < 0:
         raise ParameterError(f"stratum degree d' = {dp} is negative")
 

@@ -1,4 +1,4 @@
-"""Exception types shared by all computation routes.
+"""Exception types shared by all routes, and ``int_str`` for their messages.
 
 Two failure modes are kept strictly apart:
 
@@ -12,6 +12,8 @@ Two failure modes are kept strictly apart:
   This signals a bug, never bad input.  The CLI maps it to exit status 3.
 """
 
+import decimal
+
 
 class ParameterError(ValueError):
     """Rejected input: the requested parameters violate a validity condition."""
@@ -19,3 +21,38 @@ class ParameterError(ValueError):
 
 class InvariantBreach(RuntimeError):
     """Internal consistency check failed on valid input."""
+
+
+def int_str(v: int) -> str:
+    """``str(v)`` for an int of any size.
+
+    ``str`` refuses ints past the process-wide digit limit (4300 by
+    default); those go through ``split_str``, and the limit is left alone.
+    """
+    try:
+        return str(v)
+    except ValueError:
+        return split_str(v)
+
+
+def split_str(v: int) -> str:
+    """Decimal digits of ``v``, by binary splitting as in CPython 3.12's _pylong.
+
+    n = hi * 2^w + lo is split down to 128-bit pieces, which are joined
+    back in ``decimal`` at ``MAX_PREC`` with ``Inexact`` trapped: exact, and
+    in subquadratic time, unlike ``str``.
+    """
+    def convert(n, w):
+        if w <= 128:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        lo = convert(n - (hi << half), half)
+        return lo + convert(hi, w - half) * decimal.Decimal(2) ** half
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(v), abs(v).bit_length()))
+    return "-" + digits if v < 0 else digits

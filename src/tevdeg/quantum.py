@@ -16,7 +16,7 @@ sum_j dual(gamma_j) * gamma_j over a basis of the cohomology.
 
 from __future__ import annotations
 
-from .errors import ParameterError
+from .errors import ParameterError, int_str
 
 # (q exponent, h exponent) -> integer coefficient; zero coefficients absent.
 QTerm = tuple[int, int]
@@ -136,7 +136,9 @@ def vtev_projective_qh(g: int, d: int, r: int, n: int) -> int:
     """
     point = QPolyClass.point(r)  # refuses r < 1 first
     if g < 0 or d < 1 or n < 1:
-        raise ParameterError(f"invalid parameters (g, d, r, n) = {(g, d, r, n)}")
+        raise ParameterError(
+            f"invalid parameters (g, d, r, n) = ({g}, {d}, {r}, {int_str(n)})"
+        )
     if 2 * g - 2 + n <= 0:
         raise ParameterError(f"(g, n) = ({g}, {n}) is outside the stable range")
     return qmul(qpow(point, n), qpow(quantum_euler(r), g)).coeff(d, r)

@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import random
+import re
 import resource
 import signal
 import subprocess
@@ -17,16 +18,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tevdeg.cli as cli
 import tevdeg.closed_forms as closed_forms
 import tevdeg.engine as engine
-from tevdeg.cli import int_str, main, parse_ell, parse_range, split_str
+from tevdeg.cli import main, parse_ell, parse_range
 from tevdeg.closed_forms import vtev_hypersurface_closed
 from tevdeg.enumerativity import certify_enumerative
-from tevdeg.errors import ParameterError
+from tevdeg.errors import InvariantBreach, ParameterError, int_str, split_str
 from tevdeg.truncpoly import UniPoly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -496,6 +497,29 @@ def test_sweep_worker_failure_is_never_silent(tmp_path, capsys, monkeypatch,
     _assert_no_child()
 
 
+@pytest.mark.parametrize("exc", [ParameterError, InvariantBreach, OverflowError,
+                                 MemoryError])
+def test_sweep_worker_passes_on_what_main_maps(tmp_path, capsys, monkeypatch, exc):
+    # A worker's exception that main maps to an exit status gives the status,
+    # output and file of a serial sweep, not a traceback.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    record = cli.sweep_record
+
+    def failing(*args):
+        if args[:4] == (0, 20, 3, 4):   # a valid tuple of chunk 1
+            raise exc("failed in chunk 1")
+        return record(*args)
+
+    monkeypatch.setattr(cli, "sweep_record", failing)
+    argv = _one_r_per_chunk("3..5")
+    paths = [tmp_path / "serial.csv", tmp_path / "par.csv"]
+    serial = run(capsys, argv + ["--out", str(paths[0])])
+    assert serial[0] in (2, 3) and "Traceback" not in serial[2]
+    assert run(capsys, argv + ["--out", str(paths[1]), "--jobs", "2"]) == serial
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    _assert_no_child()
+
+
 def test_closing_a_jobs_sweep_early_leaves_no_child():
     tuples = ((0, d, 3, 3) for d in range(1, 10_000))
     records = cli._sweep_records(tuples, 2)
@@ -644,27 +668,37 @@ def test_out_of_memory_exits_2_without_a_traceback():
 BIG = (0, 6600, 3, 3)  # n = 4401; the count has 4,473 digits
 
 
-@pytest.fixture
-def no_digit_limit():
-    """Lift the int/str digit limit for the test's own comparisons only."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no limit
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")   # from 3.10.7 on
+
+
+@contextlib.contextmanager
+def _digit_limit(limit):
+    """The int/str digit limit set to ``limit`` (0: none) inside the block."""
+    if not HAS_DIGIT_LIMIT:
         yield
         return
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    yield
-    sys.set_int_max_str_digits(old)
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def no_digit_limit():
+    """Lift the int/str digit limit for the test's own comparisons only."""
+    with _digit_limit(0):
+        yield
 
 
 @pytest.fixture
 def low_digit_limit():
     """The int/str digit limit at its floor, 640, so that small inputs pass it."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7: no limit
+    if not HAS_DIGIT_LIMIT:
         pytest.skip("no int/str digit limit")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    yield
-    sys.set_int_max_str_digits(old)
+    with _digit_limit(640):
+        yield
 
 
 def _bytes_past_the_limit(capsys, argv):
@@ -695,6 +729,27 @@ def test_certify_prints_a_bound_past_the_digit_limit(capsys, low_digit_limit, as
         doc = json.loads(low[1])
         assert doc["closed_bound"] == str(rep.closed_bound)
         assert doc["strata_checked"] == rep.strata_checked
+
+
+BIG_D = "9" * 640   # digits at the lowered limit
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["p1", "--g", "0", "--d", BIG_D], 0),                           # n = 2d + 1
+    (["p1", "--g", "0", "--d", BIG_D, "--json"], 0),
+    (["qh", "--g", "0", "--d", BIG_D, "--r", "1"], 0),               # n = 2d + 1
+    (["qh", "--g", "0", "--d", BIG_D, "--r", "1", "--json"], 0),
+    (["qh", "--g", "-1", "--d", BIG_D, "--r", "1"], 2),              # n = 2d + 2
+    (["qh", "--g", "0", "--d", "-" + BIG_D, "--r", "1"], 2),         # n = 2d + 1
+    (["hyp", "--g", "0", "--d", BIG_D, "--e", "60", "--r", "1"], 2),  # n = -57d + 1
+    (["insert", "--g", "0", "--d", BIG_D, "--e", "3", "--r", "12", "--ell", "1"], 2),
+], ids=["p1", "p1-json", "qh", "qh-json", "qh-refused", "qh-negative-d", "hyp-refused",
+        "insert-refused"])
+def test_verbs_write_ints_past_the_digit_limit(capsys, low_digit_limit, argv, code):
+    # Each output holds an int past the limit: the point count n, or 11d.
+    low, lifted = _bytes_past_the_limit(capsys, argv)
+    assert low == lifted and low[0] == code
+    assert max(map(len, re.findall(r"\d+", low[1] + low[2]))) > 640
 
 
 def _big_args():
@@ -989,6 +1044,9 @@ FUZZ_METHODS = {"p1": ["cps", "schubert", "both"], "hyp": ["closed", "engine", "
 # enough to reach the computations, or from all of |x| <= 60.
 FUZZ_TYPICAL = {"--g": (0, 3), "--d": (1, 60), "--e": (3, 6), "--r": (1, 12), "--n": (1, 12)}
 FUZZ_INT = st.integers(-60, 60).map(str)
+# The int/str digit limit the fuzz runs under: its floor, so that a --d of
+# 640 digits can make ints past it.
+FUZZ_DIGIT_LIMIT = 640
 FUZZ_ELL = st.lists(st.integers(-3, 60), max_size=6).map(
     lambda parts: ",".join(map(str, parts)))
 FUZZ_GARBAGE = st.sampled_from(
@@ -1012,6 +1070,11 @@ def fuzz_argv(draw):
     if "--e" in values and 0 < r <= 12 and draw(st.booleans()):
         # d a multiple of r, so that the point count n is an integer.
         values["--d"] = str(r * draw(st.integers(0, 60 // r)))
+    if "--d" in values and draw(st.integers(0, 3)) == 0:
+        # Up to FUZZ_DIGIT_LIMIT digits, so that a point count of about 2d,
+        # as in p1 and qh, can pass it.  Only --d is drawn so big: a huge --e
+        # or --g costs unbounded time in alpha or p1.
+        values["--d"] = str(draw(st.integers(10**638, 10**640 - 1)))
     argv = [verb]
     for flag in draw(st.permutations(FUZZ_FLAGS[verb])):
         if draw(st.sampled_from([True] * 19 + [False])):
@@ -1027,10 +1090,14 @@ def fuzz_argv(draw):
 
 
 @given(fuzz_argv())
+# The point count n = 2d + 1 of these has 641 digits, past FUZZ_DIGIT_LIMIT.
+@example(["p1", "--g", "0", "--d", BIG_D, "--json"])
+@example(["qh", "--g", "0", "--d", BIG_D, "--r", "1"])
 @settings(deadline=None, max_examples=400)
 def test_argv_fuzz_keeps_the_exit_status_contract(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (_digit_limit(FUZZ_DIGIT_LIMIT), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
         code = main(argv)
     assert code in (0, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()

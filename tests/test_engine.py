@@ -10,7 +10,6 @@ import tevdeg.engine as engine
 from tevdeg.closed_forms import alpha_coefficients, deg_T_insertions_closed
 from tevdeg.engine import (
     HypParams,
-    cycle_degree,
     deg_T,
     integrate_theta,
     point_factor,
@@ -234,7 +233,7 @@ def _oracle_grid():
 def test_engine_matches_fraction_oracle_on_grid():
     seen = 0
     for p in _oracle_grid():
-        got = cycle_degree(p)
+        got = deg_T(p)
         assert type(got) is int and got == _fraction_cycle_degree(p), p
         seen += 1
     assert seen == 3300
@@ -420,9 +419,6 @@ def test_deg_T_builds_one_point_factor_per_distinct_ell(monkeypatch):
     assert deg_T(p) == 6001128
     assert sorted(calls) == [1, 2]
     calls.clear()
-    assert cycle_degree(p) == 6001128
-    assert sorted(calls) == [1, 2]
-    calls.clear()
     deg_T(HypParams.standard(3, 300, 3, 10))  # 268 marks, all ell = 1
     assert calls == [1]
     # A shared dict builds each (e, r, ell) once, across calls.
@@ -513,6 +509,21 @@ def test_corrupted_degree_breaches_support_window(monkeypatch):
     monkeypatch.setattr(engine, "point_factor", corrupted)
     with pytest.raises(InvariantBreach, match="H-degree"):
         engine.deg_T(HypParams.standard(0, 3, 3, 3))
+
+
+def test_breach_on_a_count_past_the_digit_limit_names_it(monkeypatch):
+    # The cycle degree of (0, 6600, 3, 3), 6^4401 * 3^6598, and 49^4401
+    # both pass the default limit of 4300 digits; each breach still raises.
+    p = HypParams.standard(0, 6600, 3, 3)
+    alpha, h = point_factor(3, 3, 1)
+    monkeypatch.setattr(engine, "point_factor", lambda e, r, ell_i: (-alpha, h))
+    with pytest.raises(InvariantBreach, match="is negative"):
+        deg_T(p)
+    # With 49 for alpha and no scale e^t, 3^n does not divide the degree.
+    monkeypatch.setattr(engine, "point_factor", lambda e, r, ell_i: (49, h))
+    monkeypatch.setattr(engine, "step3_class", lambda e, t, g: (1, [1] + [0] * g))
+    with pytest.raises(InvariantBreach, match="not divisible"):
+        tev_hypersurface_engine(p)
 
 
 # -- scale ------------------------------------------------------------------------------
