@@ -7,30 +7,22 @@ integers are printed as decimal strings, and no floating point appears
 anywhere.  A query verb, or help, whose stdout cannot be written exits 2
 with one ``error: cannot write stdout: ...`` line.
 
-``main`` reads plain argv in one pass (``_read_plain``): a verb, then each
-of its flags at most once, spelled exactly as declared, as ``--flag value``
-with a value that does not start with "-" and that the flag's type and
-choices accept, or as a bare store_true flag, with every required flag
-present.  What that pass needs (option strings, dest, type, choices,
-default, required, const and the verb's ``func``) it reads from the parser,
-not from a second declaration, and it gives the ``Namespace`` argparse
-would give.  Every other argv goes to argparse, which alone decides: help
-and ``--``, ``--flag=value``, abbreviations, unknown, repeated or missing
-flags, values starting with "-" and values a flag refuses.  So argparse
-writes every help, usage and error message, and parsing costs a few
-microseconds instead of tens.
+``VERBS`` declares each verb and its flags once, and both ``build_parser``
+and ``_read_plain`` read it.  ``main`` reads plain argv (see ``_read_plain``)
+in one pass, in a few microseconds where argparse takes tens.  Every other
+argv goes to argparse, which alone decides: help and ``--``,
+``--flag=value``, abbreviations, unknown, repeated or missing flags, values
+starting with "-" and values a flag refuses.  So argparse writes every
+help, usage and error message.
 
-The parser is built once per process, on the first ``main`` call, and
-every later call reuses it; building it costs more than most queries.
-Sharing it is safe because:
-
-- ``parse_args`` builds a fresh ``Namespace`` for each call and never
-  changes the parser;
-- the help formatter, and with it ``COLUMNS``, is read each time help or
-  usage is formatted, not when the parser is built;
-- ``set_defaults(func=cmd_*)`` binds the verb functions when the parser
-  is built, and nothing rebinds a ``cmd_*``; what callers rebind (``main``,
-  ``certify_enumerative``, ``sweep_record``) the verbs look up at call time.
+The parser is built once per process, for the first argv the plain reader
+leaves to argparse, and then shared: building it costs more than most
+queries.  ``parse_args`` builds a fresh ``Namespace`` for each call and
+never changes the parser, and the help formatter, with it ``COLUMNS``, is
+read each time help or usage is formatted.  ``VERBS`` binds the ``cmd_*``
+functions at import, and nothing rebinds them; what callers rebind
+(``main``, ``certify_enumerative``, ``sweep_record``) the verbs look up at
+call time.
 """
 
 from __future__ import annotations
@@ -44,6 +36,7 @@ import itertools
 import json
 import os
 import sys
+from typing import NamedTuple
 
 from . import closed_forms, engine, enumerativity, quantum, schubert
 from .enumerativity import certify_enumerative
@@ -275,9 +268,19 @@ def _chunks(tuples):
         yield chunk
 
 
-# The exceptions ``main`` maps to an exit status: a sweep worker passes them on.
-_MAPPED = {cls.__name__: cls for cls in
-           (ParameterError, InvariantBreach, OverflowError, MemoryError)}
+# The exceptions ``main`` maps to an exit status, with the status and the
+# stderr line, formatted with the exception.  A sweep worker passes them on.
+EXIT_STATUS = {
+    ParameterError: (2, "error: {}"),
+    InvariantBreach: (3, "internal invariant breach: {}"),
+    MemoryError: (2, "error: out of memory: the parameters are too large"),
+    OverflowError: (2, "error: the parameters are too large: {}"),
+}
+
+
+def _mapped(ex: BaseException) -> type | None:
+    """The class in ``EXIT_STATUS`` that ``ex`` is an instance of, or None."""
+    return next((cls for cls in EXIT_STATUS if isinstance(ex, cls)), None)
 
 
 def _sweep_worker(tuples, k, jobs, wfd, read_fds):
@@ -285,7 +288,7 @@ def _sweep_worker(tuples, k, jobs, wfd, read_fds):
 
     A line is ``[records, fault]``: the chunk's records, or those before a
     failure, and ``fault`` None, ``[name, message]`` for an exception of a
-    class in ``_MAPPED`` or ``["error", traceback]`` for any other.  A
+    class in ``EXIT_STATUS`` or ``["error", traceback]`` for any other.  A
     worker closes the pipe ends ``read_fds`` it inherited, and never
     returns: ``os._exit`` skips the buffers and exit hooks it inherited
     too, such as those of ``--out`` and stdout.
@@ -303,9 +306,8 @@ def _sweep_worker(tuples, k, jobs, wfd, read_fds):
                 except Exception as ex:
                     import traceback
 
-                    name = next((n for n, cls in _MAPPED.items() if isinstance(ex, cls)),
-                                None)
-                    fault = ([name, str(ex)] if name else
+                    cls = _mapped(ex)
+                    fault = ([cls.__name__, str(ex)] if cls else
                              ["error", traceback.format_exc()])
                 pipe.write(json.dumps([records, fault]).encode() + b"\n")
                 pipe.flush()
@@ -352,8 +354,9 @@ def _sweep_records(tuples, jobs):
             yield from records
             if fault:
                 kind, message = fault
-                if kind in _MAPPED:
-                    raise _MAPPED[kind](message)
+                for cls in EXIT_STATUS:
+                    if cls.__name__ == kind:
+                        raise cls(message)
                 raise RuntimeError(f"sweep worker {k} failed on chunk {i}:\n{message}")
     finally:
         for pipe in pipes:
@@ -431,13 +434,57 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _verb(sub, name: str, help: str, func, *ints: str) -> argparse.ArgumentParser:
-    """Add the verb ``name``, run by ``func``, with a required int flag per name."""
-    verb = sub.add_parser(name, help=help)
-    for flag in ints:
-        verb.add_argument(f"--{flag}", type=int, required=True)
-    verb.set_defaults(func=func)
-    return verb
+# The default of a flag that must be given.  Only an argv that gives the
+# flag is read, so no namespace that a verb sees holds it.
+REQUIRED = object()
+
+
+class Flag(NamedTuple):
+    """A verb's ``--name`` flag: ``type`` converts its value, and a bare
+    ``bool`` marks a store_true flag, which takes none."""
+
+    name: str
+    type: type = int
+    default: object = REQUIRED
+    choices: tuple | None = None
+    help: str | None = None
+
+
+def _ints(*names: str) -> tuple[Flag, ...]:
+    return tuple(Flag(name) for name in names)
+
+
+def _method(*routes: str) -> Flag:
+    return Flag("method", str, "both", (*routes, "both"))
+
+
+JSON = Flag("json", bool, False)
+
+# Every verb, in --help order: its help, the cmd_* function that runs it and
+# its flags in usage order.  The one declaration that build_parser and
+# _read_plain both read.
+VERBS = {
+    "p1": ("counts of maps to the projective line", cmd_p1,
+           (*_ints("g", "d"), _method("cps", "schubert"), JSON)),
+    "hyp": ("counts of maps to a hypersurface", cmd_hyp,
+            (*_ints("g", "d", "e", "r"), _method("closed", "engine"), JSON)),
+    "insert": ("cycle degrees with linear-space insertions", cmd_insert,
+               (*_ints("g", "d", "e", "r"),
+                Flag("ell", str, help="comma-separated dimensions, e.g. 2,2,1"),
+                _method("closed", "engine"), JSON)),
+    "alpha": ("per-point insertion multipliers", cmd_alpha, (*_ints("e", "r"), JSON)),
+    "qh": ("projective-space counts via the quantum ring", cmd_qh,
+           (*_ints("g", "d", "r"),
+            Flag("n", int, None, help="override the point count (default: matching value)"),
+            JSON)),
+    "certify": ("enumerativity certificate for a tuple", cmd_certify,
+                (*_ints("g", "d", "e", "r"), JSON)),
+    "sweep": ("tabulate a parameter grid", cmd_sweep,
+              (Flag("g", str, help="range, e.g. 0..3"), Flag("d", str), Flag("e", str),
+               Flag("r", str), Flag("format", str, "csv", ("csv", "jsonl")), Flag("out", str),
+               Flag("jobs", int, 1, help="worker processes, at most the CPU count"))),
+    "verify": ("run the acceptance suite", cmd_verify, ()),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -456,88 +503,30 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every verb, built on the first call and then shared."""
+    """The parser of every verb in ``VERBS``, built on the first call and then shared."""
     parser = _Parser(
         prog="tevdeg",
         description="Exact curve counts on low-degree hypersurfaces and "
         "projective spaces, by independent routes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p1 = _verb(sub, "p1", "counts of maps to the projective line", cmd_p1, "g", "d")
-    p1.add_argument("--method", choices=("cps", "schubert", "both"), default="both")
-    p1.add_argument("--json", action="store_true")
-
-    hyp = _verb(sub, "hyp", "counts of maps to a hypersurface", cmd_hyp,
-                "g", "d", "e", "r")
-    hyp.add_argument("--method", choices=("closed", "engine", "both"), default="both")
-    hyp.add_argument("--json", action="store_true")
-
-    ins = _verb(sub, "insert", "cycle degrees with linear-space insertions", cmd_insert,
-                "g", "d", "e", "r")
-    ins.add_argument("--ell", type=str, required=True,
-                     help="comma-separated dimensions, e.g. 2,2,1")
-    ins.add_argument("--method", choices=("closed", "engine", "both"), default="both")
-    ins.add_argument("--json", action="store_true")
-
-    alpha = _verb(sub, "alpha", "per-point insertion multipliers", cmd_alpha, "e", "r")
-    alpha.add_argument("--json", action="store_true")
-
-    qh = _verb(sub, "qh", "projective-space counts via the quantum ring", cmd_qh,
-               "g", "d", "r")
-    qh.add_argument("--n", type=int, default=None,
-                    help="override the point count (default: matching value)")
-    qh.add_argument("--json", action="store_true")
-
-    cert = _verb(sub, "certify", "enumerativity certificate for a tuple", cmd_certify,
-                 "g", "d", "e", "r")
-    cert.add_argument("--json", action="store_true")
-
-    sweep = _verb(sub, "sweep", "tabulate a parameter grid", cmd_sweep)
-    sweep.add_argument("--g", type=str, required=True, help="range, e.g. 0..3")
-    sweep.add_argument("--d", type=str, required=True)
-    sweep.add_argument("--e", type=str, required=True)
-    sweep.add_argument("--r", type=str, required=True)
-    sweep.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    sweep.add_argument("--out", type=str, required=True)
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, at most the CPU count")
-
-    _verb(sub, "verify", "run the acceptance suite", cmd_verify)
-
+    for name, (summary, func, flags) in VERBS.items():
+        verb_parser = sub.add_parser(name, help=summary)
+        for flag in flags:
+            kind = ({"action": "store_true"} if flag.type is bool else
+                    {"type": flag.type, "choices": flag.choices,
+                     "required": flag.default is REQUIRED})
+            verb_parser.add_argument(f"--{flag.name}", default=flag.default,
+                                     help=flag.help, **kind)
+        verb_parser.set_defaults(func=func)
     return parser
 
 
-@functools.cache
-def _plain_verbs() -> tuple[str, dict]:
-    """The subcommand's dest, and verb -> (flags, defaults, required).
-
-    All read from ``build_parser()``: ``flags`` maps each option string to
-    its action, ``defaults`` is the namespace argparse starts the verb
-    with, and ``required`` holds the dests of the required flags.  A verb
-    with an action other than help, a one-value store or a store_const
-    (such as store_true) is left out, so argparse reads all its argv.
-    """
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    verbs = {}
-    for name, verb in sub.choices.items():
-        flags, defaults, required = {}, {}, set()
-        for action in verb._actions:
-            if isinstance(action, argparse._HelpAction):
-                continue
-            if not (isinstance(action, argparse._StoreConstAction)
-                    or type(action) is argparse._StoreAction and action.nargs is None):
-                break
-            flags.update(dict.fromkeys(action.option_strings, action))
-            if action.required:
-                required.add(action.dest)
-            defaults[action.dest] = action.default
-        else:
-            for dest, value in verb._defaults.items():
-                defaults.setdefault(dest, value)
-            verbs[name] = flags, defaults, required
-    return sub.dest, verbs
+# Verb -> (option string -> flag, the namespace argparse starts the verb
+# with): what _read_plain reads per call.
+_PLAIN = {name: ({f"--{flag.name}": flag for flag in flags},
+                 {"command": name, "func": func, **{flag.name: flag.default for flag in flags}})
+          for name, (_, func, flags) in VERBS.items()}
 
 
 def _read_plain(argv) -> argparse.Namespace | None:
@@ -549,39 +538,30 @@ def _read_plain(argv) -> argparse.Namespace | None:
     store_true flag; and every required flag given.  For any other argv,
     help included, this returns None and argparse decides.
     """
-    command, verbs = _plain_verbs()
-    spec = verbs.get(argv[0]) if argv else None
-    if spec is None:
+    if not argv or argv[0] not in _PLAIN:
         return None
-    flags, defaults, required = spec
+    flags, defaults = _PLAIN[argv[0]]
     values = {}
-    i, n = 1, len(argv)
-    while i < n:
-        action = flags.get(argv[i])
-        if action is None or action.dest in values:
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = flags.get(token)
+        if flag is None or flag.name in values:
             return None
-        if action.nargs == 0:
-            value = action.const
-        else:
-            i += 1
-            if i == n or argv[i].startswith("-"):
-                return None
-            value = argv[i]
-            if action.type is not None:
-                try:
-                    value = action.type(value)
-                except ValueError:
-                    return None
-            if action.choices is not None and value not in action.choices:
-                return None
-        values[action.dest] = value
-        i += 1
-    if not required <= values.keys():
-        return None
-    args = argparse.Namespace(**{command: argv[0]})
-    vars(args).update(defaults)
-    vars(args).update(values)
-    return args
+        if flag.type is bool:
+            values[flag.name] = True
+            continue
+        text = next(tokens, "-")    # a missing value is refused, as "-" is
+        if text.startswith("-"):
+            return None
+        try:
+            values[flag.name] = value = flag.type(text)
+        except ValueError:
+            return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+    args = argparse.Namespace()
+    vars(args).update(defaults, **values)
+    return None if REQUIRED in vars(args).values() else args
 
 
 def main(argv=None) -> int:
@@ -589,9 +569,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         try:
-            args = _read_plain(argv)
-            if args is None:
-                args = build_parser().parse_args(argv)
+            args = _read_plain(argv) or build_parser().parse_args(argv)
         except SystemExit as ex:
             # Help and usage errors exit from inside argparse.
             code = int(ex.code or 0)
@@ -600,18 +578,10 @@ def main(argv=None) -> int:
         # A full device may fail only at the flush, after the last print.
         _print(end="", flush=True)
         return code
-    except ParameterError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except InvariantBreach as ex:
-        print(f"internal invariant breach: {ex}", file=sys.stderr)
-        return 3
-    except MemoryError:
-        print("error: out of memory: the parameters are too large", file=sys.stderr)
-        return 2
-    except OverflowError as ex:
-        print(f"error: the parameters are too large: {ex}", file=sys.stderr)
-        return 2
+    except tuple(EXIT_STATUS) as ex:
+        status, message = EXIT_STATUS[_mapped(ex)]
+        print(message.format(ex), file=sys.stderr)
+        return status
 
 
 def entrypoint() -> None:

@@ -221,7 +221,9 @@ def deg_T(p: HypParams, marks: dict | None = None) -> int:
     # Only a non-int point factor (a corrupted fixture or marks dict) makes
     # a non-int here, and int() would truncate it silently.
     if type(value) is not int:
-        raise InvariantBreach(f"cycle degree {value} is not an integer")
+        num, den = value.as_integer_ratio()
+        raise InvariantBreach(
+            f"cycle degree {int_str(num)}/{int_str(den)} is not an integer")
     if value < 0:
         raise InvariantBreach(f"cycle degree {int_str(value)} is negative")
     return value

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
@@ -165,11 +166,10 @@ ROUTE_ARGV = {
 
 
 def test_every_method_choice_runs_its_routes(capsys):
-    # The parser's choices and the routes each verb runs name the same
+    # The verb table's choices and the routes each verb runs name the same
     # routes, in the same order; "both" runs all of them.
-    verbs = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
-    methods = {name: action.choices for name, verb in verbs.items()
-               for action in verb._actions if action.dest == "method"}
+    methods = {name: flag.choices for name, (_, _, flags) in cli.VERBS.items()
+               for flag in flags if flag.name == "method"}
     assert sorted(methods) == sorted(ROUTE_ARGV)
     for name, choices in methods.items():
         routes = [c for c in choices if c != "both"]
@@ -929,6 +929,29 @@ SHARED_PARSER_SEQUENCE = [
 ]
 
 
+def _count_parsers(monkeypatch):
+    """The list to which each parser built from now on adds its prog."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_plain_argv_builds_no_parser(capsys, monkeypatch):
+    # A fresh cache, as in a new process.
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
+    built = _count_parsers(monkeypatch)
+    assert run(capsys, ["p1", "--g", "3", "--d", "4", "--json"])[0] == 0
+    assert built == []
+    assert run(capsys, ["p1", "--g=3", "--d", "4", "--json"])[0] == 0
+    assert built[0] == "tevdeg" and len(built) == 1 + len(cli.VERBS)
+
+
 def _fresh_process(argv, columns):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS=columns)
     proc = subprocess.run([sys.executable, "-m", "tevdeg.cli", *argv], env=env,
@@ -937,21 +960,27 @@ def _fresh_process(argv, columns):
 
 
 def test_shared_parser_gives_the_bytes_of_a_fresh_one(capsys, monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    main(["p1", "--g", "3", "--d", "4"])
+    # Plain argv needs no parser, so the first call is one argparse reads.
+    main(["p1", "--g=3", "--d", "4"])
     capsys.readouterr()
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    built = _count_parsers(monkeypatch)
     for argv, columns in SHARED_PARSER_SEQUENCE:
         monkeypatch.setenv("COLUMNS", columns)
         assert run(capsys, argv) == _fresh_process(argv, columns), argv
     assert built == []
     assert cli.build_parser() is cli.build_parser()
+
+
+# The 9 help screens at COLUMNS=80: the program's and each verb's.
+HELP_ARGV = [["--help"]] + [[verb, "--help"] for verb in
+                            ("p1", "hyp", "insert", "alpha", "qh", "certify", "sweep",
+                             "verify")]
+HELP_DIGEST = "77f9bf6347ac5c80fdebad51be0ac936e16d6b83538303b8c4a4ae12362904a6"
+
+
+def test_help_screens_digest(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _corpus_digest(HELP_ARGV) == HELP_DIGEST
 
 
 # -- an unwritable stdout ------------------------------------------------------------------
@@ -1030,16 +1059,13 @@ def test_unwritable_stdout_exits_2_in_a_subprocess(unbuffered):
 
 # -- argv fuzz ---------------------------------------------------------------------------
 
-FUZZ_FLAGS = {
-    "p1": ["--g", "--d"],
-    "qh": ["--g", "--d", "--r", "--n"],
-    "hyp": ["--g", "--d", "--e", "--r"],
-    "certify": ["--g", "--d", "--e", "--r"],
-    "insert": ["--g", "--d", "--e", "--r", "--ell"],
-    "alpha": ["--e", "--r"],
-}
-FUZZ_METHODS = {"p1": ["cps", "schubert", "both"], "hyp": ["closed", "engine", "both"],
-                "insert": ["closed", "engine", "both"]}
+# The query verbs, each with its flags that take a free value, and the
+# --method choices of those that have one, all read from the verb table.
+FUZZ_FLAGS = {name: [f"--{flag.name}" for flag in flags
+                     if flag.type is not bool and flag.choices is None]
+              for name, (_, _, flags) in cli.VERBS.items() if name not in ("sweep", "verify")}
+FUZZ_METHODS = {name: list(flag.choices) for name, (_, _, flags) in cli.VERBS.items()
+                for flag in flags if flag.name == "method"}
 # Each int flag draws from a range that passes the dimension gates often
 # enough to reach the computations, or from all of |x| <= 60.
 FUZZ_TYPICAL = {"--g": (0, 3), "--d": (1, 60), "--e": (3, 6), "--r": (1, 12), "--n": (1, 12)}
@@ -1142,8 +1168,7 @@ def _split(argv):
 
 
 def test_plain_reader_reads_the_plain_form_of_every_verb():
-    verbs = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
-    assert sorted(argv[0] for argv in PLAIN_ARGV) == sorted(verbs)
+    assert sorted(argv[0] for argv in PLAIN_ARGV) == sorted(cli.VERBS)
     for argv in PLAIN_ARGV:
         assert _read_plain_checked(argv) is not None, argv
     # With the defaults, as the other tests call them.

@@ -526,6 +526,22 @@ def test_breach_on_a_count_past_the_digit_limit_names_it(monkeypatch):
         tev_hypersurface_engine(p)
 
 
+def test_non_int_breach_past_the_digit_limit_exits_3(capsys, monkeypatch):
+    # A Fraction point factor makes a cycle degree whose numerator and
+    # denominator both pass the default limit of 4300 digits.
+    from tevdeg.cli import main
+
+    alpha, h = point_factor(3, 3, 1)
+    monkeypatch.setattr(engine, "point_factor",
+                        lambda e, r, ell_i: (Fraction(alpha, 1_000_000_007), h))
+    code = main(["hyp", "--g", "0", "--d", "6600", "--e", "3", "--r", "3",
+                 "--method", "engine"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("internal invariant breach: cycle degree ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # -- scale ------------------------------------------------------------------------------
 
 def test_large_parameters_stay_exact():
