@@ -18,10 +18,11 @@ from tevdeg import (
 )
 
 
-def show(scale, terms, degree):
-    """The class scale * sum_j terms[j] * theta^[j] * H^(degree-j), written out."""
+def show(scale, ratio, degree, g):
+    """The class scale * sum_{j<=g} ratio^j * theta^[j] * H^(degree-j), written out."""
     bits = []
-    for j, c in enumerate(terms):
+    for j in range(g + 1):
+        c = ratio**j
         if c == 0:
             continue
         mono = [f"H^{degree - j}" if degree - j > 1 else "H"] if degree > j else []
@@ -44,17 +45,18 @@ print(f"per-mark factor: {alpha}*H^{h}")
 # The global factor forces the tuple to define a map into the cubic: the
 # top Chern class of a twisted push-down bundle, polynomial in H and the
 # divided powers theta^[m] = theta^m / m! of the Jacobian's theta divisor
-# (no theta at genus 0).  It comes as a scale e^t and a list of integers.
-scale, chern = step3_class(p.e, p.t, p.g)
-print(f"global factor:   {show(scale, chern, p.t)}")
+# (no theta at genus 0).  It comes as a scale e^t and the ratio -e of
+# successive terms: term m is (-e)^m theta^[m] H^(t-m).
+scale, ratio = step3_class(p.e, p.t, p.g)
+print(f"global factor:   {show(scale, ratio, p.t, p.g)}")
 
 # Assemble, push down to the Jacobian, and integrate.  All n marks carry
 # the same line condition, so their factors just multiply up into one
 # monomial in H, which scales the Chern class and shifts its H-degree.
 coeff, hdeg = alpha**p.n * scale, p.n * h + p.t
-print(f"assembled class: {show(coeff, chern, hdeg)}   "
+print(f"assembled class: {show(coeff, ratio, hdeg, p.g)}   "
       f"(H-degree N-1 = {p.N - 1}: a number times the point)")
-degree = coeff * integrate_theta(pushforward_theta(chern, hdeg, p.r, p.N, p.g), p.g)
+degree = coeff * integrate_theta(pushforward_theta(ratio, hdeg, p.r, p.N, p.g), p.g)
 print(f"cycle degree:    {degree}")
 
 # Each line meets the cubic in e = 3 points, so the honest count divides

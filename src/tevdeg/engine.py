@@ -25,10 +25,12 @@ integrated there (the theta^[g] coefficient).
 The Jacobian stages work in the divided powers theta^[m] = theta^m / m!,
 where theta^[j] theta^[k] = C(j+k, j) theta^[j+k] and the integral of
 theta^[g] is 1.  The 1/m! of the Chern class and the 1/k! of the Segre
-class are absorbed there, so every coefficient is a plain ``int``: a class
-in H and theta is one H-degree and a list of theta^[m] coefficients.  The
-point factor's expansion in (H, H_i), with H_i capped at H_i^{r+1}, is a
-``TruncPoly``.
+class are absorbed there, so every coefficient is a plain ``int``.  The
+Chern class is a scale e^t and the ratio -e of successive terms, and the
+pushforward sums its terms against the Segre terms with one running term;
+a class on the Jacobian is its list of theta^[m] coefficients.  The
+engine never evaluates the closed form's (r+2-e)^g.  The point factor's
+expansion in (H, H_i), with H_i capped at H_i^{r+1}, is a ``TruncPoly``.
 
 A point factor depends on (e, r, ell_i) alone, so the entry points take an
 optional ``marks`` dict that keeps the factors built so far under that key;
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb
 
 from .enumerativity import dims_check, insertion_dims_check
 from .errors import InvariantBreach, ParameterError, int_str
@@ -116,16 +117,16 @@ def point_factor(e: int, r: int, ell_i: int) -> tuple[int, int]:
     return top, h
 
 
-def step3_class(e: int, t: int, g: int) -> tuple[int, list[int]]:
+def step3_class(e: int, t: int, g: int) -> tuple[int, int]:
     """Top Chern class of the twisted push-down bundle, in H and theta:
 
         e^t * sum_{m=0}^{g} (-e)^m * theta^[m] * H^{t-m},
 
     in the divided powers theta^[m] = theta^m / m!, where every coefficient
-    is an integer.  Returned as the scale e^t and the list [(-e)^m for m in
-    0..g], term m multiplying theta^[m] H^{t-m}.  Requires t >= g;
-    otherwise a negative H power would be needed, which is outside this
-    model (and unreachable from validated parameters).
+    is an integer.  Returned as the scale e^t and the ratio -e of
+    successive terms: term m is ratio^m theta^[m] H^{t-m}.  Requires
+    t >= g; otherwise a negative H power would be needed, which is outside
+    this model (and unreachable from validated parameters).
     """
     if e < 3:
         raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
@@ -133,40 +134,29 @@ def step3_class(e: int, t: int, g: int) -> tuple[int, list[int]]:
         raise ParameterError(f"genus must be nonnegative, got g={g}")
     if t < g:
         raise ParameterError(f"rank t = {t} below genus g = {g}: out of model")
-    terms = [1]
-    for _ in range(g):
-        terms.append(terms[-1] * -e)
-    return e**t, terms
+    return e**t, -e
 
 
-def pushforward_theta(terms: list[int], degree: int, r: int, N: int, g: int) -> list[int]:
-    """Push the class sum_j terms[j] theta^[j] H^{degree-j} down to the Jacobian.
+def pushforward_theta(ratio: int, degree: int, r: int, N: int, g: int) -> list[int]:
+    """Push the class sum_m ratio^m theta^[m] H^{degree-m} down to the Jacobian.
 
     H^{N-1+k} becomes the Segre class (r+2)^k theta^[k] on a bundle of rank
     N; powers of H below the fiber dimension N-1 push to zero.  Since
-    theta^[j] theta^[k] = C(j+k, j) theta^[j+k], every term lands on
-    theta^[out], out = degree - N + 1, with coefficient C(out, j) (r+2)^k,
-    k = out - j.  Returns the theta^[0..g] coefficients; theta^[out] is zero
-    past the cap at g.
+    theta^[m] theta^[k] = C(m+k, m) theta^[m+k], every term lands on
+    theta^[out], out = degree - N + 1, as ratio^m C(out, m) (r+2)^(out-m).
+    Returns the theta^[0..g] coefficients; theta^[out] is zero past the cap
+    at g.  Ratio 0 is the single monomial H^degree.
     """
-    if len(terms) > g + 1:
-        raise ParameterError(
-            f"class reaches theta^[{len(terms) - 1}], past the Jacobian's cap at g = {g}"
-        )
     pushed = [0] * (g + 1)
     out = degree - (N - 1)
     if not 0 <= out <= g:
         return pushed
-    # k runs up from the smallest Segre power any term needs, carrying
-    # C(out, k) and (r+2)^k.
-    k0 = max(0, out - len(terms) + 1)
-    binom = comb(out, k0)
-    power = (r + 2) ** k0
-    total = 0
-    for k in range(k0, out + 1):
-        total += terms[out - k] * binom * power
-        binom = binom * (out - k) // (k + 1)
-        power *= r + 2
+    # One running term, from (r+2)^out at m = 0.  The division is exact:
+    # term m+1 times (m+1)(r+2) is term m times ratio (out-m).
+    term = total = (r + 2) ** out
+    for m in range(out):
+        term = term * (ratio * (out - m)) // ((m + 1) * (r + 2))
+        total += term
     pushed[out] = total
     return pushed
 
@@ -207,7 +197,7 @@ def deg_T(p: HypParams, marks: dict | None = None) -> int:
         coeff *= alpha**mult
         hdeg += h * mult
 
-    scale, terms = step3_class(p.e, p.t, p.g)
+    scale, ratio = step3_class(p.e, p.t, p.g)
     degree = hdeg + p.t
     # The Chern terms (-e)^m theta^[m] H^{degree-m}, m = 0..g, are all
     # nonzero, and all lie in the support window [N-1, N-1+g] of H-degrees
@@ -216,7 +206,7 @@ def deg_T(p: HypParams, marks: dict | None = None) -> int:
         raise InvariantBreach(
             f"pipeline class has top H-degree {degree}, not N - 1 + g = {p.N - 1 + p.g}"
         )
-    pushed = pushforward_theta(terms, degree, p.r, p.N, p.g)
+    pushed = pushforward_theta(ratio, degree, p.r, p.N, p.g)
     value = coeff * scale * integrate_theta(pushed, p.g)
     # Only a non-int point factor (a corrupted fixture or marks dict) makes
     # a non-int here, and int() would truncate it silently.

@@ -252,9 +252,10 @@ def test_large_genus_p1_stays_cheap(capsys):
 
 
 def test_large_genus_hyp_stays_cheap(capsys):
-    # The engine sums g+1 divided-power terms on small ints and multiplies
-    # the large point-factor and Chern scale in once, so genus 1000 costs
-    # about as much as printing the 21,288-digit count.
+    # The engine sums g+1 divided-power terms with one running term, each
+    # step one big-by-small multiply and divide, and multiplies the large
+    # point-factor and Chern scale in once, so genus 1000 costs about as
+    # much as printing the 21,288-digit count.
     start = time.perf_counter()
     code, out, _ = run(capsys, ["hyp", "--g", "1000", "--d", "30000", "--e", "3",
                                 "--r", "3", "--json"])
@@ -263,6 +264,19 @@ def test_large_genus_hyp_stays_cheap(capsys):
     assert code == 0 and doc["agreement"] is True
     assert {r["method"] for r in doc["results"]} == {"closed", "engine"}
     assert elapsed < 2.0
+
+
+def test_genus_20000_engine_stays_cheap(capsys):
+    # The pushforward holds one running term of O(g) bits, so it costs
+    # O(g^2) word operations; the whole query takes about 2.3 s on a shared
+    # 2-vCPU VM, most of it the exact division by e^n.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["hyp", "--g", "20000", "--d", "600000", "--e", "3",
+                                "--r", "3", "--method", "engine"])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and elapsed < 5.0
+    closed = vtev_hypersurface_closed(20000, 600000, 3, 3)
+    assert out.splitlines()[1].split() == ["engine", int_str(closed)]
 
 
 def test_certify(capsys):

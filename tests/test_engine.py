@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -218,6 +218,43 @@ def _divided(c):
     return [x * factorial(j) for j, x in enumerate(c.terms)]
 
 
+def _chern_terms(scale, ratio, g):
+    """The (scale, ratio) Chern class as its theta^[0..g] coefficients."""
+    return [scale * ratio**m for m in range(g + 1)]
+
+
+# -- the list oracle ---------------------------------------------------------------
+#
+# The divided-power stages as they were before the running term: the Chern
+# class as the list [(-e)^m for m in 0..g], pushed down with a running
+# binomial and a running Segre power.  Exact at any genus, and cheap enough
+# to hold the running term to at g in the thousands, where the Fraction
+# oracle is not.
+
+def _list_chern_terms(e, g):
+    terms = [1]
+    for _ in range(g):
+        terms.append(terms[-1] * -e)
+    return terms
+
+
+def _list_pushforward_theta(terms, degree, r, N, g):
+    pushed = [0] * (g + 1)
+    out = degree - (N - 1)
+    if not 0 <= out <= g:
+        return pushed
+    k0 = max(0, out - len(terms) + 1)
+    binom = comb(out, k0)
+    power = (r + 2) ** k0
+    total = 0
+    for k in range(k0, out + 1):
+        total += terms[out - k] * binom * power
+        binom = binom * (out - k) // (k + 1)
+        power *= r + 2
+    pushed[out] = total
+    return pushed
+
+
 def _oracle_grid():
     """Every valid (g, d, e, r) with e 3..6, r 1..24, g 0..4 and d 1..59."""
     for e in range(3, 7):
@@ -264,30 +301,32 @@ def test_engine_matches_fraction_oracle_at_large_genus(g, d):
 # -- step3_class ------------------------------------------------------------------
 
 def test_step3_genus_zero():
-    assert step3_class(3, 1, 0) == (3, [1])
-    assert _divided(_fraction_step3_class(3, 1, 0)) == [3]
+    assert step3_class(3, 1, 0) == (3, -3)
+    assert _chern_terms(3, -3, 0) == _divided(_fraction_step3_class(3, 1, 0)) == [3]
 
 
 def test_step3_genus_one():
-    assert step3_class(3, 3, 1) == (27, [1, -3])
-    assert _divided(_fraction_step3_class(3, 3, 1)) == [27, -81]
+    assert step3_class(3, 3, 1) == (27, -3)
+    assert _chern_terms(27, -3, 1) == _divided(_fraction_step3_class(3, 3, 1)) == [27, -81]
 
 
 def test_step3_genus_two_has_rational_term():
     # In theta^m the oracle needs 729/2; in theta^[2] it is 81 * 9 = 729.
     assert _fraction_step3_class(3, 4, 2) == _jac(4, 2, [81, -243, Fraction(729, 2)])
-    assert step3_class(3, 4, 2) == (81, [1, -3, 9])
+    assert step3_class(3, 4, 2) == (81, -3)
+    assert _chern_terms(81, -3, 2) == [81, -243, 729]
 
 
 def test_step3_matches_all_fraction_oracle():
-    # Scaled by e^t, each divided-power term is the oracle's times m!, an int.
+    # Scaled by e^t, each divided-power term ratio^m is the oracle's times
+    # m!, an int.
     for e in range(3, 7):
         for g in range(7):
             for t in range(g, g + 9):
-                scale, terms = step3_class(e, t, g)
-                assert scale == e**t and len(terms) == g + 1, (e, t, g)
-                assert all(type(x) is int for x in terms), (e, t, g)
-                assert [scale * x for x in terms] == _divided(
+                scale, ratio = step3_class(e, t, g)
+                assert type(scale) is int and type(ratio) is int, (e, t, g)
+                assert (scale, ratio) == (e**t, -e), (e, t, g)
+                assert _chern_terms(scale, ratio, g) == _divided(
                     _fraction_step3_class(e, t, g)), (e, t, g)
 
 
@@ -298,34 +337,35 @@ def test_step3_rejects_rank_below_genus():
 
 # -- pushforward and integration ---------------------------------------------------
 
-def _push(terms, degree, p):
-    return pushforward_theta(terms, degree, p.r, p.N, p.g)
+def _push(ratio, degree, p):
+    return pushforward_theta(ratio, degree, p.r, p.N, p.g)
 
 
 def test_pushforward_examples():
     p = HypParams.standard(1, 3, 3, 3)  # N = 15, r = 3
-    assert _push([1], 14, p) == [1, 0]
-    assert _push([1], 15, p) == [0, 5]
-    assert _push([1], 13, p) == [0, 0]
-    # H^15 + H^14 theta^[1]: both terms land on theta^[1].
-    assert _push([1, 1], 15, p) == [0, 6]
+    # Ratio 0 is the monomial H^degree.
+    assert _push(0, 14, p) == [1, 0]
+    assert _push(0, 15, p) == [0, 5]
+    assert _push(0, 13, p) == [0, 0]
+    # Ratio 1 at H^15: H^15 + H^14 theta^[1], both terms land on theta^[1].
+    assert _push(1, 15, p) == [0, 6]
     # The oracle agrees: theta^1 = theta^[1].
     assert _fraction_pushforward_theta(_jac(15, 1, [1, 1]), p) == _jac(1, 1, [0, 6])
 
 
 def test_pushforward_respects_theta_cap():
     p = HypParams.standard(1, 3, 3, 3)
-    # theta * H^{N+1} would give theta^[3]; the cap at g = 1 kills it.
-    assert _push([0, 1], p.N + 2, p) == [0, 0]
-    assert _fraction_pushforward_theta(_jac(p.N + 2, 1, [0, 1]), p).terms == ()
+    # H^{N+1} + theta H^N would give theta^[2]; the cap at g = 1 kills it.
+    assert _push(1, p.N + 1, p) == [0, 0]
+    assert _fraction_pushforward_theta(_jac(p.N + 1, 1, [1, 1]), p).terms == ()
+    # So does the Chern ratio -e one H-degree past the support window.
+    assert _push(-3, p.N + p.g, p) == [0, 0]
 
 
 def test_pushforward_and_integral_reject_other_classes():
-    # A class past the Jacobian's theta^[g], or a coefficient list of another
-    # genus, lives elsewhere.
-    p = HypParams.standard(1, 3, 3, 3)
-    with pytest.raises(ParameterError, match="past the Jacobian's cap"):
-        _push([1, 0, 1], 15, p)
+    # The pushforward takes any (ratio, degree), and a class past the
+    # Jacobian's theta^[g] pushes to zero (above); a coefficient list of
+    # another genus lives elsewhere.
     for c in ([0, 0, 1], [1], []):
         with pytest.raises(ParameterError, match="theta"):
             integrate_theta(c, 1)
@@ -347,23 +387,48 @@ def test_pushforward_matches_all_fraction_oracle():
     for p in _sample_params():
         alpha, h = point_factor(p.e, p.r, 1)
         coeff, hdeg = alpha**p.n, h * p.n
-        scale, terms = step3_class(p.e, p.t, p.g)
+        scale, ratio = step3_class(p.e, p.t, p.g)
         full = _jac(hdeg, p.g, [coeff]) * _fraction_step3_class(p.e, p.t, p.g)
         want = _fraction_pushforward_theta(full, p)
-        got = _push(terms, hdeg + p.t, p)
+        got = _push(ratio, hdeg + p.t, p)
         assert [coeff * scale * x for x in got] == _divided(want) + [0] * (
             p.g + 1 - len(want.terms)), p
-        # One monomial H^{N-1+k} pushes to the Segre factor (r+2)^k theta^[k];
-        # the oracle has (r+2)^k / k! on theta^k, a Fraction where k! does
-        # not divide (r+2)^k.
+        # One monomial H^{N-1+k} (ratio 0) pushes to the Segre factor
+        # (r+2)^k theta^[k]; the oracle has (r+2)^k / k! on theta^k, a
+        # Fraction where k! does not divide (r+2)^k.
         for k in range(-1, p.g + 2):
-            got = _push([1], p.N - 1 + k, p)
+            got = _push(0, p.N - 1 + k, p)
             want = _fraction_pushforward_theta(_jac(p.N - 1 + k, p.g, [1]), p)
             assert got == _divided(want) + [0] * (p.g + 1 - len(want.terms)), (p, k)
             if 0 <= k <= p.g:
                 assert got[k] == (p.r + 2) ** k
         seen += 1
     assert seen > 100
+
+
+def test_running_term_matches_list_oracle():
+    # Every ratio the Chern class can take, and some it cannot, at every
+    # landing theta^[out] and just past both ends of the window.
+    for p in _sample_params():
+        for ratio in range(-7, 3):
+            for out in range(-1, p.g + 2):
+                degree = p.N - 1 + out
+                assert _push(ratio, degree, p) == _list_pushforward_theta(
+                    [ratio**m for m in range(p.g + 1)], degree, p.r, p.N, p.g), (
+                    p, ratio, out)
+
+
+@pytest.mark.parametrize("g", [2000, 5000])
+def test_running_term_matches_list_oracle_at_large_genus(g):
+    # The Chern class of deg_T at its own degree, where the Fraction oracle
+    # is too slow; the stages and the whole pipeline both agree.
+    p = HypParams.standard(g, 30 * g, 3, 3)
+    alpha, h = point_factor(p.e, p.r, 1)
+    degree = h * p.n + p.t
+    scale, ratio = step3_class(p.e, p.t, p.g)
+    want = _list_pushforward_theta(_list_chern_terms(p.e, p.g), degree, p.r, p.N, p.g)
+    assert _push(ratio, degree, p) == want
+    assert deg_T(p) == alpha**p.n * scale * want[g]
 
 
 def test_integrate_theta():
@@ -459,8 +524,9 @@ def test_pipeline_support_window():
             alpha, h = point_factor(e, r, li)
             coeff *= alpha
             hdeg += h
-        scale, terms = step3_class(e, p.t, g)
-        hdegs = sorted(hdeg + p.t - j for j, c in enumerate(terms) if coeff * scale * c)
+        scale, ratio = step3_class(e, p.t, g)
+        hdegs = sorted(hdeg + p.t - j
+                       for j, c in enumerate(_chern_terms(scale, ratio, g)) if coeff * c)
         assert hdegs == list(range(p.N - 1, p.N - 1 + g + 1))
         full = _jac(hdeg, g, [coeff]) * _fraction_step3_class(e, p.t, g)
         assert hdegs == sorted(full.degree - j for j, c in enumerate(full.terms) if c)
@@ -521,7 +587,7 @@ def test_breach_on_a_count_past_the_digit_limit_names_it(monkeypatch):
         deg_T(p)
     # With 49 for alpha and no scale e^t, 3^n does not divide the degree.
     monkeypatch.setattr(engine, "point_factor", lambda e, r, ell_i: (49, h))
-    monkeypatch.setattr(engine, "step3_class", lambda e, t, g: (1, [1] + [0] * g))
+    monkeypatch.setattr(engine, "step3_class", lambda e, t, g: (1, 0))
     with pytest.raises(InvariantBreach, match="not divisible"):
         tev_hypersurface_engine(p)
 
