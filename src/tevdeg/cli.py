@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import itertools
@@ -242,9 +241,14 @@ def sweep_record(g: int, d: int, e: int, r: int,
                  marks: dict | None = None) -> dict | None:
     """One sweep row, or None when the tuple is invalid.
 
-    ``marks`` is the engine's point-factor dict; ``cmd_sweep`` keeps one
-    per process, shared by all the rows that process makes.
+    ``cmd_sweep`` calls it on every tuple of the box.  Most of them have a
+    non-integral n, and those are refused here without raising; the gate
+    refuses the rest.  ``marks`` is the engine's point-factor dict;
+    ``cmd_sweep`` keeps one per process, shared by all the rows that process
+    makes.
     """
+    if not enumerativity.point_count_integral(d, e, r):
+        return None
     try:
         p = engine.HypParams.standard(g, d, e, r)
     except ParameterError:
@@ -400,18 +404,17 @@ def cmd_sweep(args) -> int:
     jobs = min(args.jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     # Leaving the block reaps the workers before it closes the file.
     with out, contextlib.closing(_sweep_records(tuples, jobs)) as records:
-        if args.format == "csv":
-            writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-            writer.writeheader()
+        as_csv = args.format == "csv"
+        if as_csv:
+            out.write(",".join(SWEEP_COLUMNS) + "\n")
         # Rows are written as they come, so a breach leaves a prefix behind.
+        # Every CSV cell is an int, a decimal string or a bool, which is
+        # written lower-case, so no cell needs quoting.
         for rec in records:
             if rec is None:
                 continue
-            if args.format == "csv":
-                writer.writerow(
-                    {k: (str(v).lower() if isinstance(v, bool) else v)
-                     for k, v in rec.items()}
-                )
+            if as_csv:
+                out.write(",".join([str(rec[k]).lower() for k in SWEEP_COLUMNS]) + "\n")
             else:
                 out.write(json.dumps(rec) + "\n")
     return 0

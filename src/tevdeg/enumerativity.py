@@ -9,13 +9,16 @@ is a positive integer in the stable range.  Every route and the CLI leave
 that decision to the four gates here: ``dims_check`` (hypersurfaces),
 ``insertion_dims_check`` (linear-space insertions plus the engine's
 ``bundle_rank``; ``HypParams`` runs it), ``line_dims_check`` (P^1) and
-``projective_dims_check`` (P^r).
+``projective_dims_check`` (P^r).  ``point_count_integral`` is the
+integrality test of n: ``dims_check`` raises on it, and ``sweep`` uses it to
+drop most tuples of its box without building an exception.
 
 Whether the resulting integer actually enumerates honest maps (rather than
 a virtual count polluted by degenerate loci) is certified two ways:
 
-* ``enum_bound_closed``: a closed-form threshold on d, valid for
-  r > (e+1)(e-2); any d strictly above it is enumerative (all d, if g = 0).
+* ``enum_bound_closed``: a closed-form threshold on d, valid where
+  ``closed_bound_applies``, r > (e+1)(e-2); any d strictly above it is
+  enumerative (all d, if g = 0).
 * ``certify_enumerative``: a dimension audit over all degeneration strata.
   A stratum records b1 marked simple base-points, b2 marked double
   base-points, and b0 base-points (with multiplicity) away from the marks;
@@ -30,12 +33,15 @@ a virtual count polluted by degenerate loci) is certified two ways:
   ``count_admissible_strata`` counts them in closed form.  ``stratum_audit``
   stays as the per-stratum reference: the tests enumerate every stratum,
   audit each one, and compare the certificate and the count against that.
+
+The reports are immutable ``NamedTuple``s, cheap enough to build on every
+sweep row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParameterError, int_str
 
@@ -52,6 +58,11 @@ def _check_tuple(g: int, d: int, e: int, r: int) -> None:
         raise ParameterError(f"hypersurface dimension must be >= 1, got r={r}")
 
 
+def point_count_integral(d: int, e: int, r: int) -> bool:
+    """Whether n = (r+2-e)d/r - g + 1 is an integer; False for r < 1."""
+    return r >= 1 and (r + 2 - e) * d % r == 0
+
+
 def dims_check(g: int, d: int, e: int, r: int) -> int:
     """Validate (g, d, e, r) and return the matching number of point conditions.
 
@@ -59,12 +70,11 @@ def dims_check(g: int, d: int, e: int, r: int) -> int:
     positive integer in the stable range.
     """
     _check_tuple(g, d, e, r)
-    num = (r + 2 - e) * d
-    if num % r != 0:
+    if not point_count_integral(d, e, r):
         raise ParameterError(
             f"point count n = ({r}+2-{e})*{d}/{r} - {g} + 1 is not an integer"
         )
-    n = num // r - g + 1
+    n = (r + 2 - e) * d // r - g + 1
     if n < 1:
         raise ParameterError(f"point count n = {int_str(n)} must be >= 1")
     if 2 * g - 2 + n <= 0:
@@ -148,6 +158,11 @@ def projective_dims_check(g: int, d: int, r: int) -> int:
     return n
 
 
+def closed_bound_applies(e: int, r: int) -> bool:
+    """Whether ``enum_bound_closed`` applies at (e, r): r > (e+1)(e-2)."""
+    return r > (e + 1) * (e - 2)
+
+
 def enum_bound_closed(g: int, e: int, r: int) -> Fraction | None:
     """Closed-form enumerativity threshold on d; ``None`` means all d.
 
@@ -162,18 +177,17 @@ def enum_bound_closed(g: int, e: int, r: int) -> Fraction | None:
         raise ParameterError(f"genus must be nonnegative, got g={g}")
     if e < 3:
         raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
-    slack = r - (e + 1) * (e - 2)
-    if slack <= 0:
+    if not closed_bound_applies(e, r):
         raise ParameterError(
             f"closed bound requires r > (e+1)(e-2) = {(e + 1) * (e - 2)}, got r={r}"
         )
     if g == 0:
         return None
+    slack = r - (e + 1) * (e - 2)
     return Fraction(r * ((3 * g - 2) * (1 + e) + 1 + g * (r + 2)), slack)
 
 
-@dataclass(frozen=True)
-class StratumProfile:
+class StratumProfile(NamedTuple):
     """Counts of degenerate base-points: off-mark (b0), simple (b1), double (b2)."""
 
     b0: int
@@ -181,8 +195,7 @@ class StratumProfile:
     b2: int
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Dimension audit of one degeneration stratum.
 
     ``case`` is "A" when at least max(2g, 1) marks stay free of base-points
@@ -233,17 +246,17 @@ def stratum_audit(
     return AuditReport(stratum, case, delta, target, vdim, allowance, passed)
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(NamedTuple):
     """Outcome of the stratum sweep for one parameter tuple.
 
-    ``bound_applicable``: ``enum_bound_closed`` accepts (g, e, r), that is
-    r > (e+1)(e-2); ``closed_bound`` is its value.  ``bound_satisfied``: it
-    applies and d clears it, so the closed bound alone vouches for the count.
-    ``audit_sharper`` marks certificates obtained with d at or below the
-    closed-form threshold (or where that threshold does not apply): the
-    audit alone vouches for them, which is a strictly stronger claim than
-    the closed bound supports, so they are flagged for the caller.
+    ``bound_applicable``: ``closed_bound_applies(e, r)``, where
+    ``enum_bound_closed`` accepts (g, e, r); ``closed_bound`` is its value.
+    ``bound_satisfied``: it applies and d clears it, so the closed bound
+    alone vouches for the count.  ``audit_sharper`` marks certificates
+    obtained with d at or below the closed-form threshold (or where that
+    threshold does not apply): the audit alone vouches for them, which is a
+    strictly stronger claim than the closed bound supports, so they are
+    flagged for the caller.
     """
 
     g: int
@@ -292,14 +305,16 @@ def certify_enumerative(g: int, d: int, e: int, r: int) -> CertificationReport:
     ``bound_satisfied`` and n >= 2g and d >= 2g: one condition, not two
     pieces of evidence (algebra above
     ``test_certified_is_the_bound_and_the_gates_for_positive_genus``).
+
+    A valid tuple raises nothing: ``closed_bound_applies`` decides whether
+    the bound applies, and d is compared with it in ints.
     """
     n = dims_check(g, d, e, r)
-    try:
-        bound = enum_bound_closed(g, e, r)
-        bound_applicable = True
-    except ParameterError:
-        bound, bound_applicable = None, False
-    bound_satisfied = bound_applicable and (bound is None or d > bound)
+    bound_applicable = closed_bound_applies(e, r)
+    bound = enum_bound_closed(g, e, r) if bound_applicable else None
+    # d > bound in ints: a Fraction's denominator is positive.
+    bound_satisfied = bound_applicable and (
+        bound is None or d * bound.denominator > bound.numerator)
 
     def report(certified, reason, witness, checked):
         return CertificationReport(

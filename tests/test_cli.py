@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import functools
 import hashlib
 import io
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 import tevdeg.cli as cli
 import tevdeg.closed_forms as closed_forms
 import tevdeg.engine as engine
+import tevdeg.enumerativity as enumerativity
 from tevdeg.cli import main, parse_ell, parse_range
 from tevdeg.closed_forms import vtev_hypersurface_closed
 from tevdeg.enumerativity import certify_enumerative
@@ -287,6 +289,13 @@ def test_certify(capsys):
     assert doc["certified"] is False
     assert doc["witness"] == {"b0": 0, "b1": 3, "b2": 0}
     assert doc["closed_bound"] == "60"
+
+    # d = 60 lies on the bound, which it must clear.
+    code, out, _ = run(capsys, ["certify", "--g", "1", "--d", "60", "--e", "3",
+                                "--r", "5", "--json"])
+    doc = json.loads(out)
+    assert doc["closed_bound"] == "60" and doc["bound_applicable"] is True
+    assert doc["bound_satisfied"] is False
 
     code, out, _ = run(capsys, ["certify", "--g", "0", "--d", "10", "--e", "3",
                                 "--r", "5", "--json"])
@@ -574,6 +583,101 @@ def test_sweep_acceptance_grid_digest(tmp_path, capsys, monkeypatch, fmt, jobs):
                               "--out", str(path), "--jobs", jobs])
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ACCEPTANCE_DIGESTS[fmt]
+
+
+# The box of the fast-refusal test: every gate's edge, r = 0 and a d past 10^22.
+REFUSAL_BOX = (range(1, 9), range(-1, 15), range(-1, 5), (*range(-1, 91), 10**22 + 7))
+
+
+def test_sweep_refuses_without_the_gate_only_what_the_gate_refuses():
+    # The slow oracle is HypParams.standard, whose gate raises ParameterError.
+    dropped = kept = 0
+    for e, r, g, d in itertools.product(*REFUSAL_BOX):
+        if enumerativity.point_count_integral(d, e, r):
+            kept += 1
+            try:
+                enumerativity.dims_check(g, d, e, r)
+            except ParameterError as ex:
+                assert "not an integer" not in str(ex), (g, d, e, r)
+            continue
+        dropped += 1
+        assert cli.sweep_record(g, d, e, r) is None
+        with pytest.raises(ParameterError):
+            engine.HypParams.standard(g, d, e, r)
+    assert dropped and kept
+
+
+@functools.cache
+def _gate_oracle_records(grid):
+    """Every tuple of the grid through HypParams.standard; a row per tuple it passes."""
+    es, rs, gs, ds = (_values(text) for text in grid)
+    records = []
+    for e, r, g, d in itertools.product(es, rs, gs, ds):
+        try:
+            p = engine.HypParams.standard(g, d, e, r)
+        except ParameterError:
+            continue
+        closed = vtev_hypersurface_closed(g, d, e, r)
+        value = engine.tev_hypersurface_engine(p)
+        records.append({
+            "g": g, "d": d, "e": e, "r": r, "n": p.n, "t": p.t,
+            "value_closed": int_str(closed), "value_engine": int_str(value),
+            "agreement": closed == value,
+            **cli._hyp_flags(certify_enumerative(g, d, e, r)),
+        })
+    return records
+
+
+def _gate_oracle_bytes(grid, fmt):
+    """The oracle's rows, written by csv.DictWriter or json.dumps."""
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.DictWriter(out, fieldnames=cli.SWEEP_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+    for rec in _gate_oracle_records(grid):
+        if fmt == "csv":
+            writer.writerow({k: (str(v).lower() if isinstance(v, bool) else v)
+                             for k, v in rec.items()})
+        else:
+            out.write(json.dumps(rec) + "\n")
+    return out.getvalue().encode()
+
+
+# (e, r, g, d): the part of REFUSAL_BOX that the gates can pass, and two rows
+# at d = 6600, whose values pass the 4,300-digit limit.
+ORACLE_GRIDS = [("3..8", "1..14", "0..4", "1..90"), ("3", "3", "0..1", "6600")]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["box", "past-the-limit"])
+def test_sweep_bytes_match_the_gate_oracle(tmp_path, capsys, monkeypatch, grid, fmt):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    want = _gate_oracle_bytes(grid, fmt)
+    assert want.count(b"\n") >= 2
+    for jobs in ("1", "2"):
+        path = tmp_path / f"grid-{jobs}.{fmt}"
+        argv = ["sweep", *(f"--{k}={v}" for k, v in zip("ergd", grid)),
+                "--format", fmt, "--out", str(path), "--jobs", jobs]
+        assert run(capsys, argv) == (0, "", "")
+        assert path.read_bytes() == want, jobs
+
+
+def test_serial_sweep_raises_only_where_a_later_gate_refuses(tmp_path, capsys,
+                                                             monkeypatch):
+    # 720 tuples of the acceptance grid have an integral n, and 572 are rows:
+    # only the other 148 may build a ParameterError.  No clock is read.
+    made = []
+    init = ParameterError.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ParameterError, "__init__", counted)
+    path = tmp_path / "grid.csv"
+    code, _, _ = run(capsys, ["sweep", *ACCEPTANCE_GRID, "--out", str(path)])
+    assert code == 0 and path.read_text().count("\n") == 573
+    assert len(made) <= 148
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -1143,6 +1247,57 @@ def test_argv_fuzz_keeps_the_exit_status_contract(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
+
+
+# Each sweep range flag draws parts that start in [lo, hi] and span at most
+# `span` values more, so that every example sweeps a small box around 0.
+SWEEP_FUZZ_RANGES = {"--g": (-2, 3, 3), "--d": (-2, 30, 15), "--e": (-1, 5, 3),
+                     "--r": (-1, 8, 3)}
+SWEEP_FUZZ_GARBAGE = ["x", "..", "3.5", "1,,2", "--zz", "--format=xml", "--jobs=0",
+                      "--jobs=-1", "--d=5..3", "--g", "--out"]
+
+
+@st.composite
+def fuzz_sweep_parts(draw):
+    """A sweep's range flags, in random order and form, and its format; now
+    and then a garbage token after them.  (head, tail), for the test to put
+    --out and --jobs between."""
+    argv = ["sweep"]
+    for flag in draw(st.permutations(sorted(SWEEP_FUZZ_RANGES))):
+        lo, hi, span = SWEEP_FUZZ_RANGES[flag]
+        parts = []
+        for _ in range(draw(st.integers(1, 2))):
+            a = draw(st.integers(lo, hi))
+            # Now and then b < a: an empty range, which exits 2.
+            b = a + draw(st.sampled_from([-1] + [*range(span + 1)] * 5))
+            parts.append(draw(st.sampled_from([str(a), f"{a}..{b}"])))
+        text = ",".join(parts)
+        plain = not text.startswith("-") and draw(st.booleans())
+        argv += [flag, text] if plain else [f"{flag}={text}"]
+    argv += ["--format", draw(st.sampled_from(["csv", "jsonl"]))]
+    tail = []
+    if draw(st.integers(0, 9)) == 0:
+        tail.append(draw(st.sampled_from(SWEEP_FUZZ_GARBAGE)))
+    return argv, tail
+
+
+@given(fuzz_sweep_parts(), st.integers(1, 2))
+@settings(deadline=None, max_examples=100)
+def test_sweep_argv_fuzz_keeps_the_exit_status_contract(tmp_path_factory, parts, jobs):
+    head, tail = parts
+    outs = {}
+    for n in sorted({jobs, 1}):
+        path = tmp_path_factory.getbasetemp() / f"fuzz-{n}.out"
+        path.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*head, "--out", str(path), "--jobs", str(n), *tail])
+        assert code in (0, 2), (head, tail, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue() and stdout.getvalue() == ""
+        if code == 2:
+            return
+        outs[n] = path.read_bytes()
+    assert outs[jobs] == outs[1]
 
 
 # -- the plain argv reader ----------------------------------------------------------------

@@ -133,19 +133,22 @@ def test_certificate_bound_fields():
 
 def test_bound_ok_is_applicable_and_satisfied():
     # The hyp flag and the certificate read one verdict: on the criterion-5
-    # tuples and on every valid tuple near the threshold r = (e+1)(e-2).
+    # tuples and on every valid tuple with r from below the threshold
+    # (e+1)(e-2) to 12 past it.  certify_enumerative compares d with the
+    # bound in ints; the oracle is the Fraction comparison, and the grid
+    # meets integer bounds exactly, (1, 60, 3, 5) among them.
     cases = list(enumerativity_grid_cases())
     for e in (3, 4):
         edge = (e + 1) * (e - 2)
-        for r in range(edge - 1, edge + 3):
-            for g in range(3):
-                for d in range(1, 80):
+        for r in range(edge - 1, edge + 13):
+            for g in range(4):
+                for d in range(1, 241):
                     try:
                         dims_check(g, d, e, r)
                     except ParameterError:
                         continue
                     cases.append((g, d, e, r))
-    seen = set()
+    seen, on_the_bound = set(), set()
     for g, d, e, r in cases:
         rep = certify_enumerative(g, d, e, r)
         bound_ok = _hyp_flags(rep)["bound_ok"]
@@ -154,11 +157,24 @@ def test_bound_ok_is_applicable_and_satisfied():
             bound = enum_bound_closed(g, e, r)
         except ParameterError:
             assert not rep.bound_applicable and rep.closed_bound is None
+            assert not rep.bound_satisfied
         else:
             assert rep.bound_applicable and rep.closed_bound == bound
-            assert bound_ok == (bound is None or d > bound), (g, d, e, r)
+            assert rep.bound_satisfied == (bound is None or d > bound), (g, d, e, r)
+            if bound is not None and d == bound:
+                on_the_bound.add((g, d, e, r))
         seen.add((rep.bound_applicable, bound_ok))
     assert seen == {(False, False), (True, False), (True, True)}
+    assert (1, 60, 3, 5) in on_the_bound and len(on_the_bound) > 1
+
+
+def test_reports_are_immutable():
+    stratum = StratumProfile(0, 4, 0)
+    rep = certify_enumerative(1, 5, 3, 5)
+    for report, field in ((stratum, "b1"), (rep.witness, "passed"),
+                          (rep, "bound_satisfied")):
+        with pytest.raises(AttributeError):
+            setattr(report, field, getattr(report, field))
 
 
 # -- stratum_audit -------------------------------------------------------------------
