@@ -39,7 +39,9 @@ print(f"  n = {p.n} marks, bundle rank t = {p.t}, ambient rank N = {p.N}")
 # Each mark contributes one factor: the incidence class times the excess
 # factors times the line condition, with the top H_i power extracted.
 # The result is a single monomial alpha * H^h in the hyperplane class H.
-alpha, h = point_factor(p.e, p.r, 1)
+# One expansion gives it for every linear space of dimension 1..r+1; a
+# line is dimension 1, the first entry.
+alpha, h = point_factor(p.e, p.r)[0]
 print(f"per-mark factor: {alpha}*H^{h}")
 
 # The global factor forces the tuple to define a map into the cubic: the

@@ -267,7 +267,7 @@ def criterion_6_exactness() -> CriterionResult:
 
 
 def _run_cli_with_corrupted_point_factor() -> int:
-    """Drive `hyp` with point factors scaled by 1/p for a large prime p.
+    """Drive `hyp` with every point factor scaled by 1/p for a large prime p.
 
     The corruption survives to the final integration, which then fails the
     integrality invariant; the CLI must report exit status 3.
@@ -279,9 +279,9 @@ def _run_cli_with_corrupted_point_factor() -> int:
 
     original = engine.point_factor
 
-    def corrupted(e, r, ell_i):
-        alpha, h = original(e, r, ell_i)
-        return alpha * Fraction(1, 1_000_000_007), h
+    def corrupted(e, r):
+        return tuple((alpha * Fraction(1, 1_000_000_007), h)
+                     for alpha, h in original(e, r))
 
     engine.point_factor = corrupted
     try:

@@ -71,7 +71,7 @@ def parse_range(text: str) -> list[range]:
 
 def parse_ell(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(map(int, text.split(",")))
     except ValueError as ex:
         raise ParameterError(f"bad insertion list {text!r}: {ex}") from None
 

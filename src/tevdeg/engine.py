@@ -16,11 +16,12 @@ of C and integrating:
 
 Since each H_i appears in the factors for mark i only, extracting the
 H_i^{r+1} coefficient factorizes: each mark contributes a *monomial*
-alpha * H^{r+1+e-ell_i}, turning an (n+2)-variable expansion into one
-expansion in (H, H_i) per distinct ell_i, raised to the number of marks
-that share it.  The remaining class in H and theta is pushed down to the
-Jacobian (H^{N-1+k} -> (r+2)^k theta^[k], N = (r+2)(d-g+1)) and
-integrated there (the theta^[g] coefficient).
+alpha * H^{r+1+e-ell_i}, raised to the number of marks that share ell_i.
+Factor 4 only shifts the H_i power, so the (n+2)-variable expansion
+becomes one expansion of factors 1 and 2 in (H, H_i), whose H_i^{ell}
+coefficient is alpha for every ell at once.  The remaining class in H and
+theta is pushed down to the Jacobian (H^{N-1+k} -> (r+2)^k theta^[k],
+N = (r+2)(d-g+1)) and integrated there (the theta^[g] coefficient).
 
 The Jacobian stages work in the divided powers theta^[m] = theta^m / m!,
 where theta^[j] theta^[k] = C(j+k, j) theta^[j+k] and the integral of
@@ -32,7 +33,7 @@ a class on the Jacobian is its list of theta^[m] coefficients.  The
 engine never evaluates the closed form's (r+2-e)^g.  The point factor's
 expansion in (H, H_i), with H_i capped at H_i^{r+1}, is a ``TruncPoly``.
 
-A point factor depends on (e, r, ell_i) alone, so the entry points take an
+The point factors depend on (e, r) alone, so the entry points take an
 optional ``marks`` dict that keeps the factors built so far under that key;
 a sweep passes one dict for all its rows, and a one-off query gets a fresh
 one.
@@ -44,7 +45,6 @@ the assigned one.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .enumerativity import dims_check, insertion_dims_check
@@ -88,33 +88,35 @@ class HypParams:
         return cls(g, d, e, r, (1,) * dims_check(g, d, e, r))
 
 
-def point_factor(e: int, r: int, ell_i: int) -> tuple[int, int]:
-    """Contribution of one mark: the H_i^{r+1} coefficient of its factors.
+def point_factor(e: int, r: int) -> tuple[tuple[int, int], ...]:
+    """Contribution of one mark, for every insertion dimension at once.
 
-    Expands (sum_{a+b=r+1} H^a H_i^b) * prod_{k=1}^{e} ((k-1)H + (e+1-k)H_i)
-    * H_i^{r+1-ell_i} as an honest class in H and H_i (capped at H_i^{r+1})
-    and extracts the top H_i power: the monomial alpha_{ell_i} * H^h, returned
-    as the pair (alpha_{ell_i}, h).  The H-degree h is read off the expanded
-    class (by homogeneity it is r+1+e-ell_i), and that alpha is nonzero is
-    asserted, not assumed.
+    Mark i contributes the H_i^{r+1} coefficient of
+    (sum_{a+b=r+1} H^a H_i^b) * prod_{k=1}^{e} ((k-1)H + (e+1-k)H_i)
+    * H_i^{r+1-ell_i}: the monomial alpha_{ell_i} * H^h.  The last factor
+    only shifts the H_i power, so one expansion of the first two as an
+    honest class in H and H_i (capped at H_i^{r+1}) serves every ell_i:
+    alpha_ell is its H_i^ell coefficient and h = degree - ell (by
+    homogeneity r+1+e-ell).  Returns the pairs (alpha_ell, h) for
+    ell = 1..r+1, so entry ell - 1 is dimension ell; that every alpha is
+    nonzero is asserted, not assumed.
     """
     if e < 3:
         raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
-    if not (1 <= ell_i <= r + 1):
-        raise ParameterError(f"insertion dimension {ell_i} out of range [1, {r + 1}]")
-    total = TruncPoly(r + 1, "Hi", r + 1, [1] * (r + 2)) * TruncPoly(
-        r + 1 - ell_i, "Hi", r + 1, [0] * (r + 1 - ell_i) + [1]
-    )
-    for k in range(1, e + 1):
-        total = total * TruncPoly(1, "Hi", r + 1, [k - 1, e + 1 - k])
-    h = total.degree - (r + 1)
-    top = total.terms[r + 1] if len(total.terms) > r + 1 else 0
-    if top == 0:
+    if r < 1:
+        raise ParameterError(f"hypersurface dimension must be >= 1, got r={r}")
+    excess = TruncPoly(1, "Hi", r + 1, [0, e])
+    for k in range(2, e + 1):
+        excess = excess * TruncPoly(1, "Hi", r + 1, [k - 1, e + 1 - k])
+    total = TruncPoly(r + 1, "Hi", r + 1, [1] * (r + 2)) * excess
+    alphas = (total.terms[1:] + (0,) * (r + 1))[: r + 1]
+    if 0 in alphas:
+        ell = alphas.index(0) + 1
         raise InvariantBreach(
-            f"point factor for (e={e}, r={r}, ell={ell_i}) has no term at "
-            f"H^{h}: {total!r}"
+            f"point factor for (e={e}, r={r}, ell={ell}) has no term at "
+            f"H^{total.degree - ell}: {total!r}"
         )
-    return top, h
+    return tuple((alpha, total.degree - ell) for ell, alpha in enumerate(alphas, 1))
 
 
 def step3_class(e: int, t: int, g: int) -> tuple[int, int]:
@@ -175,25 +177,28 @@ def deg_T(p: HypParams, marks: dict | None = None) -> int:
 
     The whole pipeline: point factors, Chern class, support-window check,
     pushforward and integral.  Marks with equal ell_i share one monomial,
-    and ``marks`` maps (e, r, ell_i) to the (alpha, h) point factors built
-    so far: a missing one is built by ``point_factor`` and stored there, so
-    it runs once per key and dict.  With no dict each call starts from an
-    empty one.  The monomial's coefficient and the Chern scale e^t multiply
-    the pushed-down sum once, outside the stages.
+    and ``marks`` maps (e, r) to the table of (alpha, h) point factors
+    built so far, entry ell_i - 1 for dimension ell_i: a missing table is
+    built by ``point_factor`` and stored there, so it runs once per key and
+    dict.  With no dict each call starts from an empty one.  The
+    monomial's coefficient and the Chern scale e^t multiply the pushed-down
+    sum once, outside the stages.
 
     The result is e^n times the count of maps when every mark is on a
     line; it is certified integral and nonnegative before being returned.
     """
     if marks is None:
         marks = {}
+    key = (p.e, p.r)
+    table = marks.get(key)
+    if table is None:
+        table = marks[key] = point_factor(p.e, p.r)
     coeff = 1
     hdeg = 0
-    for li, mult in Counter(p.ell).items():
-        key = (p.e, p.r, li)
-        factor = marks.get(key)
-        if factor is None:
-            factor = marks[key] = point_factor(p.e, p.r, li)
-        alpha, h = factor
+    # The gate holds every ell_i to [1, r+1], so no index wraps around.
+    for li in set(p.ell):
+        mult = p.ell.count(li)
+        alpha, h = table[li - 1]
         coeff *= alpha**mult
         hdeg += h * mult
 

@@ -123,15 +123,20 @@ class UniPoly:
     def __mul__(self, other: UniPoly) -> UniPoly:
         if self.var != other.var:
             raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
-        if not self.coeffs or not other.coeffs:
-            return UniPoly(self.var, [])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        b = other.coeffs
+        out = [0] * (len(self.coeffs) + len(b) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(self.var, out)
+            if a:
+                for j, y in enumerate(b, i):
+                    out[j] += a * y
+        while out and out[-1] == 0:
+            out.pop()
+        # Sums and products of checked coefficients stay exact, so the
+        # validating constructor is skipped, as in TruncPoly.__mul__.
+        product = object.__new__(UniPoly)
+        product.var = self.var
+        product.coeffs = tuple(out)
+        return product
 
     def __eq__(self, other) -> bool:
         return (

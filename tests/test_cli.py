@@ -128,17 +128,17 @@ def test_hyp_invalid_input_exits_2(capsys):
 
 
 def _scaled_point_factor(monkeypatch, only_r=None):
-    """Rebind engine.point_factor to the true factor scaled by 1/p, p prime.
+    """Rebind engine.point_factor to the true table, each alpha times 1/p, p prime.
 
-    With ``only_r``, only the factors of that r are scaled.
+    With ``only_r``, only the tables of that r are scaled.
     """
     original = engine.point_factor
 
-    def corrupted(e, r, ell_i):
-        alpha, h = original(e, r, ell_i)
+    def corrupted(e, r):
+        table = original(e, r)
         if only_r not in (None, r):
-            return alpha, h
-        return alpha * Fraction(1, 1_000_000_007), h
+            return table
+        return tuple((alpha * Fraction(1, 1_000_000_007), h) for alpha, h in table)
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
 
@@ -695,15 +695,15 @@ def test_serial_sweep_builds_each_point_factor_once(tmp_path, capsys, monkeypatc
     calls = []
     original = engine.point_factor
 
-    def counted(e, r, ell_i):
-        calls.append((e, r, ell_i))
-        return original(e, r, ell_i)
+    def counted(e, r):
+        calls.append((e, r))
+        return original(e, r)
 
     monkeypatch.setattr(engine, "point_factor", counted)
     path = tmp_path / "grid.csv"
     code, _, _ = run(capsys, ["sweep", *ACCEPTANCE_GRID, "--out", str(path)])
     assert code == 0
-    valid = {(int(row.split(",")[2]), int(row.split(",")[3]), 1)
+    valid = {(int(row.split(",")[2]), int(row.split(",")[3]))
              for row in path.read_text().splitlines()[1:]}
     assert sorted(calls) == sorted(valid) and len(calls) == 23
 

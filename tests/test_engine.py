@@ -1,5 +1,6 @@
 """Tests for the Jacobian intersection pipeline."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -117,17 +118,34 @@ def test_hypparams_accepts_exactly_the_insertion_gate():
 # -- point_factor ---------------------------------------------------------------
 
 def test_point_factor_examples():
-    assert point_factor(3, 3, 1) == (6, 6)
-    assert point_factor(3, 3, 2) == (21, 5)
-    assert point_factor(3, 3, 4) == (27, 3)
+    assert point_factor(3, 3) == ((6, 6), (21, 5), (27, 4), (27, 3))
+    assert point_factor(3, 1) == ((6, 4), (21, 3))
+    assert point_factor(6, 1)[0] == (720, 7)
 
 
 def test_point_factor_is_alpha_monomial():
     for e in range(3, 7):
         for r in range(1, 9):
             alphas = alpha_coefficients(e, r)
-            for ell in range(1, r + 2):
-                assert point_factor(e, r, ell) == (alphas[ell - 1], r + 1 + e - ell)
+            assert point_factor(e, r) == tuple(
+                (alphas[ell - 1], r + 1 + e - ell) for ell in range(1, r + 2))
+
+
+def _per_ell_point_factor(e, r, ell_i):
+    """One expansion per ell_i, shift included, as the engine once built it."""
+    total = TruncPoly(r + 1, "Hi", r + 1, [1] * (r + 2)) * TruncPoly(
+        r + 1 - ell_i, "Hi", r + 1, [0] * (r + 1 - ell_i) + [1]
+    )
+    for k in range(1, e + 1):
+        total = total * TruncPoly(1, "Hi", r + 1, [k - 1, e + 1 - k])
+    return total.terms[r + 1], total.degree - (r + 1)
+
+
+def test_point_factor_matches_per_ell_expansion():
+    for e in range(3, 7):
+        for r in range(1, 25):
+            assert point_factor(e, r) == tuple(
+                _per_ell_point_factor(e, r, ell) for ell in range(1, r + 2)), (e, r)
 
 
 def _brute_point_factor(e, r, ell):
@@ -151,18 +169,26 @@ def _brute_point_factor(e, r, ell):
 def test_point_factor_matches_brute_expansion():
     for e in range(3, 7):
         for r in range(1, 11):
+            table = point_factor(e, r)
+            assert len(table) == r + 1, (e, r)
             for ell in range(1, r + 2):
                 top = _brute_point_factor(e, r, ell)
                 assert len(top) == 1, (e, r, ell, top)
                 [(h, c)] = top.items()
-                assert point_factor(e, r, ell) == (c, h), (e, r, ell)
+                assert table[ell - 1] == (c, h), (e, r, ell)
 
 
-def test_point_factor_rejects_out_of_range():
-    with pytest.raises(ParameterError):
-        point_factor(3, 3, 0)
-    with pytest.raises(ParameterError):
-        point_factor(3, 3, 5)
+def test_point_factor_rejects_out_of_range(monkeypatch):
+    with pytest.raises(ParameterError, match="degree must be >= 3"):
+        point_factor(2, 3)
+    with pytest.raises(ParameterError, match="dimension must be >= 1"):
+        point_factor(3, 0)
+    # ell_i = 0 and ell_i = r+2 would read entries -1 and r+1 of the
+    # table; the gate refuses both before any table is built or read.
+    monkeypatch.setattr(engine, "point_factor", None)
+    for bad in (0, 5):
+        with pytest.raises(ParameterError, match=f"dimension {bad} out of range"):
+            HypParams(0, 6, 3, 3, (bad, 2, 2, 1, 1, 1))
 
 
 # -- the Fraction oracle -------------------------------------------------------------
@@ -205,8 +231,9 @@ def _fraction_integrate_theta(c, g):
 
 def _fraction_cycle_degree(p):
     coeff, hdeg = 1, 0
+    table = point_factor(p.e, p.r)
     for li, mult in Counter(p.ell).items():
-        alpha, h = point_factor(p.e, p.r, li)
+        alpha, h = table[li - 1]
         coeff *= alpha**mult
         hdeg += h * mult
     full = _jac(hdeg, p.g, [coeff]) * _fraction_step3_class(p.e, p.t, p.g)
@@ -385,7 +412,7 @@ def _sample_params():
 def test_pushforward_matches_all_fraction_oracle():
     seen = 0
     for p in _sample_params():
-        alpha, h = point_factor(p.e, p.r, 1)
+        alpha, h = point_factor(p.e, p.r)[0]
         coeff, hdeg = alpha**p.n, h * p.n
         scale, ratio = step3_class(p.e, p.t, p.g)
         full = _jac(hdeg, p.g, [coeff]) * _fraction_step3_class(p.e, p.t, p.g)
@@ -423,7 +450,7 @@ def test_running_term_matches_list_oracle_at_large_genus(g):
     # The Chern class of deg_T at its own degree, where the Fraction oracle
     # is too slow; the stages and the whole pipeline both agree.
     p = HypParams.standard(g, 30 * g, 3, 3)
-    alpha, h = point_factor(p.e, p.r, 1)
+    alpha, h = point_factor(p.e, p.r)[0]
     degree = h * p.n + p.t
     scale, ratio = step3_class(p.e, p.t, p.g)
     want = _list_pushforward_theta(_list_chern_terms(p.e, p.g), degree, p.r, p.N, p.g)
@@ -472,38 +499,66 @@ def test_deg_T_matches_insertion_closed_form_on_mixed_profiles():
         assert deg_T(p) == deg_T_insertions_closed(g, d, e, r, ell)
 
 
-def test_deg_T_builds_one_point_factor_per_distinct_ell(monkeypatch):
+def _count_point_factor(monkeypatch):
+    """Rebind engine.point_factor to the true one, logging each (e, r)."""
     calls = []
 
-    def counted(e, r, ell_i):
-        calls.append(ell_i)
-        return point_factor(e, r, ell_i)
+    def counted(e, r):
+        calls.append((e, r))
+        return point_factor(e, r)
 
     monkeypatch.setattr(engine, "point_factor", counted)
+    return calls
+
+
+def test_deg_T_builds_one_point_factor_per_e_r(monkeypatch):
+    calls = _count_point_factor(monkeypatch)
     p = HypParams(0, 6, 3, 3, (2, 2, 2, 1, 1, 1))
     assert deg_T(p) == 6001128
-    assert sorted(calls) == [1, 2]
+    assert calls == [(3, 3)]
     calls.clear()
     deg_T(HypParams.standard(3, 300, 3, 10))  # 268 marks, all ell = 1
-    assert calls == [1]
-    # A shared dict builds each (e, r, ell) once, across calls.
+    assert calls == [(3, 10)]
+    # A shared dict builds each (e, r) once, across calls and profiles.
     calls.clear()
     marks = {}
     for g, d in ((0, 3), (1, 3), (0, 6)):
         tev_hypersurface_engine(HypParams.standard(g, d, 3, 3), marks)
     deg_T(p, marks)
-    assert sorted(calls) == [1, 2]
-    assert sorted(marks) == [(3, 3, 1), (3, 3, 2)]
-    assert marks[(3, 3, 2)] == point_factor(3, 3, 2)
+    assert calls == [(3, 3)]
+    assert sorted(marks) == [(3, 3)]
+    assert marks[(3, 3)] == point_factor(3, 3)
+
+
+def test_every_insertion_dimension_from_one_point_factor(capsys, monkeypatch):
+    # 1,828 marks on lines, then one on each linear space of dimension
+    # 1..61 of P^61: every entry of the table is read, from one expansion.
+    from tevdeg.cli import main
+
+    ell = (1,) * 1828 + tuple(range(1, 62))
+    p = HypParams(1, 1890, 3, 60, ell)
+    calls = _count_point_factor(monkeypatch)
+    assert deg_T(p) == deg_T_insertions_closed(1, 1890, 3, 60, ell)
+    assert calls == [(3, 60)]
+    argv = ["insert", "--g", "1", "--d", "1890", "--e", "3", "--r", "60",
+            "--ell", ",".join(map(str, ell)), "--json"]
+    calls.clear()
+    assert main(argv + ["--method", "engine"]) == 0
+    assert calls == [(3, 60)]
+    engine_doc = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--method", "closed"]) == 0
+    closed_doc = json.loads(capsys.readouterr().out)
+    assert engine_doc["results"][0]["value"] == closed_doc["results"][0]["value"]
+    assert calls == [(3, 60)]
 
 
 def test_engine_reads_point_factors_from_marks():
     p = HypParams.standard(0, 3, 3, 3)
-    alpha, h = point_factor(3, 3, 1)
-    scaled = (alpha * Fraction(1, 1_000_000_007), h)
+    table = point_factor(3, 3)
+    scaled = tuple((alpha * Fraction(1, 1_000_000_007), h) for alpha, h in table)
     with pytest.raises(InvariantBreach, match="not an integer"):
-        deg_T(p, {(3, 3, 1): scaled})
-    assert deg_T(p, {(3, 3, 1): (alpha, h)}) == deg_T(p) == 648
+        deg_T(p, {(3, 3): scaled})
+    assert deg_T(p, {(3, 3): table}) == deg_T(p) == 648
 
 
 def test_deg_T_rejects_mismatched_profile():
@@ -521,7 +576,7 @@ def test_pipeline_support_window():
         p = HypParams.standard(g, d, e, r)
         coeff, hdeg = 1, 0
         for li in p.ell:
-            alpha, h = point_factor(e, r, li)
+            alpha, h = point_factor(e, r)[li - 1]
             coeff *= alpha
             hdeg += h
         scale, ratio = step3_class(e, p.t, g)
@@ -544,9 +599,9 @@ def test_exactness_and_divisibility_on_sample():
 def test_corrupted_coefficient_breaches_integrality(monkeypatch):
     original = point_factor
 
-    def corrupted(e, r, ell_i):
-        alpha, h = original(e, r, ell_i)
-        return alpha * Fraction(1, 1_000_000_007), h
+    def corrupted(e, r):
+        return tuple((alpha * Fraction(1, 1_000_000_007), h)
+                     for alpha, h in original(e, r))
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
     with pytest.raises(InvariantBreach, match="not an integer"):
@@ -556,9 +611,8 @@ def test_corrupted_coefficient_breaches_integrality(monkeypatch):
 def test_corrupted_coefficient_breaches_divisibility(monkeypatch):
     original = point_factor
 
-    def corrupted(e, r, ell_i):
-        alpha, h = original(e, r, ell_i)
-        return alpha + 1, h
+    def corrupted(e, r):
+        return tuple((alpha + 1, h) for alpha, h in original(e, r))
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
     with pytest.raises(InvariantBreach, match="not divisible"):
@@ -568,9 +622,8 @@ def test_corrupted_coefficient_breaches_divisibility(monkeypatch):
 def test_corrupted_degree_breaches_support_window(monkeypatch):
     original = point_factor
 
-    def corrupted(e, r, ell_i):
-        alpha, h = original(e, r, ell_i)
-        return alpha, h + 1
+    def corrupted(e, r):
+        return tuple((alpha, h + 1) for alpha, h in original(e, r))
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
     with pytest.raises(InvariantBreach, match="H-degree"):
@@ -581,12 +634,14 @@ def test_breach_on_a_count_past_the_digit_limit_names_it(monkeypatch):
     # The cycle degree of (0, 6600, 3, 3), 6^4401 * 3^6598, and 49^4401
     # both pass the default limit of 4300 digits; each breach still raises.
     p = HypParams.standard(0, 6600, 3, 3)
-    alpha, h = point_factor(3, 3, 1)
-    monkeypatch.setattr(engine, "point_factor", lambda e, r, ell_i: (-alpha, h))
+    table = point_factor(3, 3)
+    monkeypatch.setattr(engine, "point_factor",
+                        lambda e, r: tuple((-alpha, h) for alpha, h in table))
     with pytest.raises(InvariantBreach, match="is negative"):
         deg_T(p)
     # With 49 for alpha and no scale e^t, 3^n does not divide the degree.
-    monkeypatch.setattr(engine, "point_factor", lambda e, r, ell_i: (49, h))
+    monkeypatch.setattr(engine, "point_factor",
+                        lambda e, r: tuple((49, h) for _, h in table))
     monkeypatch.setattr(engine, "step3_class", lambda e, t, g: (1, 0))
     with pytest.raises(InvariantBreach, match="not divisible"):
         tev_hypersurface_engine(p)
@@ -597,9 +652,9 @@ def test_non_int_breach_past_the_digit_limit_exits_3(capsys, monkeypatch):
     # denominator both pass the default limit of 4300 digits.
     from tevdeg.cli import main
 
-    alpha, h = point_factor(3, 3, 1)
-    monkeypatch.setattr(engine, "point_factor",
-                        lambda e, r, ell_i: (Fraction(alpha, 1_000_000_007), h))
+    table = point_factor(3, 3)
+    monkeypatch.setattr(engine, "point_factor", lambda e, r: tuple(
+        (Fraction(alpha, 1_000_000_007), h) for alpha, h in table))
     code = main(["hyp", "--g", "0", "--d", "6600", "--e", "3", "--r", "3",
                  "--method", "engine"])
     out, err = capsys.readouterr()

@@ -118,3 +118,31 @@ def test_unipoly_variable_mismatch_rejected():
 def test_unipoly_keeps_exact_fractions():
     u = UniPoly("H", [Fraction(1, 2)]) * UniPoly("H", [Fraction(2, 3)])
     assert u.coeff(0) == Fraction(1, 3)
+
+
+_unipolys = st.lists(_coeffs, max_size=6).map(lambda c: UniPoly("z", c))
+
+
+@given(_unipolys, _unipolys, _unipolys)
+def test_unipoly_mul_matches_validating_constructor(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    # The product skips the validating constructor; passing its coefficients
+    # back through it must change nothing (no trailing zero to strip).
+    prod = a * b
+    assert UniPoly("z", prod.coeffs) == prod
+    assert not prod.coeffs or prod.coeffs[-1] != 0
+    want = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            want[i + j] += x * y
+    assert prod == UniPoly("z", want)
+
+
+def test_unipoly_mul_by_zero_is_canonical_zero():
+    # The zero polynomial has no coefficients, so neither has its product,
+    # and a product from the constructor's own stripped input agrees.
+    u = UniPoly("z", [1, 2])
+    assert (u * UniPoly("z", [])).coeffs == ()
+    assert (UniPoly("z", []) * u) == UniPoly("z", [0, 0])
+    assert (u * UniPoly("z", [0, 3])).coeffs == (0, 3, 6)
