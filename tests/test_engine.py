@@ -185,10 +185,35 @@ def test_point_factor_rejects_out_of_range(monkeypatch):
         point_factor(3, 0)
     # ell_i = 0 and ell_i = r+2 would read entries -1 and r+1 of the
     # table; the gate refuses both before any table is built or read.
-    monkeypatch.setattr(engine, "point_factor", None)
+    from tevdeg.cli import main
+
+    def unreachable(e, r):
+        raise AssertionError("point_factor called past the gate")
+
+    monkeypatch.setattr(engine, "point_factor", unreachable)
     for bad in (0, 5):
+        ell = (bad, 2, 2, 1, 1, 1)
         with pytest.raises(ParameterError, match=f"dimension {bad} out of range"):
-            HypParams(0, 6, 3, 3, (bad, 2, 2, 1, 1, 1))
+            HypParams(0, 6, 3, 3, ell)
+        assert main(["insert", "--g", "0", "--d", "6", "--e", "3", "--r", "3",
+                     "--ell", ",".join(map(str, ell)), "--method", "engine"]) == 2
+
+
+def test_point_factor_breaches_on_a_missing_alpha(monkeypatch):
+    # Every alpha_ell is nonzero; a product that lost one is refused, not
+    # handed to deg_T as a zero factor.
+    original = TruncPoly.__mul__
+
+    def drop_h_i_squared(a, b):
+        out = original(a, b)
+        if len(out.terms) > 2:
+            out = TruncPoly(out.degree, out.var, out.cap,
+                            out.terms[:2] + (0,) + out.terms[3:])
+        return out
+
+    monkeypatch.setattr(TruncPoly, "__mul__", drop_h_i_squared)
+    with pytest.raises(InvariantBreach, match=r"\(e=3, r=3, ell=2\) has no term at H\^5"):
+        point_factor(3, 3)
 
 
 # -- the Fraction oracle -------------------------------------------------------------
