@@ -10,7 +10,9 @@ the validity gates: whether a count is enumerative is decided by
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import factorial
+from operator import sub
 
 from .enumerativity import dims_check, insertion_dims_check, line_dims_check
 from .errors import InvariantBreach, ParameterError
@@ -63,21 +65,33 @@ def vtev_hypersurface_closed(g: int, d: int, e: int, r: int) -> int:
 def alpha_coefficients(e: int, r: int) -> tuple[int, ...]:
     """Per-point insertion multipliers alpha_1 .. alpha_{e+r+1}.
 
-    Coefficients of (1 + z + ... + z^{r+1}) * prod_{j=0}^{e-1} (j + (e-j) z);
-    the j = 0 factor is e*z, so the constant term vanishes and the list
-    starts at z^1.  All entries are positive, the list is palindromic, and
-    it sums to (r+2) e^e (both sides evaluated at z = 1).
+    Coefficients of (1 + z + ... + z^{r+1}) * P(z), P = prod_{j=0}^{e-1}
+    (j + (e-j) z); the j = 0 factor is e*z, so the constant term vanishes
+    and the list starts at z^1.  P is built in e - 1 small products and
+    its shape checked (constant term 0, degree e); the all-ones factor is
+    never multiplied out: alpha_k is the window sum P_{k-r-1} + ... + P_k,
+    read off one running sum of P's coefficients, in O(e^2 + r) steps.
+    All entries are positive, the list is palindromic, and it sums to
+    (r+2) e^e (both sides evaluated at z = 1).
     """
     if e < 3:
         raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
     if r < 1:
         raise ParameterError(f"hypersurface dimension must be >= 1, got r={r}")
-    poly = UniPoly("z", [1] * (r + 2))
-    for j in range(e):
+    poly = UniPoly("z", [0, e])
+    for j in range(1, e):
         poly = poly * UniPoly("z", [j, e - j])
-    if poly.coeff(0) != 0 or poly.degree() != e + r + 1:
+    if poly.coeff(0) != 0 or poly.degree() != e:
         raise InvariantBreach(f"insertion polynomial has unexpected shape: {poly!r}")
-    return tuple(poly.coeff(k) for k in range(1, e + r + 2))
+    # below[m] = P_0 + ... + P_{m-1} for m = 0..e+1, so alpha_k, the window
+    # sum P_{k-r-1} + ... + P_k, is
+    #     below[min(k+1, e+1)] - below[max(k-r-1, 0)]:
+    # the upper end stays at below[e+1] for the last r+1 values of k, and
+    # the lower end at below[0] = 0 for the first r+1.
+    below = [0, *accumulate(poly.coeffs)]
+    upper = below[2:] + below[-1:] * (r + 1)
+    lower = [0] * (r + 1) + below[1:-1]
+    return tuple(map(sub, upper, lower))
 
 
 def deg_T_insertions_closed(g: int, d: int, e: int, r: int, ell) -> int:

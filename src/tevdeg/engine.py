@@ -19,9 +19,12 @@ H_i^{r+1} coefficient factorizes: each mark contributes a *monomial*
 alpha * H^{r+1+e-ell_i}, raised to the number of marks that share ell_i.
 Factor 4 only shifts the H_i power, so the (n+2)-variable expansion
 becomes one expansion of factors 1 and 2 in (H, H_i), whose H_i^{ell}
-coefficient is alpha for every ell at once.  The remaining class in H and
-theta is pushed down to the Jacobian (H^{N-1+k} -> (r+2)^k theta^[k],
-N = (r+2)(d-g+1)) and integrated there (the theta^[g] coefficient).
+coefficient is alpha for every ell at once.  Factor 1 has every
+coefficient 1, so multiplying by it is a running sum: alpha_ell is the
+sum of the excess factor's coefficients up to H_i^ell.  The remaining
+class in H and theta is pushed down to the Jacobian
+(H^{N-1+k} -> (r+2)^k theta^[k], N = (r+2)(d-g+1)) and integrated there
+(the theta^[g] coefficient).
 
 The Jacobian stages work in the divided powers theta^[m] = theta^m / m!,
 where theta^[j] theta^[k] = C(j+k, j) theta^[j+k] and the integral of
@@ -30,8 +33,8 @@ class are absorbed there, so every coefficient is a plain ``int``.  The
 Chern class is a scale e^t and the ratio -e of successive terms, and the
 pushforward sums its terms against the Segre terms with one running term;
 a class on the Jacobian is its list of theta^[m] coefficients.  The
-engine never evaluates the closed form's (r+2-e)^g.  The point factor's
-expansion in (H, H_i), with H_i capped at H_i^{r+1}, is a ``TruncPoly``.
+engine never evaluates the closed form's (r+2-e)^g.  The excess factor,
+a class in (H, H_i) with H_i capped at H_i^{r+1}, is a ``TruncPoly``.
 
 The point factors depend on (e, r) alone, so the entry points take an
 optional ``marks`` dict that keeps the factors built so far under that key;
@@ -46,6 +49,7 @@ the assigned one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .enumerativity import dims_check, insertion_dims_check
 from .errors import InvariantBreach, ParameterError, int_str
@@ -97,9 +101,12 @@ def point_factor(e: int, r: int) -> tuple[tuple[int, int], ...]:
     only shifts the H_i power, so one expansion of the first two as an
     honest class in H and H_i (capped at H_i^{r+1}) serves every ell_i:
     alpha_ell is its H_i^ell coefficient and h = degree - ell (by
-    homogeneity r+1+e-ell).  Returns the pairs (alpha_ell, h) for
-    ell = 1..r+1, so entry ell - 1 is dimension ell; that every alpha is
-    nonzero is asserted, not assumed.
+    homogeneity r+1+e-ell).  Only the excess product is multiplied out,
+    in e - 1 small products; the incidence class has every coefficient 1,
+    so alpha_ell is the prefix sum of the excess's H_i^0..H_i^ell
+    coefficients, O(e^2 + r) steps in all.  Returns the pairs
+    (alpha_ell, h) for ell = 1..r+1, so entry ell - 1 is dimension ell;
+    that every alpha is nonzero is asserted, not assumed.
     """
     if e < 3:
         raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
@@ -108,15 +115,19 @@ def point_factor(e: int, r: int) -> tuple[tuple[int, int], ...]:
     excess = TruncPoly(1, "Hi", r + 1, [0, e])
     for k in range(2, e + 1):
         excess = excess * TruncPoly(1, "Hi", r + 1, [k - 1, e + 1 - k])
-    total = TruncPoly(r + 1, "Hi", r + 1, [1] * (r + 2)) * excess
-    alphas = (total.terms[1:] + (0,) * (r + 1))[: r + 1]
+    # Times the all-ones incidence class, the H_i^ell coefficient is the
+    # sum of the excess terms up to H_i^ell: past the excess's last term
+    # every alpha is the full sum (zero if the excess has no terms).
+    sums = list(accumulate(excess.terms)) or [0]
+    alphas = sums[1 : r + 2] + sums[-1:] * (r + 2 - len(sums))
+    degree = excess.degree + r + 1
     if 0 in alphas:
         ell = alphas.index(0) + 1
         raise InvariantBreach(
             f"point factor for (e={e}, r={r}, ell={ell}) has no term at "
-            f"H^{total.degree - ell}: {total!r}"
+            f"H^{degree - ell}: excess {excess!r}"
         )
-    return tuple((alpha, total.degree - ell) for ell, alpha in enumerate(alphas, 1))
+    return tuple((alpha, degree - ell) for ell, alpha in enumerate(alphas, 1))
 
 
 def step3_class(e: int, t: int, g: int) -> tuple[int, int]:

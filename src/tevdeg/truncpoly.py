@@ -1,7 +1,9 @@
-"""Exact graded classes for the engine's point factor, and dense univariates.
+"""Exact graded classes for the engine's excess factors, and dense univariates.
 
-``TruncPoly`` is the point factor's ring model: a class homogeneous in the
-hyperplane class H and one capped variable, stored as one coefficient list.
+``TruncPoly`` is the ring model of the point factor's excess factors: a
+class homogeneous in the hyperplane class H and one capped variable,
+stored as one coefficient list.  The incidence class is never multiplied
+in; the engine reads it off the excess product as a running sum.
 The engine's Jacobian stages work on plain int lists instead.
 The closed forms use only ``UniPoly``, and the Schubert and quantum routes
 do not import this module.
@@ -30,8 +32,8 @@ class TruncPoly:
     ``terms[j]`` is the coefficient of H^{degree-j} * var^j, so the list
     stops at min(degree, cap) and a product adds the degrees and takes the
     capped convolution of the two lists.  The cap is the ring structure: it
-    models nilpotence (theta^{g+1} = 0 on a Jacobian, H_i^{r+1} = 0 on a
-    point factor), so multiplication remains associative and commutative.
+    models nilpotence (theta^{g+1} = 0 on a Jacobian, H_i^{r+2} = 0 on the
+    excess factors), so multiplication remains associative and commutative.
     Trailing zeros are stripped, so 0 has no terms and equality is plain
     structural equality.  Treat instances as immutable.
     """
@@ -97,9 +99,10 @@ class TruncPoly:
 class UniPoly:
     """Dense polynomial in a single named variable, exact coefficients.
 
-    Used for the generating polynomial of the closed forms' insertion
-    multipliers.  Coefficients stay ints when the inputs are ints; trailing
-    zeros are stripped so the representation is canonical.
+    Used for the closed forms' excess polynomial prod_j (j + (e-j) z),
+    whose window sums are the insertion multipliers.  Coefficients stay
+    ints when the inputs are ints; trailing zeros are stripped so the
+    representation is canonical.
     """
 
     __slots__ = ("var", "coeffs")

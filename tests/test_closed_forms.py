@@ -16,6 +16,7 @@ from tevdeg.closed_forms import (
 from tevdeg.enumerativity import line_dims_check
 from tevdeg.errors import ParameterError
 from tevdeg.schubert import tev_p1_schubert
+from tevdeg.truncpoly import UniPoly
 
 
 # -- tev_p1_cps ----------------------------------------------------------------
@@ -167,6 +168,21 @@ def test_alpha_invariants():
             assert vals == vals[::-1]
             assert sum(vals) == (r + 2) * e**e
             assert all(v > 0 for v in vals)
+
+
+def _convolution_alpha_coefficients(e, r):
+    """(1 + z + ... + z^{r+1}) * prod_j (j + (e-j) z), multiplied out, as
+    alpha_coefficients once built it."""
+    poly = UniPoly("z", [1] * (r + 2))
+    for j in range(e):
+        poly = poly * UniPoly("z", [j, e - j])
+    return tuple(poly.coeff(k) for k in range(1, e + r + 2))
+
+
+@pytest.mark.parametrize("e", range(3, 9))
+def test_alpha_window_sums_match_convolution(e):
+    for r in (*range(1, 61), 500, 3000):
+        assert alpha_coefficients(e, r) == _convolution_alpha_coefficients(e, r), (e, r)
 
 
 def test_alpha_index_bounds():

@@ -20,7 +20,7 @@ from tevdeg.engine import (
 )
 from tevdeg.enumerativity import dims_check, insertion_dims_check
 from tevdeg.errors import InvariantBreach, ParameterError
-from tevdeg.truncpoly import TruncPoly
+from tevdeg.truncpoly import TruncPoly, UniPoly
 
 
 # -- parameter validation ------------------------------------------------------
@@ -201,19 +201,66 @@ def test_point_factor_rejects_out_of_range(monkeypatch):
 
 def test_point_factor_breaches_on_a_missing_alpha(monkeypatch):
     # Every alpha_ell is nonzero; a product that lost one is refused, not
-    # handed to deg_T as a zero factor.
+    # handed to deg_T as a zero factor.  alpha_ell sums the excess terms up
+    # to H_i^ell and the H_i^0 term is zero, so an excess that lost its
+    # H_i^1 term has alpha_1 = 0.
     original = TruncPoly.__mul__
 
-    def drop_h_i_squared(a, b):
+    def drop_h_i(a, b):
         out = original(a, b)
-        if len(out.terms) > 2:
+        if len(out.terms) > 1:
             out = TruncPoly(out.degree, out.var, out.cap,
-                            out.terms[:2] + (0,) + out.terms[3:])
+                            out.terms[:1] + (0,) + out.terms[2:])
         return out
 
-    monkeypatch.setattr(TruncPoly, "__mul__", drop_h_i_squared)
-    with pytest.raises(InvariantBreach, match=r"\(e=3, r=3, ell=2\) has no term at H\^5"):
+    monkeypatch.setattr(TruncPoly, "__mul__", drop_h_i)
+    with pytest.raises(InvariantBreach, match=r"\(e=3, r=3, ell=1\) has no term at H\^6"):
         point_factor(3, 3)
+
+
+def _convolution_point_factor(e, r):
+    """The excess times the incidence class [1]*(r+2), multiplied out, as
+    the engine once built it."""
+    excess = TruncPoly(1, "Hi", r + 1, [0, e])
+    for k in range(2, e + 1):
+        excess = excess * TruncPoly(1, "Hi", r + 1, [k - 1, e + 1 - k])
+    total = TruncPoly(r + 1, "Hi", r + 1, [1] * (r + 2)) * excess
+    alphas = (total.terms[1:] + (0,) * (r + 1))[: r + 1]
+    return tuple((alpha, total.degree - ell) for ell, alpha in enumerate(alphas, 1))
+
+
+@pytest.mark.parametrize("e", range(3, 9))
+def test_running_sum_matches_convolution(e):
+    for r in (*range(1, 61), 500, 3000):
+        assert point_factor(e, r) == _convolution_point_factor(e, r), (e, r)
+
+
+def _term_pairs(monkeypatch):
+    """Rebind TruncPoly and UniPoly products to log len(a) * len(b) each."""
+    pairs = []
+    for cls, attr in ((TruncPoly, "terms"), (UniPoly, "coeffs")):
+        def logged(a, b, original=cls.__mul__, attr=attr):
+            pairs.append(len(getattr(a, attr)) * len(getattr(b, attr)))
+            return original(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", logged)
+    return pairs
+
+
+@pytest.mark.parametrize("e", range(3, 7))
+def test_point_factor_and_alpha_products_do_not_grow_with_r(e, monkeypatch):
+    # Both routes multiply only the e - 1 small products of their excess
+    # polynomial, a (k+1)-term class by a 2-term factor, whatever r is; the
+    # engine's classes stop at H_i^{r+1}, so at small r a product can be
+    # shorter.  The all-ones incidence class is a running sum, never a product.
+    pairs = _term_pairs(monkeypatch)
+    for r in (3, 3000):
+        pairs.clear()
+        point_factor(e, r)
+        assert sum(pairs) == sum(2 * (min(k, r + 1) + 1) for k in range(1, e)), r
+        pairs.clear()
+        alpha_coefficients(e, r)
+        assert sum(pairs) == sum(2 * (k + 1) for k in range(1, e)), r
 
 
 # -- the Fraction oracle -------------------------------------------------------------
