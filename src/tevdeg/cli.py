@@ -179,8 +179,7 @@ def cmd_alpha(args) -> int:
         doc = {"e": args.e, "r": args.r, "alpha": [int_str(v) for v in al]}
         _print(json.dumps(doc))
     else:
-        for i, v in enumerate(al, start=1):
-            _print(f"alpha_{i} {int_str(v)}")
+        _print("\n".join(f"alpha_{i} {int_str(v)}" for i, v in enumerate(al, start=1)))
     return 0
 
 

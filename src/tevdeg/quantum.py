@@ -1,9 +1,11 @@
 """Small quantum cohomology of projective space P^r.
 
-The ring is Z[q, h] / (h^{r+1} = q): a class is a finite mapping
-(q-power, h-power) -> integer with h-power in [0, r].  The grading puts
-deg h = 1 and deg q = r + 1, so every product of pure-degree classes is
-again pure of the summed degree.
+The ring is Z[q, h] / (h^{r+1} = q).  The grading puts deg h = 1 and
+deg q = r + 1, so every product of pure-degree classes is again pure of
+the summed degree.  Since the h exponent stays in [0, r], a pure class of
+degree D is a single monomial c * q^a * h^b with (a, b) = divmod(D, r+1):
+a class is stored as its degree and one integer coefficient, and a
+quantum product is a degree sum and an integer product.
 
 The count of degree-d maps from a genus-g curve through n general point
 conditions, taken in the virtual sense, is the coefficient of q^d * P in
@@ -18,27 +20,50 @@ from __future__ import annotations
 
 from .errors import ParameterError, int_str
 
-# (q exponent, h exponent) -> integer coefficient; zero coefficients absent.
+# (q exponent, h exponent), the key of a term in QPolyClass.terms.
 QTerm = tuple[int, int]
 
 
-class QPolyClass:
-    """Element of the small quantum ring of P^r."""
+def _check_dimension(r: int) -> None:
+    if r < 1:
+        raise ParameterError(f"projective space dimension must be >= 1, got {r}")
 
-    __slots__ = ("r", "terms")
+
+class QPolyClass:
+    """Pure-degree element c * q^a * h^b of the small quantum ring of P^r.
+
+    Holds the ring dimension ``r``, the degree ``degree`` = (r+1) a + b and
+    the coefficient ``c``; the class is zero when c is 0, whatever its
+    degree.  The constructor takes the terms {(q exponent, h exponent): c}
+    and refuses exponents out of range and nonzero terms of different
+    degrees.  Products, sums and powers are built by ``_make`` without
+    that check.
+    """
+
+    __slots__ = ("r", "degree", "c")
 
     def __init__(self, r: int, terms: dict[QTerm, int]):
-        if r < 1:
-            raise ParameterError(f"projective space dimension must be >= 1, got {r}")
-        clean: dict[QTerm, int] = {}
+        _check_dimension(r)
+        degree, coeff = 0, 0
         for (qe, he), c in terms.items():
             if qe < 0 or not (0 <= he <= r):
                 raise ValueError(f"exponent pair {(qe, he)} out of range for r={r}")
             if c == 0:
                 continue
-            clean[(qe, he)] = c
+            term_degree = qe * (r + 1) + he
+            if coeff and term_degree != degree:
+                raise ValueError(
+                    f"terms of degrees {degree} and {term_degree} in one class for r={r}"
+                )
+            degree, coeff = term_degree, c
         self.r = r
-        self.terms = clean
+        self.degree = degree
+        self.c = coeff
+
+    @property
+    def terms(self) -> dict[QTerm, int]:
+        """{(q exponent, h exponent): c} with the one term, or {} for zero."""
+        return {divmod(self.degree, self.r + 1): self.c} if self.c else {}
 
     @classmethod
     def h_power(cls, r: int, k: int, c: int = 1) -> QPolyClass:
@@ -55,49 +80,52 @@ class QPolyClass:
     def __add__(self, other: QPolyClass) -> QPolyClass:
         if self.r != other.r:
             raise ValueError(f"mismatched rings: r={self.r} vs r={other.r}")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return QPolyClass(self.r, out)
+        if not other.c:
+            return self
+        if not self.c:
+            return other
+        if self.degree != other.degree:
+            raise ValueError(f"sum of degrees {self.degree} and {other.degree} is not pure")
+        return _make(self.r, self.degree, self.c + other.c)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QPolyClass)
             and self.r == other.r
-            and self.terms == other.terms
+            and self.c == other.c
+            and (not self.c or self.degree == other.degree)
         )
 
     def coeff(self, qe: int, he: int) -> int:
-        return self.terms.get((qe, he), 0)
+        return self.c if divmod(self.degree, self.r + 1) == (qe, he) else 0
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.c:
             return "0"
-        bits = []
-        for (qe, he) in sorted(self.terms):
-            c = self.terms[(qe, he)]
-            mono = "*".join(
-                ([f"q^{qe}" if qe > 1 else "q"] if qe else [])
-                + ([f"h^{he}" if he > 1 else "h"] if he else [])
-            )
-            bits.append(f"{c}*{mono}" if mono else f"{c}")
-        return " + ".join(bits)
+        qe, he = divmod(self.degree, self.r + 1)
+        mono = "*".join(
+            ([f"q^{qe}" if qe > 1 else "q"] if qe else [])
+            + ([f"h^{he}" if he > 1 else "h"] if he else [])
+        )
+        return f"{self.c}*{mono}" if mono else f"{self.c}"
+
+
+def _make(r: int, degree: int, c: int) -> QPolyClass:
+    """The class c * (the monomial of this degree), built without a check."""
+    out = object.__new__(QPolyClass)
+    out.r, out.degree, out.c = r, degree, c
+    return out
 
 
 def qmul(x: QPolyClass, y: QPolyClass) -> QPolyClass:
-    """Quantum product: bilinear extension of h^i * h^j = h^{i+j} or q h^{i+j-r-1}."""
+    """Quantum product: c q^a h^i * c' q^b h^j has degree the sum of the two.
+
+    The monomial of that degree is q^{a+b} h^{i+j}, or q^{a+b+1} h^{i+j-r-1}
+    when i + j > r; the coefficient is c * c'.
+    """
     if x.r != y.r:
         raise ParameterError(f"mismatched rings: r={x.r} vs r={y.r}")
-    r = x.r
-    out: dict[QTerm, int] = {}
-    for (qa, ha), ca in x.terms.items():
-        for (qb, hb), cb in y.terms.items():
-            qe, he = qa + qb, ha + hb
-            if he > r:
-                qe, he = qe + 1, he - (r + 1)
-            key = (qe, he)
-            out[key] = out.get(key, 0) + ca * cb
-    return QPolyClass(r, out)
+    return _make(x.r, x.degree + y.degree, x.c * y.c)
 
 
 def quantum_euler(r: int) -> QPolyClass:
@@ -106,9 +134,10 @@ def quantum_euler(r: int) -> QPolyClass:
     Computed as the sum of quantum products of dual basis pairs, not from
     the closed form; the identity with (r+1) h^r is a tested property.
     """
-    total = QPolyClass(r, {})
+    _check_dimension(r)
+    total = _make(r, 0, 0)
     for j in range(r + 1):
-        total = total + qmul(QPolyClass.h_power(r, r - j), QPolyClass.h_power(r, j))
+        total = total + qmul(_make(r, r - j, 1), _make(r, j, 1))
     return total
 
 
@@ -117,7 +146,7 @@ def qpow(x: QPolyClass, k: int) -> QPolyClass:
     if k < 0:
         raise ParameterError(f"power must be nonnegative, got {k}")
     if k == 0:
-        return QPolyClass.one(x.r)
+        return _make(x.r, 0, 1)
     acc = x
     for bit in bin(k)[3:]:
         acc = qmul(acc, acc)

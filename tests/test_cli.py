@@ -214,6 +214,22 @@ def test_alpha_breach_exits_3(capsys, monkeypatch):
     assert (code, out) == (3, "") and "unexpected shape" in err
 
 
+def test_alpha_text_is_one_write(capsys, monkeypatch):
+    writes = []
+    real = cli._print
+
+    def counting(*values, **kwargs):
+        writes.append(values)
+        return real(*values, **kwargs)
+
+    monkeypatch.setattr(cli, "_print", counting)
+    assert cli.cmd_alpha(argparse.Namespace(e=3, r=1000, json=False)) == 0
+    out = capsys.readouterr().out
+    assert len(writes) == 1
+    al = closed_forms.alpha_coefficients(3, 1000)
+    assert out == "".join(f"alpha_{i} {v}\n" for i, v in enumerate(al, start=1))
+
+
 def test_qh(capsys):
     code, out, _ = run(capsys, ["qh", "--g", "2", "--d", "2", "--r", "2", "--json"])
     assert code == 0
