@@ -6,16 +6,8 @@ the space of (r+2)-tuples of degree-d forms, fibered over the Jacobian of
 the source curve (a point here, since g = 0).
 """
 
-from tevdeg import (
-    HypParams,
-    deg_T,
-    integrate_theta,
-    point_factor,
-    pushforward_theta,
-    step3_class,
-    tev_hypersurface_engine,
-    vtev_hypersurface_closed,
-)
+from tevdeg import HypParams, deg_T, tev_hypersurface_engine, vtev_hypersurface_closed
+from tevdeg.engine import integrate_theta, point_factor, pushforward_theta, step3_class
 
 
 def show(scale, ratio, degree, g):

@@ -23,15 +23,7 @@ from .closed_forms import (
     vtev_hypersurface_closed,
     vtev_projective_closed,
 )
-from .engine import (
-    HypParams,
-    deg_T,
-    integrate_theta,
-    point_factor,
-    pushforward_theta,
-    step3_class,
-    tev_hypersurface_engine,
-)
+from .engine import HypParams, deg_T, tev_hypersurface_engine
 from .enumerativity import (
     AuditReport,
     CertificationReport,
@@ -44,8 +36,7 @@ from .enumerativity import (
 )
 from .errors import InvariantBreach, ParameterError
 from .quantum import QPolyClass, qmul, quantum_euler, vtev_projective_qh
-from .schubert import grassmann_integral, pieri_special, tev_p1_schubert
-from .truncpoly import TruncPoly, UniPoly
+from .schubert import tev_p1_schubert
 
 __version__ = "0.1.0"
 
@@ -57,23 +48,15 @@ __all__ = [
     "ParameterError",
     "QPolyClass",
     "StratumProfile",
-    "TruncPoly",
-    "UniPoly",
     "alpha_coefficients",
     "certify_enumerative",
     "deg_T",
     "deg_T_insertions_closed",
     "dims_check",
     "enum_bound_closed",
-    "grassmann_integral",
     "insertion_dims_check",
-    "integrate_theta",
-    "pieri_special",
-    "point_factor",
-    "pushforward_theta",
     "qmul",
     "quantum_euler",
-    "step3_class",
     "tev_hypersurface_engine",
     "tev_p1_cps",
     "tev_p1_schubert",

@@ -70,8 +70,9 @@ def criterion_1_engine_vs_closed() -> CriterionResult:
     failures = []
     params = main_grid_params()
     for p in params:
-        # tev_hypersurface_engine checks deg_T == e^n * count exactly, so the
-        # expected count also pins deg_T == (e!)^n (r+2-e)^g e^t.
+        # tev_hypersurface_engine checks that e divides alpha_1, so e^n divides
+        # deg_T exactly and the expected count also pins
+        # deg_T == (e!)^n (r+2-e)^g e^t.
         expected_count = (
             factorial(p.e - 1) ** p.n * (p.r + 2 - p.e) ** p.g * p.e**p.t
         )
@@ -87,9 +88,9 @@ def criterion_1_engine_vs_closed() -> CriterionResult:
     )
 
 
-def random_insertion_setups(count: int = PROFILE_COUNT, seed: int = PROFILE_SEED):
-    """Seeded valid insertion parameters with e <= 5, r <= 8, g <= 2."""
-    rng = random.Random(seed)
+def random_insertion_setups():
+    """PROFILE_COUNT seeded valid insertion parameters with e <= 5, r <= 8, g <= 2."""
+    rng = random.Random(PROFILE_SEED)
     setups = []
     # The contract's own worked profiles come first.
     for g, d, e, r, ell in (
@@ -98,7 +99,7 @@ def random_insertion_setups(count: int = PROFILE_COUNT, seed: int = PROFILE_SEED
         (0, 6, 3, 3, (2, 2, 2, 1, 1, 1)),
     ):
         setups.append(engine.HypParams(g, d, e, r, ell))
-    while len(setups) < count:
+    while len(setups) < PROFILE_COUNT:
         e = rng.choice((3, 4, 5))
         r = rng.randint(e - 1, 8)
         g = rng.randint(0, 2)
@@ -144,7 +145,7 @@ def criterion_2_insertions() -> CriterionResult:
 def criterion_3_p1_crosscheck() -> CriterionResult:
     """The two routes to counts of maps to the line agree everywhere."""
     failures = [f"(g={g}, d={d}): cps {a} != schubert {b}"
-                for g, d, a, b in closed_forms.compute_cps_schubert_discrepancies(12)]
+                for g, d, a, b in closed_forms.compute_cps_schubert_discrepancies()]
     for g in range(13):
         for d in range(g + 1, g + 4):
             b = schubert.tev_p1_schubert(g, d)
@@ -250,28 +251,31 @@ def criterion_5_enumerativity() -> CriterionResult:
 
 
 def criterion_6_exactness() -> CriterionResult:
-    """Integrality and divisibility on the main grid, plus the breach path."""
+    """The breach paths: a corrupted point factor makes `hyp` exit 3.
+
+    The e^n divisibility on the main grid needs no pass of its own: every
+    ``tev_hypersurface_engine`` call of criterion 1 checks it.
+    """
     failures = []
-    params = main_grid_params()
-    for p in params:
-        value = engine.deg_T(p)
-        if value % p.e**p.n != 0:
-            failures.append(f"{(p.g, p.d, p.e, p.r)}: e^n does not divide {value}")
-    code = _run_cli_with_corrupted_point_factor()
-    if code != 3:
-        failures.append(f"corrupted fixture gave exit status {code}, expected 3")
+    for d, method, corrupt in (
+        # A non-int factor survives to the integral, which is not an integer.
+        (3, "engine", lambda alpha: alpha * Fraction(1, 1_000_000_007)),
+        # At n = t = 7, e^t alone makes e^n divide the corrupted cycle degree.
+        (9, "both", lambda alpha: alpha + 1),
+    ):
+        code = _run_cli_with_corrupted_point_factor(d, method, corrupt)
+        if code != 3:
+            failures.append(f"corrupted fixture at d = {d} gave exit status {code}, "
+                            "expected 3")
     return _result(
         6, "exactness and divisibility", failures,
-        f"{len(params)} tuples integral and e^n-divisible; breach path exits 3",
+        "breach paths exit 3: non-int point factor at (0,3,3,3), "
+        "alpha_1 not divisible by e at (0,9,3,3)",
     )
 
 
-def _run_cli_with_corrupted_point_factor() -> int:
-    """Drive `hyp` with every point factor scaled by 1/p for a large prime p.
-
-    The corruption survives to the final integration, which then fails the
-    integrality invariant; the CLI must report exit status 3.
-    """
+def _run_cli_with_corrupted_point_factor(d, method, corrupt) -> int:
+    """Drive `hyp` at (g, d, e, r) = (0, d, 3, 3) with each alpha replaced by corrupt(alpha)."""
     import contextlib
     import io
 
@@ -280,16 +284,15 @@ def _run_cli_with_corrupted_point_factor() -> int:
     original = engine.point_factor
 
     def corrupted(e, r):
-        return tuple((alpha * Fraction(1, 1_000_000_007), h)
-                     for alpha, h in original(e, r))
+        return tuple((corrupt(alpha), h) for alpha, h in original(e, r))
 
     engine.point_factor = corrupted
     try:
         with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(
             io.StringIO()
         ):
-            return cli.main(["hyp", "--g", "0", "--d", "3", "--e", "3", "--r", "3",
-                             "--method", "engine"])
+            return cli.main(["hyp", "--g", "0", "--d", str(d), "--e", "3", "--r", "3",
+                             "--method", method])
     finally:
         engine.point_factor = original
 

@@ -112,18 +112,16 @@ def deg_T_insertions_closed(g: int, d: int, e: int, r: int, ell) -> int:
     return (r + 2 - e) ** g * e**t * prod
 
 
-def compute_cps_schubert_discrepancies(
-    g_max: int = 10,
-) -> tuple[tuple[int, int, int, int], ...]:
+def compute_cps_schubert_discrepancies() -> tuple[tuple[int, int, int, int], ...]:
     """Rows (g, d, cps, schubert) where the two routes to the line differ.
 
-    Covers every valid (g, d) with g <= g_max and d <= g + 3; empty when the
+    Covers every valid (g, d) with g <= 12 and d <= g + 3; empty when the
     binomial formula and the Grassmannian integral agree.
     """
     from .schubert import tev_p1_schubert
 
     rows = []
-    for g in range(g_max + 1):
+    for g in range(13):
         for d in range(1, g + 4):
             try:
                 a = tev_p1_cps(g, d)

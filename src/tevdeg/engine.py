@@ -238,16 +238,21 @@ def deg_T(p: HypParams, marks: dict | None = None) -> int:
 def tev_hypersurface_engine(p: HypParams, marks: dict | None = None) -> int:
     """The count of honest maps through points: deg_T divided exactly by e^n.
 
-    ``marks`` is the point-factor dict of ``deg_T``.
+    ``marks`` is the point-factor dict of ``deg_T``.  The cycle degree is
+    alpha_1^n e^t S, so e^n divides it when e divides the line factor
+    alpha_1; that is checked on alpha_1 itself, since e^t alone makes the
+    product divisible whenever t >= n, whatever alpha_1 is.
     """
     if p.ell.count(1) != p.n:
         raise ParameterError(
             f"a count of maps needs ell_i = 1 for every mark, got ell = {p.ell}"
         )
+    if marks is None:
+        marks = {}
     total = deg_T(p, marks)
-    q, rem = divmod(total, p.e**p.n)
-    if rem != 0:
+    alpha = marks[p.e, p.r][0][0]
+    if alpha % p.e:
         raise InvariantBreach(
-            f"cycle degree {int_str(total)} is not divisible by e^n = {p.e}^{p.n}"
+            f"point factor alpha_1 = {int_str(alpha)} is not divisible by e = {p.e}"
         )
-    return q
+    return total // p.e**p.n

@@ -18,13 +18,14 @@ sigma_1^g sigma_{a,b} counts the lattice paths from (a, b) to (box, box)
 that keep b <= a; the reflection principle counts them as a ballot
 number.  The count is a sum of about g/2 terms, whatever d is.
 
-``pieri_special`` and ``grassmann_integral`` are the sigma_1 step and the
-integral on slot lists: the explicit multiplication that the tests hold
-the ballot numbers to.  A combination of classes of one degree t is a list
-``c`` read from the box edge: ``c[m]`` is the coefficient of
-sigma_{(a, t-a)} with a = min(t, box) - m, and missing trailing entries
-are 0.  A class of degree t has ceil(t/2) <= a <= min(t, box), so a list
-never needs more than min(t, box) - ceil(t/2) + 1 entries.
+``pieri_special`` is the sigma_1 step on slot lists: the explicit
+multiplication that the tests hold the ballot numbers to, reading the
+integral off as the coefficient of (box, box).  A combination of classes
+of one degree t is a list ``c`` read from the box edge: ``c[m]`` is the
+coefficient of sigma_{(a, t-a)} with a = min(t, box) - m, and missing
+trailing entries are 0.  A class of degree t has
+ceil(t/2) <= a <= min(t, box), so a list never needs more than
+min(t, box) - ceil(t/2) + 1 entries.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ def pieri_special(box: int, t: int, combo: list[int]) -> list[int]:
     else:
         out = map(add, combo, [*combo[1:], 0])
     return list(out)[:n_out]
-
-
-def grassmann_integral(box: int, t: int, combo: list[int]) -> int:
-    """Integrate a degree-t combination over Gr(2, box+2): the coefficient of (box, box)."""
-    return combo[0] if t == 2 * box and combo else 0
 
 
 def tev_p1_schubert(g: int, d: int) -> int:

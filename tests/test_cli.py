@@ -150,6 +150,18 @@ def test_hyp_breach_exits_3(capsys, monkeypatch):
     assert code == 3 and "invariant breach" in err
 
 
+def test_hyp_alpha_not_divisible_by_e_exits_3(capsys, monkeypatch):
+    # At (0, 9, 3, 3), n = t = 7: e^t alone makes e^n divide the corrupted
+    # cycle degree, so only the check on alpha_1 itself refuses it.
+    original = engine.point_factor
+    monkeypatch.setattr(engine, "point_factor", lambda e, r: tuple(
+        (alpha + 1, h) for alpha, h in original(e, r)))
+    code, out, err = run(capsys, ["hyp", "--g", "0", "--d", "9", "--e", "3",
+                                  "--r", "3", "--method", "both"])
+    assert (code, out) == (3, "")
+    assert "alpha_1 = 7 is not divisible by e = 3" in err
+
+
 @pytest.mark.parametrize("method", ["closed", "engine", "both"])
 def test_hyp_gate_does_not_depend_on_method(capsys, method):
     # d < 2g: the tuple's own gate refuses it, whichever route is asked for.

@@ -103,7 +103,7 @@ def test_cps_rejections():
 
 
 def test_discrepancy_table_is_current():
-    assert compute_cps_schubert_discrepancies(12) == ()
+    assert compute_cps_schubert_discrepancies() == ()
 
 
 def test_cps_agrees_with_schubert_everywhere():

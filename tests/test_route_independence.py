@@ -67,3 +67,12 @@ def test_import_scan_sees_the_package():
 )
 def test_route_reaches_no_other_route(route, forbidden):
     assert not _reachable(route) & forbidden
+
+
+def test_engine_and_closed_forms_share_only_gates_errors_and_truncpoly():
+    # truncpoly is the one shared module that computes: the engine's excess
+    # product and the closed form's insertion polynomial both multiply in
+    # it.  Each route gets its own convolution, and truncpoly leaves this
+    # set, once the benchmark tracer stops importing TruncPoly and UniPoly.
+    assert _reachable("engine") & _reachable("closed_forms") == {
+        "enumerativity", "errors", "truncpoly"}

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from tevdeg.enumerativity import line_dims_check
 from tevdeg.errors import ParameterError
-from tevdeg.schubert import grassmann_integral, pieri_special, tev_p1_schubert
+from tevdeg.schubert import pieri_special, tev_p1_schubert
 
 
 # -- dict <-> slot list --------------------------------------------------------
@@ -46,6 +46,11 @@ def to_dict(box, t, combo):
     """Slot list -> dict combination without zero coefficients."""
     top = min(t, box)
     return {(top - m, t - top + m): c for m, c in enumerate(combo) if c != 0}
+
+
+def grassmann_integral(box, t, combo):
+    """Integrate a degree-t slot list over Gr(2, box+2): the coefficient of (box, box)."""
+    return combo[0] if t == 2 * box and combo else 0
 
 
 def by_degree(combo):
