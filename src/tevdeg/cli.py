@@ -88,6 +88,15 @@ def _print(*values, end: str = "\n", flush: bool = False) -> None:
         raise ParameterError(f"cannot write stdout: {ex}") from ex
 
 
+def _value_text(v) -> str:
+    """A params value (an int or an int list) or a flag (a bool), as JSON and as text."""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, int):
+        return int_str(v)
+    return f"[{', '.join(map(int_str, v))}]"
+
+
 def _report(args, params: dict, flags: dict, **routes) -> int:
     """Run the routes ``--method`` selects, print their values, and return 0.
 
@@ -95,38 +104,30 @@ def _report(args, params: dict, flags: dict, **routes) -> int:
     run, in the order given: all of them for "both", or for a verb with no
     ``--method``.  The text form is a params line, a line per route, the
     agreement line when more than one ran, and a line per flag; ``--json``
-    gives one object of the same.  A params int past the digit limit, which
-    ``str`` and ``json.dumps`` refuse, is written by ``int_str``.
+    gives one object of the same, in ``json.dumps``' layout.  Every int is
+    written by ``int_str``, so one past the digit limit, which ``str``
+    refuses, is written too.
     """
     names = routes if getattr(args, "method", "both") == "both" else (args.method,)
     results = [(name, routes[name]()) for name in names]
     agreement = len({v for _, v in results}) <= 1
     if args.json:
-        doc = {
-            "params": params,
-            "results": [{"method": m, "value": int_str(v)} for m, v in results],
-            "agreement": agreement,
-            "flags": flags,
-        }
-        try:
-            text = json.dumps(doc)
-        except ValueError:
-            # Only a params int can pass the limit: ell's parts passed int(),
-            # and str of a list of ints is its JSON.
-            fields = ", ".join(f'"{k}": {int_str(v) if isinstance(v, int) else v}'
-                               for k, v in params.items())
-            del doc["params"]
-            text = f'{{"params": {{{fields}}}, {json.dumps(doc)[1:]}'
-        _print(text)
+        # Every string written is a key, a method name or decimal digits, so
+        # none needs escaping, and the line is json.dumps' line for the doc.
+        fields = ", ".join(f'"{k}": {_value_text(v)}' for k, v in params.items())
+        values = ", ".join(f'{{"method": "{m}", "value": "{int_str(v)}"}}'
+                           for m, v in results)
+        marks = ", ".join(f'"{k}": {_value_text(v)}' for k, v in flags.items())
+        _print(f'{{"params": {{{fields}}}, "results": [{values}], '
+               f'"agreement": {_value_text(agreement)}, "flags": {{{marks}}}}}')
         return 0
-    _print(" ".join(f"{k}={int_str(v) if isinstance(v, int) else v}"
-                    for k, v in params.items()))
+    _print(" ".join(f"{k}={_value_text(v)}" for k, v in params.items()))
     for method, value in results:
         _print(f"{method:<10} {int_str(value)}")
     if len(results) > 1:
-        _print(f"agreement  {str(agreement).lower()}")
+        _print(f"agreement  {_value_text(agreement)}")
     for k, v in flags.items():
-        _print(f"{k:<14} {str(v).lower()}")
+        _print(f"{k:<14} {_value_text(v)}")
     return 0
 
 

@@ -4,8 +4,9 @@ The ring is Z[q, h] / (h^{r+1} = q).  The grading puts deg h = 1 and
 deg q = r + 1, so every product of pure-degree classes is again pure of
 the summed degree.  Since the h exponent stays in [0, r], a pure class of
 degree D is a single monomial c * q^a * h^b with (a, b) = divmod(D, r+1):
-a class is stored as its degree and one integer coefficient, and a
-quantum product is a degree sum and an integer product.
+a class is stored as its degree and one integer coefficient, a
+quantum product is a degree sum and an integer product, and a k-th power
+is k times the degree and the k-th power of the coefficient.
 
 The count of degree-d maps from a genus-g curve through n general point
 conditions, taken in the virtual sense, is the coefficient of q^d * P in
@@ -142,26 +143,26 @@ def quantum_euler(r: int) -> QPolyClass:
 
 
 def qpow(x: QPolyClass, k: int) -> QPolyClass:
-    """x^{*k} by square-and-multiply: fewer than 2 * k.bit_length() quantum products."""
+    """x^{*k} in closed form: degree k * deg x and coefficient c^k.
+
+    The k-th power of the pure class c * (monomial of degree D) is
+    c^k * (monomial of degree k D), since degrees add and coefficients
+    multiply under ``qmul``; k = 0 gives the unit, as c^0 = 1 (also for
+    the zero class).  This holds for one-monomial classes only.
+    """
     if k < 0:
         raise ParameterError(f"power must be nonnegative, got {k}")
-    if k == 0:
-        return _make(x.r, 0, 1)
-    acc = x
-    for bit in bin(k)[3:]:
-        acc = qmul(acc, acc)
-        if bit == "1":
-            acc = qmul(acc, x)
-    return acc
+    return _make(x.r, x.degree * k, x.c ** k)
 
 
 def vtev_projective_qh(g: int, d: int, r: int, n: int) -> int:
     """Virtual count for P^r by quantum ring expansion.
 
     Returns the coefficient of q^d * h^r in P^{*n} * E^{*g}, with both
-    powers taken by square-and-multiply.  The result is (r+1)^g exactly
-    when the point count matches n = (r+1) d / r - g + 1, and 0 otherwise
-    (the grading cannot reach q^d * h^r).
+    powers in closed form (``qpow``): r + 2 quantum products in all, the
+    r + 1 of ``quantum_euler`` and the final one.  The result is (r+1)^g
+    exactly when the point count matches n = (r+1) d / r - g + 1, and 0
+    otherwise (the grading cannot reach q^d * h^r).
     """
     point = QPolyClass.point(r)  # refuses r < 1 first
     if g < 0 or d < 1 or n < 1:

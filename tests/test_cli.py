@@ -259,13 +259,41 @@ def test_qh(capsys):
     (["p1", "--g", "20", "--d", "1000000000"], {"cps": str(2**20), "schubert": str(2**20)}),
 ])
 def test_huge_flag_values_stay_cheap(capsys, argv, values):
-    # The cost of qh grows with log n and log g, and that of p1 with g alone.
+    # qh makes r + 2 quantum products whatever n and g are; only the power
+    # c^g of the Euler class's coefficient grows with g.  p1 costs g alone.
     start = time.perf_counter()
     code, out, _ = run(capsys, argv + ["--json"])
     elapsed = time.perf_counter() - start
     assert code == 0
     assert {r["method"]: r["value"] for r in json.loads(out)["results"]} == values
     assert elapsed < 1.0
+
+
+def test_large_genus_qh_stays_cheap(capsys):
+    # The count is (r+1)^g = 4^(10^6), 602,060 digits: the power of the
+    # Euler class's coefficient and printing it are the whole cost.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["qh", "--g", "1000000", "--d", "3000000", "--r", "3",
+                                "--json"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["results"] == [{"method": "quantum", "value": int_str(4**10**6)}]
+    assert elapsed < 2.0
+
+
+def test_p1_and_qh_gates_disagree_at_n_0(capsys):
+    # At r = 1 the two gates part where n = 2d - g + 1 = 0: p1's gate takes
+    # n = 0, which is stable for g >= 2, and both P^1 routes give 0, while
+    # qh's gate asks n >= 1.  Which gate is right is ROADMAP item 8's to
+    # decide; until then both behaviours are data.  Changing p1 here changes
+    # P1_CORPUS_DIGEST.
+    for g, d in ((3, 1), (5, 2), (7, 3)):
+        code, out, err = run(capsys, ["p1", "--g", str(g), "--d", str(d)])
+        assert (code, err) == (0, "")
+        assert out == f"g={g} d={d} n=0\ncps        0\nschubert   0\nagreement  true\n"
+        code, out, err = run(capsys, ["qh", "--g", str(g), "--d", str(d), "--r", "1"])
+        assert (code, out) == (2, "")
+        assert "point count n = 0 must be >= 1" in err
 
 
 def test_large_genus_p1_stays_cheap(capsys):
@@ -1047,6 +1075,28 @@ def test_p1_digest():
     argvs = _p1_corpus()
     assert len(argvs) == P1_CORPUS_SIZE
     assert _corpus_digest(argvs) == P1_CORPUS_DIGEST
+
+
+def test_json_lines_are_json_dumps_lines(capsys):
+    # _report writes its --json line by hand; it must be json.dumps' line.
+    checked = 0
+    for argv in _query_corpus() + _p1_corpus():
+        if "--json" not in argv:
+            continue
+        code, out, _ = run(capsys, argv)
+        if code == 0:
+            assert json.dumps(json.loads(out)) + "\n" == out, argv
+            checked += 1
+    assert checked > 200
+    # No corpus argv makes two routes disagree, so call _report directly.
+    args = argparse.Namespace(json=True)
+    params, flags = {"g": 1, "d": 2, "ell": [3, 1]}, {"certified": False}
+    assert cli._report(args, params, flags, a=lambda: 5, b=lambda: -7) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert json.dumps(doc) + "\n" == out
+    assert doc == {"params": params, "agreement": False, "flags": flags,
+                   "results": [{"method": "a", "value": "5"}, {"method": "b", "value": "-7"}]}
 
 
 # -- the parser is built once per process ----------------------------------------------

@@ -290,6 +290,35 @@ def test_qpow_matches_repeated_product():
             want = qmul(want, x)
 
 
+def _square_and_multiply(x, k):
+    """x^{*k} by square-and-multiply: fewer than 2 * k.bit_length() quantum products.
+
+    The package's qpow before it took powers in closed form, kept as the oracle.
+    """
+    if k < 0:
+        raise ParameterError(f"power must be nonnegative, got {k}")
+    if k == 0:
+        return QPolyClass.one(x.r)
+    acc = x
+    for bit in bin(k)[3:]:
+        acc = qmul(acc, acc)
+        if bit == "1":
+            acc = qmul(acc, x)
+    return acc
+
+
+def test_qpow_matches_square_and_multiply():
+    rng = random.Random(23)
+    for r in range(1, 7):
+        for c in range(-3, 4):
+            x = QPolyClass(r, {(rng.randint(0, 5), rng.randint(0, r)): c})
+            for k in [0, 1, 2, 5000] + rng.sample(range(3, 5000), 150):
+                got, want = qpow(x, k), _square_and_multiply(x, k)
+                assert (got, got.terms) == (want, want.terms), (x, k)
+            big = QPolyClass(r, {(rng.randint(0, 5), rng.randint(0, r)): 1})
+            assert qpow(big, 10**9) == _square_and_multiply(big, 10**9)
+
+
 def test_qpow_rejects_negative_power():
     with pytest.raises(ParameterError):
         qpow(h(2, 1), -1)
@@ -298,8 +327,8 @@ def test_qpow_rejects_negative_power():
 def linear_products(r, n_max, g_max):
     """table[n][g] = P^{*n} * E^{*g}, one qmul per mark and per genus.
 
-    The loop that vtev_projective_qh ran before it took powers by
-    square-and-multiply: the oracle for the coefficient it reads.
+    One product per factor, as vtev_projective_qh ran before it took powers:
+    the oracle for the coefficient it reads.
     """
     point, euler = QPolyClass.point(r), quantum_euler(r)
     acc = QPolyClass.one(r)
@@ -332,7 +361,9 @@ def test_count_matches_linear_qmul_loop():
     (0, 1, 1, 3), (2, 2, 2, 2), (12, 24, 6, 17), (40, 60, 3, 41),
     (2, 3, 3, 10**9), (3, 10**9, 1, 2 * 10**9 - 2), (0, 6 * 10**6, 6, 7 * 10**6 + 1),
 ])
-def test_qmul_calls_logarithmic(monkeypatch, g, d, r, n):
+def test_count_makes_r_plus_2_products(monkeypatch, g, d, r, n):
+    # The r + 1 dual-basis products of quantum_euler and the final one: the
+    # powers are closed forms, whatever n and g.
     calls = 0
     real = quantum.qmul
 
@@ -343,7 +374,7 @@ def test_qmul_calls_logarithmic(monkeypatch, g, d, r, n):
 
     monkeypatch.setattr(quantum, "qmul", counting)
     vtev_projective_qh(g, d, r, n)
-    assert 0 < calls <= 2 * (n.bit_length() + g.bit_length()) + r + 2
+    assert calls == r + 2
 
 
 def test_count_validates_one_class(monkeypatch):
