@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from . import closed_forms, engine, quantum, schubert
 from .enumerativity import (
@@ -34,8 +34,7 @@ PROFILE_SEED = 20260811
 PROFILE_COUNT = 120
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

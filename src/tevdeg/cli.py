@@ -7,6 +7,10 @@ integers are printed as decimal strings, and no floating point appears
 anywhere.  A query verb, or help, whose stdout cannot be written exits 2
 with one ``error: cannot write stdout: ...`` line.
 
+One writer, ``_json``, writes every ``--json`` line of a query verb, in
+``json.dumps``' layout.  Only ``sweep`` imports the ``json`` module, for its
+``jsonl`` rows and its ``--jobs`` pipe, so a query verb starts without it.
+
 ``VERBS`` declares each verb and its flags once, and both ``build_parser``
 and ``_read_plain`` read it.  ``main`` reads plain argv (see ``_read_plain``)
 in one pass, in a few microseconds where argparse takes tens.  Every other
@@ -32,7 +36,6 @@ import contextlib
 import functools
 import io
 import itertools
-import json
 import os
 import sys
 from typing import NamedTuple
@@ -88,13 +91,27 @@ def _print(*values, end: str = "\n", flush: bool = False) -> None:
         raise ParameterError(f"cannot write stdout: {ex}") from ex
 
 
-def _value_text(v) -> str:
-    """A params value (an int or an int list) or a flag (a bool), as JSON and as text."""
+def _json(v) -> str:
+    """``v`` as ``json.dumps`` writes it: None, a bool, an int, a str, or a
+    list or dict of those.  The text forms write params and flags so too.
+
+    Every int is written by ``int_str``, so one past the digit limit, which
+    ``str`` refuses, is written too.  A str is written unescaped: every one
+    the verbs write is a key, a method name, decimal digits, "all d" or a
+    certify reason, which is one of enumerativity's fixed ASCII texts with
+    ints in decimal, so none holds a character that ``json.dumps`` escapes.
+    """
+    if v is None:
+        return "null"
     if isinstance(v, bool):
-        return str(v).lower()
+        return "true" if v else "false"
     if isinstance(v, int):
         return int_str(v)
-    return f"[{', '.join(map(int_str, v))}]"
+    if isinstance(v, str):
+        return f'"{v}"'
+    if isinstance(v, dict):
+        return "{" + ", ".join([f'"{k}": {_json(x)}' for k, x in v.items()]) + "}"
+    return "[" + ", ".join([_json(x) for x in v]) + "]"
 
 
 def _report(args, params: dict, flags: dict, **routes) -> int:
@@ -104,30 +121,27 @@ def _report(args, params: dict, flags: dict, **routes) -> int:
     run, in the order given: all of them for "both", or for a verb with no
     ``--method``.  The text form is a params line, a line per route, the
     agreement line when more than one ran, and a line per flag; ``--json``
-    gives one object of the same, in ``json.dumps``' layout.  Every int is
-    written by ``int_str``, so one past the digit limit, which ``str``
-    refuses, is written too.
+    gives one object of the same in ``json.dumps``' layout, its values
+    written by ``_json``.
     """
     names = routes if getattr(args, "method", "both") == "both" else (args.method,)
     results = [(name, routes[name]()) for name in names]
     agreement = len({v for _, v in results}) <= 1
     if args.json:
-        # Every string written is a key, a method name or decimal digits, so
-        # none needs escaping, and the line is json.dumps' line for the doc.
-        fields = ", ".join(f'"{k}": {_value_text(v)}' for k, v in params.items())
-        values = ", ".join(f'{{"method": "{m}", "value": "{int_str(v)}"}}'
-                           for m, v in results)
-        marks = ", ".join(f'"{k}": {_value_text(v)}' for k, v in flags.items())
-        _print(f'{{"params": {{{fields}}}, "results": [{values}], '
-               f'"agreement": {_value_text(agreement)}, "flags": {{{marks}}}}}')
+        # The results are formatted here: building them as dicts for _json
+        # took about 5 microseconds more per call.
+        values = ", ".join([f'{{"method": "{m}", "value": "{int_str(v)}"}}'
+                            for m, v in results])
+        _print(f'{{"params": {_json(params)}, "results": [{values}], '
+               f'"agreement": {_json(agreement)}, "flags": {_json(flags)}}}')
         return 0
-    _print(" ".join(f"{k}={_value_text(v)}" for k, v in params.items()))
+    _print(" ".join(f"{k}={_json(v)}" for k, v in params.items()))
     for method, value in results:
         _print(f"{method:<10} {int_str(value)}")
     if len(results) > 1:
-        _print(f"agreement  {_value_text(agreement)}")
+        _print(f"agreement  {_json(agreement)}")
     for k, v in flags.items():
-        _print(f"{k:<14} {_value_text(v)}")
+        _print(f"{k:<14} {_json(v)}")
     return 0
 
 
@@ -177,8 +191,8 @@ def cmd_insert(args) -> int:
 def cmd_alpha(args) -> int:
     al = closed_forms.alpha_coefficients(args.e, args.r)
     if args.json:
-        doc = {"e": args.e, "r": args.r, "alpha": [int_str(v) for v in al]}
-        _print(json.dumps(doc))
+        values = ", ".join([f'"{int_str(v)}"' for v in al])
+        _print(f'{{"e": {int_str(args.e)}, "r": {int_str(args.r)}, "alpha": [{values}]}}')
     else:
         _print("\n".join(f"alpha_{i} {int_str(v)}" for i, v in enumerate(al, start=1)))
     return 0
@@ -206,7 +220,7 @@ def cmd_certify(args) -> int:
         s = rep.witness.stratum
         witness = {"b0": s.b0, "b1": s.b1, "b2": s.b2}
     if args.json:
-        doc = {
+        _print(_json({
             "params": {"g": rep.g, "d": rep.d, "e": rep.e, "r": rep.r, "n": rep.n},
             "certified": rep.certified,
             "reason": rep.reason,
@@ -215,10 +229,8 @@ def cmd_certify(args) -> int:
             "bound_applicable": rep.bound_applicable,
             "bound_satisfied": rep.bound_satisfied,
             "audit_sharper": rep.audit_sharper,
-        }
-        # json.dumps writes ints with str, so strata_checked, which can pass
-        # the digit limit, is appended as the last key by hand.
-        _print(f'{json.dumps(doc)[:-1]}, "strata_checked": {int_str(rep.strata_checked)}}}')
+            "strata_checked": rep.strata_checked,
+        }))
     else:
         _print(f"g={rep.g} d={rep.d} e={rep.e} r={rep.r} n={rep.n}")
         _print(f"certified      {str(rep.certified).lower()}")
@@ -297,6 +309,8 @@ def _sweep_worker(tuples, k, jobs, wfd, read_fds):
     returns: ``os._exit`` skips the buffers and exit hooks it inherited
     too, such as those of ``--out`` and stdout.
     """
+    import json
+
     try:
         for fd in read_fds:
             os.close(fd)
@@ -332,6 +346,7 @@ def _sweep_records(tuples, jobs):
     way out, whatever the way.  The program starts no threads, so a forked
     worker inherits no lock held by another thread.
     """
+    import json
     import signal
 
     marks = {}
@@ -388,6 +403,8 @@ class _SweepOut(io.TextIOWrapper):
 
 
 def cmd_sweep(args) -> int:
+    import json    # here, not at the top: no query verb needs it
+
     if args.jobs < 1:
         raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     es, rs, gs, ds = [parse_range(text) for text in (args.e, args.r, args.g, args.d)]

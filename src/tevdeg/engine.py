@@ -48,7 +48,7 @@ the assigned one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate
 
 from .enumerativity import dims_check, insertion_dims_check
@@ -56,35 +56,34 @@ from .errors import InvariantBreach, ParameterError, int_str
 from .truncpoly import TruncPoly
 
 
-@dataclass(frozen=True)
-class HypParams:
+class HypParams(namedtuple("HypParams", "g d e r n t N ell")):
     """A parameter tuple that passed its gate, with its derived quantities.
 
     ell_i in [1, r+1] is the dimension of the linear space mark i must hit.
-    ``__post_init__`` runs ``insertion_dims_check`` (the gates ``dims_check``,
-    ``line_dims_check`` and ``projective_dims_check`` serve the other counts),
-    so the engine trusts every instance.  It sets n, the number of marks;
-    t = (d-n)e - g + 1, the rank of the twisted push-down bundle; and
-    N = (r+2)(d-g+1), the rank of the ambient bundle (fiber dimension N - 1).
+    Construction, ``HypParams(g, d, e, r, ell)``, runs ``insertion_dims_check``
+    (the gates ``dims_check``, ``line_dims_check`` and
+    ``projective_dims_check`` serve the other counts), so the engine trusts
+    every instance.  It fills in n, the number of marks; t = (d-n)e - g + 1,
+    the rank of the twisted push-down bundle; and N = (r+2)(d-g+1), the rank
+    of the ambient bundle (fiber dimension N - 1).
+
+    It is a tuple subclass with read-only fields and no ``__dict__``: it
+    compares and hashes as the plain tuple (g, d, e, r, n, t, N, ell) of
+    its fields, and equals that tuple.  The namedtuple helpers ``_make`` and
+    ``_replace`` skip the gate, so build an instance by calling the class.
     """
 
-    g: int
-    d: int
-    e: int
-    r: int
-    n: int = field(init=False)
-    t: int = field(init=False)
-    N: int = field(init=False)
-    ell: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        g, d, e, r = self.g, self.d, self.e, self.r
-        ell = tuple(self.ell)
+    def __new__(cls, g: int, d: int, e: int, r: int, ell) -> HypParams:
+        ell = tuple(ell)
         n = insertion_dims_check(g, d, e, r, ell)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "t", (d - n) * e - g + 1)
-        object.__setattr__(self, "N", (r + 2) * (d - g + 1))
+        return super().__new__(cls, g, d, e, r, n, (d - n) * e - g + 1,
+                               (r + 2) * (d - g + 1), ell)
+
+    def __getnewargs__(self):
+        # Copies and pickles rebuild through the gate, from the given fields.
+        return self.g, self.d, self.e, self.r, self.ell
 
     @classmethod
     def standard(cls, g: int, d: int, e: int, r: int) -> HypParams:

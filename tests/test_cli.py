@@ -622,6 +622,44 @@ def test_sweep_jobs_does_not_import_multiprocessing(tmp_path):
     assert proc.stdout == "0 False\n", proc.stderr
 
 
+def test_query_verbs_load_neither_dataclasses_inspect_nor_json(tmp_path):
+    # Start-up cost: no query verb needs these modules, and each takes
+    # milliseconds to import.  Only sweep loads json, for its jsonl rows
+    # and its --jobs pipe.  Run as the benchmark times start-up, in a fresh
+    # isolated interpreter.
+    queries = [
+        ["hyp", "--g", "1", "--d", "30", "--e", "3", "--r", "10", "--json"],
+        ["insert", "--g", "0", "--d", "6", "--e", "3", "--r", "3", "--ell", "2,2,2,1,1,1",
+         "--json"],
+        ["certify", "--g", "1", "--d", "30", "--e", "3", "--r", "10", "--json"],
+        ["alpha", "--e", "3", "--r", "3", "--json"],
+        ["p1", "--g", "3", "--d", "4", "--json"],
+        ["qh", "--g", "2", "--d", "2", "--r", "2", "--json"],
+    ]
+    sweep = ["sweep", "--e", "3", "--r", "3", "--g", "0", "--d", "1..6", "--format", "jsonl",
+             "--out", str(tmp_path / "x.jsonl")]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "heavy = ('dataclasses', 'inspect', 'json')\n"
+        "def loaded():\n"
+        "    return [m for m in heavy if m in sys.modules]\n"
+        "seen = loaded()\n"
+        "import tevdeg.cli as cli\n"
+        "cli.build_parser()\n"
+        "seen += loaded()\n"
+        f"for argv in {queries!r}:\n"
+        "    seen += [cli.main(argv)] + loaded()\n"
+        f"seen += [cli.main({sweep!r})] + loaded()\n"
+        "print(seen, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stderr == "[0, 0, 0, 0, 0, 0, 0, 'json']\n"
+    assert len([json.loads(line) for line in proc.stdout.splitlines()]) == len(queries)
+    assert (tmp_path / "x.jsonl").read_text().count("\n") > 0
+
+
 # SHA-256 of the acceptance grid's output; any refactor must keep these bytes.
 ACCEPTANCE_GRID = ["--e", "3..5", "--r", "3..10", "--g", "0..3", "--d", "1..30"]
 ACCEPTANCE_DIGESTS = {
@@ -1077,17 +1115,36 @@ def test_p1_digest():
     assert _corpus_digest(argvs) == P1_CORPUS_DIGEST
 
 
+def _json_shape(argv, doc):
+    """The verb of a --json line, or for certify the kinds of two of its values."""
+    if argv[0] != "certify":
+        return {argv[0]}
+    bound = doc["closed_bound"]
+    return {("witness", type(doc["witness"]).__name__),
+            ("closed_bound", "fraction" if bound and "/" in bound else bound)}
+
+
 def test_json_lines_are_json_dumps_lines(capsys):
-    # _report writes its --json line by hand; it must be json.dumps' line.
-    checked = 0
-    for argv in _query_corpus() + _p1_corpus():
+    # cli._json writes every query verb's --json line by hand; it must be
+    # json.dumps' line.  Beyond the corpora: qh, and certify at
+    # (1, 30, 3, 10), whose bound is 85/3, where every corpus bound is an
+    # integer or absent.
+    checked, shapes = 0, set()
+    extra = [["qh", "--g", "2", "--d", "2", "--r", "2", "--json"],
+             ["certify", "--g", "1", "--d", "30", "--e", "3", "--r", "10", "--json"]]
+    for argv in _query_corpus() + _p1_corpus() + extra:
         if "--json" not in argv:
             continue
         code, out, _ = run(capsys, argv)
         if code == 0:
-            assert json.dumps(json.loads(out)) + "\n" == out, argv
+            doc = json.loads(out)
+            assert json.dumps(doc) + "\n" == out, argv
+            shapes |= _json_shape(argv, doc)
             checked += 1
     assert checked > 200
+    assert {"p1", "hyp", "insert", "qh", "alpha", ("witness", "dict"), ("witness", "NoneType"),
+            ("closed_bound", None), ("closed_bound", "all d"),
+            ("closed_bound", "fraction")} <= shapes
     # No corpus argv makes two routes disagree, so call _report directly.
     args = argparse.Namespace(json=True)
     params, flags = {"g": 1, "d": 2, "ell": [3, 1]}, {"certified": False}

@@ -1,6 +1,8 @@
 """Tests for the Jacobian intersection pipeline."""
 
+import copy
 import json
+import pickle
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -85,6 +87,23 @@ def test_hypparams_is_its_own_gate():
     p = HypParams(0, 3, 3, 3, [1, 1, 1])
     assert p == HypParams.standard(0, 3, 3, 3)
     assert repr(p) == "HypParams(g=0, d=3, e=3, r=3, n=3, t=1, N=20, ell=(1, 1, 1))"
+
+
+def test_hypparams_is_a_read_only_tuple_of_its_fields():
+    p = HypParams(1, 3, 3, 3, [1, 1])
+    for name in ("g", "n", "ell", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 5)
+    assert not hasattr(p, "__dict__")
+    q = HypParams(1, 3, 3, 3, (1, 1))
+    assert p == q and hash(p) == hash(q) and p is not q
+    assert p != HypParams(0, 3, 3, 3, (1, 1, 1))
+    # A tuple subclass: it equals, and hashes as, the plain tuple of its fields.
+    assert p == (1, 3, 3, 3, 2, 3, 15, (1, 1)) and hash(p) == hash(tuple(p))
+    assert HypParams.standard(1, 3, 3, 3) == p
+    # Copies and pickles go back through the gate with the five given fields.
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(twin) is HypParams and twin == p
 
 
 def test_hypparams_accepts_exactly_the_insertion_gate():
