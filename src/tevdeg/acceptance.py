@@ -253,7 +253,8 @@ def criterion_6_exactness() -> CriterionResult:
     """The breach paths: a corrupted point factor makes `hyp` exit 3.
 
     The e^n divisibility on the main grid needs no pass of its own: every
-    ``tev_hypersurface_engine`` call of criterion 1 checks it.
+    ``deg_T`` call of criterion 1 checks that e divides alpha_1 on the table
+    it reads.
     """
     failures = []
     for d, method, corrupt in (

@@ -7,9 +7,10 @@ integers are printed as decimal strings, and no floating point appears
 anywhere.  A query verb, or help, whose stdout cannot be written exits 2
 with one ``error: cannot write stdout: ...`` line.
 
-One writer, ``_json``, writes every ``--json`` line of a query verb, in
-``json.dumps``' layout.  Only ``sweep`` imports the ``json`` module, for its
-``jsonl`` rows and its ``--jobs`` pipe, so a query verb starts without it.
+One writer, ``_json``, writes every ``--json`` line of a query verb and
+every ``jsonl`` row of ``sweep``, in ``json.dumps``' layout.  Only the
+``--jobs`` pipe of ``sweep`` imports the ``json`` module, so a query verb
+and a serial sweep run without it.
 
 ``VERBS`` declares each verb and its flags once, and both ``build_parser``
 and ``_read_plain`` read it.  ``main`` reads plain argv (see ``_read_plain``)
@@ -97,9 +98,10 @@ def _json(v) -> str:
 
     Every int is written by ``int_str``, so one past the digit limit, which
     ``str`` refuses, is written too.  A str is written unescaped: every one
-    the verbs write is a key, a method name, decimal digits, "all d" or a
-    certify reason, which is one of enumerativity's fixed ASCII texts with
-    ints in decimal, so none holds a character that ``json.dumps`` escapes.
+    the verbs and the sweep rows write is a key, a method name, decimal
+    digits, "all d" or a certify reason, which is one of enumerativity's
+    fixed ASCII texts with ints in decimal, so none holds a character that
+    ``json.dumps`` escapes.
     """
     if v is None:
         return "null"
@@ -346,8 +348,10 @@ def _sweep_records(tuples, jobs):
     way out, whatever the way.  The program starts no threads, so a forked
     worker inherits no lock held by another thread.
     """
-    import json
     import signal
+
+    if jobs > 1:
+        import json    # for the pipe: a serial sweep runs without it
 
     marks = {}
     pipes, pids = [], []
@@ -403,8 +407,6 @@ class _SweepOut(io.TextIOWrapper):
 
 
 def cmd_sweep(args) -> int:
-    import json    # here, not at the top: no query verb needs it
-
     if args.jobs < 1:
         raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     es, rs, gs, ds = [parse_range(text) for text in (args.e, args.r, args.g, args.d)]
@@ -433,7 +435,7 @@ def cmd_sweep(args) -> int:
             if as_csv:
                 out.write(",".join([str(rec[k]).lower() for k in SWEEP_COLUMNS]) + "\n")
             else:
-                out.write(json.dumps(rec) + "\n")
+                out.write(_json(rec) + "\n")
     return 0
 
 

@@ -105,12 +105,9 @@ def point_factor(e: int, r: int) -> tuple[tuple[int, int], ...]:
     so alpha_ell is the prefix sum of the excess's H_i^0..H_i^ell
     coefficients, O(e^2 + r) steps in all.  Returns the pairs
     (alpha_ell, h) for ell = 1..r+1, so entry ell - 1 is dimension ell;
-    that every alpha is nonzero is asserted, not assumed.
+    that every alpha is nonzero is asserted, not assumed.  The caller's
+    ``HypParams`` vouches for e >= 3 and r >= 1.
     """
-    if e < 3:
-        raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
-    if r < 1:
-        raise ParameterError(f"hypersurface dimension must be >= 1, got r={r}")
     excess = TruncPoly(1, "Hi", r + 1, [0, e])
     for k in range(2, e + 1):
         excess = excess * TruncPoly(1, "Hi", r + 1, [k - 1, e + 1 - k])
@@ -136,16 +133,9 @@ def step3_class(e: int, t: int, g: int) -> tuple[int, int]:
 
     in the divided powers theta^[m] = theta^m / m!, where every coefficient
     is an integer.  Returned as the scale e^t and the ratio -e of
-    successive terms: term m is ratio^m theta^[m] H^{t-m}.  Requires
-    t >= g; otherwise a negative H power would be needed, which is outside
-    this model (and unreachable from validated parameters).
+    successive terms: term m is ratio^m theta^[m] H^{t-m}.  The caller's
+    ``HypParams`` vouches for t >= g, so no term has a negative H power.
     """
-    if e < 3:
-        raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
-    if g < 0:
-        raise ParameterError(f"genus must be nonnegative, got g={g}")
-    if t < g:
-        raise ParameterError(f"rank t = {t} below genus g = {g}: out of model")
     return e**t, -e
 
 
@@ -174,11 +164,7 @@ def pushforward_theta(ratio: int, degree: int, r: int, N: int, g: int) -> list[i
 
 
 def integrate_theta(c: list[int], g: int) -> int:
-    """Integrate over the Jacobian: the theta^[g] coefficient, as int theta^[g] = 1."""
-    if len(c) != g + 1:
-        raise ParameterError(
-            f"class has {len(c)} theta^[k] coefficients, not the Jacobian's g + 1 = {g + 1}"
-        )
+    """Integrate over the Jacobian: entry g of ``pushforward_theta``'s list."""
     return c[g]
 
 
@@ -195,7 +181,10 @@ def deg_T(p: HypParams, marks: dict | None = None) -> int:
     sum once, outside the stages.
 
     The result is e^n times the count of maps when every mark is on a
-    line; it is certified integral and nonnegative before being returned.
+    line; it is certified integral and nonnegative, and e is certified to
+    divide the table's alpha_1 (it is e!, whatever ``p.ell`` is).  A
+    count's cycle degree is alpha_1^n e^t S, so that is what makes e^n
+    divide it; e^t alone does whenever t >= n, whatever alpha_1 is.
     """
     if marks is None:
         marks = {}
@@ -231,27 +220,22 @@ def deg_T(p: HypParams, marks: dict | None = None) -> int:
             f"cycle degree {int_str(num)}/{int_str(den)} is not an integer")
     if value < 0:
         raise InvariantBreach(f"cycle degree {int_str(value)} is negative")
+    alpha_1 = table[0][0]
+    if alpha_1 % p.e:
+        raise InvariantBreach(
+            f"point factor alpha_1 = {int_str(alpha_1)} is not divisible by e = {p.e}"
+        )
     return value
 
 
 def tev_hypersurface_engine(p: HypParams, marks: dict | None = None) -> int:
     """The count of honest maps through points: deg_T divided exactly by e^n.
 
-    ``marks`` is the point-factor dict of ``deg_T``.  The cycle degree is
-    alpha_1^n e^t S, so e^n divides it when e divides the line factor
-    alpha_1; that is checked on alpha_1 itself, since e^t alone makes the
-    product divisible whenever t >= n, whatever alpha_1 is.
+    ``marks`` is the point-factor dict of ``deg_T``, which vouches that e^n
+    divides the cycle degree.
     """
     if p.ell.count(1) != p.n:
         raise ParameterError(
             f"a count of maps needs ell_i = 1 for every mark, got ell = {p.ell}"
         )
-    if marks is None:
-        marks = {}
-    total = deg_T(p, marks)
-    alpha = marks[p.e, p.r][0][0]
-    if alpha % p.e:
-        raise InvariantBreach(
-            f"point factor alpha_1 = {int_str(alpha)} is not divisible by e = {p.e}"
-        )
-    return total // p.e**p.n
+    return deg_T(p, marks) // p.e**p.n

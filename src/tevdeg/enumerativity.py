@@ -329,10 +329,12 @@ def certify_enumerative(g: int, d: int, e: int, r: int) -> CertificationReport:
             strata_checked=checked,
         )
 
+    # 2g and n can pass the int/str digit limit that g and d are parsed under.
     if n < max(2 * g, 1):
-        return report(False, f"n = {n} below max(2g, 1) = {max(2 * g, 1)}", None, 0)
+        return report(False, f"n = {int_str(n)} below max(2g, 1) = {int_str(max(2 * g, 1))}",
+                      None, 0)
     if d < 2 * g:
-        return report(False, f"d = {d} below 2g = {2 * g}", None, 0)
+        return report(False, f"d = {int_str(d)} below 2g = {int_str(2 * g)}", None, 0)
 
     # (0, a0, 0) is at position a0*(d+1) in (b2, b1, b0) order, since the
     # b2 = 0 block has no (0, 0, 0).

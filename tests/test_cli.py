@@ -624,9 +624,9 @@ def test_sweep_jobs_does_not_import_multiprocessing(tmp_path):
 
 def test_query_verbs_load_neither_dataclasses_inspect_nor_json(tmp_path):
     # Start-up cost: no query verb needs these modules, and each takes
-    # milliseconds to import.  Only sweep loads json, for its jsonl rows
-    # and its --jobs pipe.  Run as the benchmark times start-up, in a fresh
-    # isolated interpreter.
+    # milliseconds to import.  Only the --jobs pipe of sweep loads json; a
+    # serial jsonl sweep writes its rows as the query verbs do.  Run as the
+    # benchmark times start-up, in a fresh isolated interpreter.
     queries = [
         ["hyp", "--g", "1", "--d", "30", "--e", "3", "--r", "10", "--json"],
         ["insert", "--g", "0", "--d", "6", "--e", "3", "--r", "3", "--ell", "2,2,2,1,1,1",
@@ -638,8 +638,11 @@ def test_query_verbs_load_neither_dataclasses_inspect_nor_json(tmp_path):
     ]
     sweep = ["sweep", "--e", "3", "--r", "3", "--g", "0", "--d", "1..6", "--format", "jsonl",
              "--out", str(tmp_path / "x.jsonl")]
+    jobs = _one_r_per_chunk("3..5") + ["--format", "jsonl", "--out",
+                                       str(tmp_path / "jobs.jsonl"), "--jobs", "2"]
     code = (
-        "import sys\n"
+        "import os, sys\n"
+        "os.cpu_count = lambda: 2\n"
         f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
         "heavy = ('dataclasses', 'inspect', 'json')\n"
         "def loaded():\n"
@@ -651,13 +654,15 @@ def test_query_verbs_load_neither_dataclasses_inspect_nor_json(tmp_path):
         f"for argv in {queries!r}:\n"
         "    seen += [cli.main(argv)] + loaded()\n"
         f"seen += [cli.main({sweep!r})] + loaded()\n"
+        f"seen += [cli.main({jobs!r})] + loaded()\n"
         "print(seen, file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-I", "-c", code],
                           capture_output=True, text=True, timeout=60)
-    assert proc.stderr == "[0, 0, 0, 0, 0, 0, 0, 'json']\n"
+    assert proc.stderr == "[0, 0, 0, 0, 0, 0, 0, 0, 'json']\n"
     assert len([json.loads(line) for line in proc.stdout.splitlines()]) == len(queries)
     assert (tmp_path / "x.jsonl").read_text().count("\n") > 0
+    assert (tmp_path / "jobs.jsonl").read_text().count("\n") > 0
 
 
 # SHA-256 of the acceptance grid's output; any refactor must keep these bytes.
@@ -955,10 +960,14 @@ BIG_D = "9" * 640   # digits at the lowered limit
     (["qh", "--g", "0", "--d", "-" + BIG_D, "--r", "1"], 2),         # n = 2d + 1
     (["hyp", "--g", "0", "--d", BIG_D, "--e", "60", "--r", "1"], 2),  # n = -57d + 1
     (["insert", "--g", "0", "--d", BIG_D, "--e", "3", "--r", "12", "--ell", "1"], 2),
+    # d = 1.5g gives n = 1, so the refusal reason names 2g.
+    (["certify", "--g", "5" + "0" * 639, "--d", "75" + "0" * 638, "--e", "3", "--r", "3"], 0),
+    (["certify", "--g", "5" + "0" * 639, "--d", "75" + "0" * 638, "--e", "3", "--r", "3",
+      "--json"], 0),
 ], ids=["p1", "p1-json", "qh", "qh-json", "qh-refused", "qh-negative-d", "hyp-refused",
-        "insert-refused"])
+        "insert-refused", "certify-refused", "certify-refused-json"])
 def test_verbs_write_ints_past_the_digit_limit(capsys, low_digit_limit, argv, code):
-    # Each output holds an int past the limit: the point count n, or 11d.
+    # Each output holds an int past the limit: the point count n, 11d or 2g.
     low, lifted = _bytes_past_the_limit(capsys, argv)
     assert low == lifted and low[0] == code
     assert max(map(len, re.findall(r"\d+", low[1] + low[2]))) > 640

@@ -197,13 +197,18 @@ def test_point_factor_matches_brute_expansion():
                 assert table[ell - 1] == (c, h), (e, r, ell)
 
 
+def test_point_factor_line_entry_is_e_factorial():
+    # alpha_1 = e!, so e divides it: the fact that deg_T checks on every
+    # table it reads, and that makes e^n divide the cycle degree.
+    for e in range(3, 9):
+        for r in range(1, 61):
+            assert point_factor(e, r)[0][0] == factorial(e), (e, r)
+
+
 def test_point_factor_rejects_out_of_range(monkeypatch):
-    with pytest.raises(ParameterError, match="degree must be >= 3"):
-        point_factor(2, 3)
-    with pytest.raises(ParameterError, match="dimension must be >= 1"):
-        point_factor(3, 0)
-    # ell_i = 0 and ell_i = r+2 would read entries -1 and r+1 of the
-    # table; the gate refuses both before any table is built or read.
+    # point_factor trusts the gate for e and r.  ell_i = 0 and ell_i = r+2
+    # would read entries -1 and r+1 of the table; the gate refuses both
+    # before any table is built or read.
     from tevdeg.cli import main
 
     def unreachable(e, r):
@@ -448,11 +453,6 @@ def test_step3_matches_all_fraction_oracle():
                     _fraction_step3_class(e, t, g)), (e, t, g)
 
 
-def test_step3_rejects_rank_below_genus():
-    with pytest.raises(ParameterError):
-        step3_class(3, 1, 2)
-
-
 # -- pushforward and integration ---------------------------------------------------
 
 def _push(ratio, degree, p):
@@ -478,15 +478,6 @@ def test_pushforward_respects_theta_cap():
     assert _fraction_pushforward_theta(_jac(p.N + 1, 1, [1, 1]), p).terms == ()
     # So does the Chern ratio -e one H-degree past the support window.
     assert _push(-3, p.N + p.g, p) == [0, 0]
-
-
-def test_pushforward_and_integral_reject_other_classes():
-    # The pushforward takes any (ratio, degree), and a class past the
-    # Jacobian's theta^[g] pushes to zero (above); a coefficient list of
-    # another genus lives elsewhere.
-    for c in ([0, 0, 1], [1], []):
-        with pytest.raises(ParameterError, match="theta"):
-            integrate_theta(c, 1)
 
 
 def _sample_params():
@@ -708,6 +699,17 @@ def test_corrupted_coefficient_breaches_divisibility(monkeypatch):
     monkeypatch.setattr(engine, "point_factor", corrupted)
     with pytest.raises(InvariantBreach, match="not divisible"):
         engine.tev_hypersurface_engine(HypParams.standard(0, 3, 3, 3))
+
+
+def test_deg_T_checks_alpha_1_for_any_insertion_dimensions(monkeypatch):
+    # The check is on the table deg_T reads, so it holds on insert
+    # parameters too, even where no mark uses the line factor.
+    original = point_factor
+    monkeypatch.setattr(engine, "point_factor", lambda e, r: tuple(
+        (alpha + 1, h) for alpha, h in original(e, r)))
+    for args, alpha in (((0, 6, 3, 3, (2, 2, 2, 1, 1, 1)), 7), ((0, 3, 4, 3, (2, 2, 2)), 25)):
+        with pytest.raises(InvariantBreach, match=f"alpha_1 = {alpha} is not divisible"):
+            deg_T(HypParams(*args))
 
 
 def test_corrupted_degree_breaches_support_window(monkeypatch):
