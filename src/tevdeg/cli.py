@@ -74,10 +74,20 @@ def parse_range(text: str) -> list[range]:
 
 
 def parse_ell(text: str) -> tuple[int, ...]:
+    """Parse a comma-separated insertion profile, as ``tuple(map(int, ...))``.
+
+    A profile has many marks and few distinct dimensions, so each distinct
+    token is converted once and the marks are read from that table in one
+    C-level pass.  ``dict.fromkeys`` keeps first-seen order, so the first
+    token to fail is the first bad token in the list, and the error text is
+    the one-liner's.
+    """
+    tokens = text.split(",")
     try:
-        return tuple(map(int, text.split(",")))
+        table = {tok: int(tok) for tok in dict.fromkeys(tokens)}
     except ValueError as ex:
         raise ParameterError(f"bad insertion list {text!r}: {ex}") from None
+    return tuple(map(table.__getitem__, tokens))
 
 
 def _print(*values, end: str = "\n", flush: bool = False) -> None:
@@ -93,8 +103,9 @@ def _print(*values, end: str = "\n", flush: bool = False) -> None:
 
 
 def _json(v) -> str:
-    """``v`` as ``json.dumps`` writes it: None, a bool, an int, a str, or a
-    list or dict of those.  The text forms write params and flags so too.
+    """``v`` as ``json.dumps`` writes it: None, a bool, an int, a str, a
+    list of ints, or a dict of those.  The text forms write params and
+    flags so too.
 
     Every int is written by ``int_str``, so one past the digit limit, which
     ``str`` refuses, is written too.  A str is written unescaped: every one
@@ -102,6 +113,12 @@ def _json(v) -> str:
     digits, "all d" or a certify reason, which is one of enumerativity's
     fixed ASCII texts with ints in decimal, so none holds a character that
     ``json.dumps`` escapes.
+
+    The only list any verb writes is the insertion profile in ``params``:
+    many marks, few distinct dimensions.  So each distinct value is written
+    once and the list is joined from that table.  The list must hold ints
+    only: ``True == 1`` and they hash alike, so a bool would share 1's
+    table entry.
     """
     if v is None:
         return "null"
@@ -113,7 +130,8 @@ def _json(v) -> str:
         return f'"{v}"'
     if isinstance(v, dict):
         return "{" + ", ".join([f'"{k}": {_json(x)}' for k, x in v.items()]) + "}"
-    return "[" + ", ".join([_json(x) for x in v]) + "]"
+    table = {x: int_str(x) for x in dict.fromkeys(v)}
+    return "[" + ", ".join(map(table.__getitem__, v)) + "]"
 
 
 def _report(args, params: dict, flags: dict, **routes) -> int:

@@ -99,7 +99,11 @@ def deg_T_insertions_closed(g: int, d: int, e: int, r: int, ell) -> int:
 
         (r+2-e)^g * e^t * prod_i alpha_{ell_i},   t = (d-n)e - g + 1.
 
-    At ell = (1, ..., 1) this equals e^n times the hypersurface count.
+    The product over the marks is taken as a product of powers, alpha_ell
+    to the number of marks of dimension ell, over the distinct dimensions:
+    one power each, where a factor per mark multiplies a growing int n
+    times.  The per-mark loop is the test oracle.  At ell = (1, ..., 1)
+    this equals e^n times the hypersurface count.
     """
     ell = tuple(ell)
     n = insertion_dims_check(g, d, e, r, ell)
@@ -107,8 +111,8 @@ def deg_T_insertions_closed(g: int, d: int, e: int, r: int, ell) -> int:
     alphas = alpha_coefficients(e, r)
     prod = 1
     # The gate holds every ell_i to [1, r+1], so no index wraps around.
-    for li in ell:
-        prod *= alphas[li - 1]
+    for li in set(ell):
+        prod *= alphas[li - 1] ** ell.count(li)
     return (r + 2 - e) ** g * e**t * prod
 
 

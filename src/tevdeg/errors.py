@@ -23,12 +23,22 @@ class InvariantBreach(RuntimeError):
     """Internal consistency check failed on valid input."""
 
 
+# Bits past which ``split_str`` beats ``str`` (quadratic in the digits):
+# they cross at about 19,000 digits on CPython 3.11, x86-64.
+SPLIT_BITS = 1 << 16
+
+
 def int_str(v: int) -> str:
     """``str(v)`` for an int of any size.
 
-    ``str`` refuses ints past the process-wide digit limit (4300 by
-    default); those go through ``split_str``, and the limit is left alone.
+    An int of more than ``SPLIT_BITS`` bits (about 19,700 digits) goes
+    straight to ``split_str``, whatever the digit limit: with the limit
+    off, ``str`` would take quadratic time.  ``str`` also refuses ints past
+    the process-wide digit limit (4300 by default), so a smaller int past
+    a lower limit goes through ``split_str`` too; the limit is left alone.
     """
+    if v.bit_length() > SPLIT_BITS:
+        return split_str(v)
     try:
         return str(v)
     except ValueError:

@@ -63,8 +63,31 @@ def test_parse_range():
             parse_range(bad)
 
 
+# Tokens that int() takes, as " 7", "1_0", "\u0663" and "-3", or refuses.
+ELL_TOKENS = ["", "x", " 7", "1_0", "0x10", "\u0663", "-3"]
+
+
+def _one_liner_ell(text):
+    """What parse_ell gives, as tuple(map(int, ...)) or its error text."""
+    try:
+        return tuple(map(int, text.split(",")))
+    except ValueError as ex:
+        return f"bad insertion list {text!r}: {ex}"
+
+
 def test_parse_ell():
     assert parse_ell("2,2,1") == (2, 2, 1)
+    texts = ["2,2,1", "1,y,x,y", "3,x,3,x,3", *ELL_TOKENS,
+             *map(",".join, itertools.product(ELL_TOKENS + ["2"], repeat=3))]
+    for text in texts:
+        try:
+            got = parse_ell(text)
+        except ParameterError as ex:
+            got = str(ex)
+        assert got == _one_liner_ell(text), text
+    # The first bad token in the list is named, however often others repeat.
+    with pytest.raises(ParameterError, match="'y'$"):
+        parse_ell("1,y,x,y")
 
 
 # -- p1 -------------------------------------------------------------------------
@@ -269,9 +292,13 @@ def test_huge_flag_values_stay_cheap(capsys, argv, values):
     assert elapsed < 1.0
 
 
-def test_large_genus_qh_stays_cheap(capsys):
+@pytest.mark.parametrize("limit", ["default", "no_digit_limit"])
+def test_large_genus_qh_stays_cheap(capsys, request, limit):
     # The count is (r+1)^g = 4^(10^6), 602,060 digits: the power of the
-    # Euler class's coefficient and printing it are the whole cost.
+    # Euler class's coefficient and printing it are the whole cost.  With
+    # the digit limit off, str would print it in quadratic time.
+    if limit != "default":
+        request.getfixturevalue(limit)
     start = time.perf_counter()
     code, out, _ = run(capsys, ["qh", "--g", "1000000", "--d", "3000000", "--r", "3",
                                 "--json"])
@@ -294,6 +321,24 @@ def test_p1_and_qh_gates_disagree_at_n_0(capsys):
         code, out, err = run(capsys, ["qh", "--g", str(g), "--d", str(d), "--r", "1"])
         assert (code, out) == (2, "")
         assert "point count n = 0 must be >= 1" in err
+
+
+def test_large_insert_profile_stays_cheap(capsys):
+    # 300,003 marks, six of them of dimension 2, so the count is
+    # 3^t 6^299997 21^6.  Parsing --ell, the closed form's product and the
+    # echo of ell each take a C-level pass over the marks and Python work
+    # per distinct dimension.  Run in process: Linux caps one execve
+    # argument at 128 KiB, and this --ell is about 600 kB.
+    ell = ",".join(["1"] * 299997 + ["2"] * 6)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["insert", "--g", "0", "--d", "450000", "--e", "3",
+                                "--r", "3", "--ell", ell, "--json"])
+    elapsed = time.perf_counter() - start
+    doc = json.loads(out)
+    want = int_str(3**449992 * 6**299997 * 21**6)
+    assert code == 0 and doc["agreement"] is True
+    assert [r["value"] for r in doc["results"]] == [want, want]
+    assert elapsed < 2.0
 
 
 def test_large_genus_p1_stays_cheap(capsys):
@@ -1135,16 +1180,19 @@ def _json_shape(argv, doc):
 
 def test_json_lines_are_json_dumps_lines(capsys):
     # cli._json writes every query verb's --json line by hand; it must be
-    # json.dumps' line.  Beyond the corpora: qh, and certify at
-    # (1, 30, 3, 10), whose bound is 85/3, where every corpus bound is an
-    # integer or absent.
+    # json.dumps' line.  Beyond the corpora: qh, certify at (1, 30, 3, 10),
+    # whose bound is 85/3, where every corpus bound is an integer or absent,
+    # and an insert whose 301 marks interleave three dimensions.
     checked, shapes = 0, set()
     extra = [["qh", "--g", "2", "--d", "2", "--r", "2", "--json"],
-             ["certify", "--g", "1", "--d", "30", "--e", "3", "--r", "10", "--json"]]
+             ["certify", "--g", "1", "--d", "30", "--e", "3", "--r", "10", "--json"],
+             ["insert", "--g", "0", "--d", "399", "--e", "3", "--r", "3",
+              "--ell", ",".join(map(str, [1, 2, 1] * 100 + [3])), "--json"]]
     for argv in _query_corpus() + _p1_corpus() + extra:
         if "--json" not in argv:
             continue
         code, out, _ = run(capsys, argv)
+        assert code == 0 or argv not in extra, argv
         if code == 0:
             doc = json.loads(out)
             assert json.dumps(doc) + "\n" == out, argv
@@ -1335,8 +1383,10 @@ FUZZ_INT = st.integers(-60, 60).map(str)
 # The int/str digit limit the fuzz runs under: its floor, so that a --d of
 # 640 digits can make ints past it.
 FUZZ_DIGIT_LIMIT = 640
-FUZZ_ELL = st.lists(st.integers(-3, 60), max_size=6).map(
-    lambda parts: ",".join(map(str, parts)))
+# Ints, and tokens int() takes or refuses, so that --ell reaches parse_ell's
+# error path too.
+FUZZ_ELL = st.lists(st.integers(-3, 60).map(str) | st.sampled_from(ELL_TOKENS),
+                    max_size=6).map(",".join)
 FUZZ_GARBAGE = st.sampled_from(
     ["", "x", "-", "--", "3.5", "1e3", "0x10", " 7", "1,2", "1,,2", "..", "-0",
      "\u0663", "cps", "closed", "--zz", "-q", "-h", "--json", "--meth", "--method=both",

@@ -1,5 +1,8 @@
 """Tests for the closed-form formulas."""
 
+import itertools
+import random
+from collections import Counter
 from math import comb, factorial
 
 import pytest
@@ -13,7 +16,7 @@ from tevdeg.closed_forms import (
     vtev_hypersurface_closed,
     vtev_projective_closed,
 )
-from tevdeg.enumerativity import line_dims_check
+from tevdeg.enumerativity import insertion_dims_check, line_dims_check
 from tevdeg.errors import ParameterError
 from tevdeg.schubert import tev_p1_schubert
 from tevdeg.truncpoly import UniPoly
@@ -218,3 +221,74 @@ def test_insertions_rejects_bad_profiles():
     with pytest.raises(ParameterError):
         # A bare tuple index would read alpha_0 as the last entry.
         deg_T_insertions_closed(0, 3, 3, 3, (1, 1, 0))
+
+
+def _per_mark_insertions_closed(g, d, e, r, ell):
+    """deg_T_insertions_closed as once written: one factor per mark."""
+    n = insertion_dims_check(g, d, e, r, ell)
+    t = (d - n) * e - g + 1
+    alphas = alpha_coefficients(e, r)
+    prod = 1
+    for li in ell:
+        prod *= alphas[li - 1]
+    return (r + 2 - e) ** g * e**t * prod
+
+
+INSERTION_KINDS = ("lines", "single", "every", "mixed")
+
+
+def _seeded_insertion_cases(seed):
+    """Valid (g, d, e, r, ell, kind) for e 3..6 and r 1..12, at most one
+    per (e, r, kind): all-lines profiles, single-dimension ones, ones that
+    use every dimension 1..r+1, and mixed ones.
+
+    Each profile is drawn first and d solved from the dimension condition
+    (r+2-e) d = r(n+g-1) - sum(ell_i - 1); a mixed profile is mostly lines,
+    since t >= 1 wants d > n, and its last marks are raised by one
+    dimension each until r+2-e divides the right side.
+    """
+    rng = random.Random(seed)
+    cases = []
+    for e, r, kind in itertools.product(range(3, 7), range(1, 13), INSERTION_KINDS):
+        for _ in range(200):
+            g, n = rng.randint(0, 3), rng.randint(1, 150)
+            if kind == "lines":
+                ell = [1] * n
+            elif kind == "single":
+                ell = [rng.randint(1, r + 1)] * n
+            else:
+                ell = [rng.choice((1, 1, 1, rng.randint(1, r))) for _ in range(n)]
+            if kind == "every":
+                ell = [*range(1, r + 2), *ell]
+            slope = r + 2 - e
+            rhs = r * (len(ell) + g - 1) - sum(ell) + len(ell)
+            if kind in ("every", "mixed") and slope > 0 and rhs % slope <= n:
+                for i in range(rhs % slope):
+                    ell[-1 - i] += 1
+                rhs -= rhs % slope
+            d, rem = divmod(rhs, slope) if slope else (rng.randint(1, 100), rhs)
+            if rem:
+                continue
+            rng.shuffle(ell)
+            try:
+                insertion_dims_check(g, d, e, r, ell)
+            except ParameterError:
+                continue
+            cases.append((g, d, e, r, tuple(ell), kind))
+            break
+    return cases
+
+
+def test_insertions_product_of_powers_matches_per_mark_product():
+    cases = _seeded_insertion_cases(35)
+    for g, d, e, r, ell, kind in cases:
+        assert deg_T_insertions_closed(g, d, e, r, ell) == \
+            _per_mark_insertions_closed(g, d, e, r, ell), (g, d, e, r, ell)
+    kinds = Counter(kind for *_, kind in cases)
+    assert min(kinds[kind] for kind in INSERTION_KINDS) >= 30, kinds
+    assert {c[2] for c in cases} == set(range(3, 7))
+    assert {c[3] for c in cases} == set(range(1, 13))
+    assert all(len(set(ell)) == 1 for *_, ell, kind in cases if kind == "single")
+    assert all(set(ell) == set(range(1, r + 2)) for _, _, _, r, ell, kind in cases
+               if kind == "every")
+    assert any(len(ell) > 100 for *_, ell, _ in cases)
