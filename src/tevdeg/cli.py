@@ -12,6 +12,11 @@ every ``jsonl`` row of ``sweep``, in ``json.dumps``' layout.  Only the
 ``--jobs`` pipe of ``sweep`` imports the ``json`` module, so a query verb
 and a serial sweep run without it.
 
+An ``insert`` profile has many marks and few distinct dimensions.
+``parse_ell`` converts, and ``_json`` writes, each distinct value once,
+and the closed form and the engine multiply one power per dimension, so
+no step runs Python code per mark.
+
 ``VERBS`` declares each verb and its flags once, and both ``build_parser``
 and ``_read_plain`` read it.  ``main`` reads plain argv (see ``_read_plain``)
 in one pass, in a few microseconds where argparse takes tens.  Every other

@@ -10,6 +10,7 @@ the validity gates: whether a count is enumerative is decided by
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate
 from math import factorial
 from operator import sub
@@ -102,8 +103,10 @@ def deg_T_insertions_closed(g: int, d: int, e: int, r: int, ell) -> int:
     The product over the marks is taken as a product of powers, alpha_ell
     to the number of marks of dimension ell, over the distinct dimensions:
     one power each, where a factor per mark multiplies a growing int n
-    times.  The per-mark loop is the test oracle.  At ell = (1, ..., 1)
-    this equals e^n times the hypersurface count.
+    times.  ``Counter`` counts the marks in one C-level pass, where a
+    ``count`` per dimension would take one pass each.  The per-mark loop
+    is the test oracle.  At ell = (1, ..., 1) this equals e^n times the
+    hypersurface count.
     """
     ell = tuple(ell)
     n = insertion_dims_check(g, d, e, r, ell)
@@ -111,8 +114,8 @@ def deg_T_insertions_closed(g: int, d: int, e: int, r: int, ell) -> int:
     alphas = alpha_coefficients(e, r)
     prod = 1
     # The gate holds every ell_i to [1, r+1], so no index wraps around.
-    for li in set(ell):
-        prod *= alphas[li - 1] ** ell.count(li)
+    for li, mult in Counter(ell).items():
+        prod *= alphas[li - 1] ** mult
     return (r + 2 - e) ** g * e**t * prod
 
 

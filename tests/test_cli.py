@@ -30,7 +30,7 @@ import tevdeg.enumerativity as enumerativity
 from tevdeg.cli import main, parse_ell, parse_range
 from tevdeg.closed_forms import vtev_hypersurface_closed
 from tevdeg.enumerativity import certify_enumerative
-from tevdeg.errors import InvariantBreach, ParameterError, int_str, split_str
+from tevdeg.errors import SPLIT_BITS, InvariantBreach, ParameterError, int_str, split_str
 from tevdeg.truncpoly import UniPoly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1057,13 +1057,15 @@ def test_int_str_equals_str():
 def test_split_str_equals_str(no_digit_limit):
     rng = random.Random(11)
     # 128 bits is the leaf size of split_str; cover both sides of it and of
-    # its doublings, and sizes past the default digit limit.
-    sizes = [0, 1, 2, 127, 128, 129, 255, 256, 257, 513, 4096, 14300, 20000, 70001]
+    # its doublings, sizes past the default digit limit, and both sides of
+    # SPLIT_BITS, past which int_str calls split_str whatever the limit.
+    sizes = [0, 1, 2, 127, 128, 129, 255, 256, 257, 513, 4096, 14300, 20000,
+             SPLIT_BITS, SPLIT_BITS + 1, 70001]
     for bits in sizes:
         for _ in range(3):
             v = rng.getrandbits(bits) | (1 << max(bits - 1, 0)) if bits else 0
-            assert split_str(v) == str(v)
-            assert split_str(-v) == str(-v)
+            assert split_str(v) == int_str(v) == str(v)
+            assert split_str(-v) == int_str(-v) == str(-v)
     assert split_str(10**5000) == "1" + "0" * 5000
 
 

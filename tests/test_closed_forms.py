@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from collections import Counter
 from math import comb, factorial
 
@@ -292,3 +293,24 @@ def test_insertions_product_of_powers_matches_per_mark_product():
     assert all(set(ell) == set(range(1, r + 2)) for _, _, _, r, ell, kind in cases
                if kind == "every")
     assert any(len(ell) > 100 for *_, ell, _ in cases)
+
+
+def _every_dimension_profile(dims):
+    """(g, d, e, r, ell) at e = 3, g = 0, r = dims - 1: dimensions 1..dims
+    once each, then lines, so that t = 1 and n = d = dims(dims-1)/2 + r."""
+    r = dims - 1
+    n = dims * (dims - 1) // 2 + r
+    return 0, n, 3, r, (*range(1, dims + 1), *(1,) * (n - dims))
+
+
+def test_insertions_on_many_dimensions_stay_cheap():
+    # The marks are counted in one pass, not one pass per dimension: at
+    # 1,000 dimensions and 500,499 marks a count per dimension took 5 s and
+    # a factor per mark 10 s; this takes about 0.2 s.
+    profile = _every_dimension_profile(300)
+    assert deg_T_insertions_closed(*profile) == _per_mark_insertions_closed(*profile)
+    profile = _every_dimension_profile(1000)
+    start = time.perf_counter()
+    value = deg_T_insertions_closed(*profile)
+    assert time.perf_counter() - start < 2.0
+    assert value.bit_length() == 1295941
