@@ -10,7 +10,10 @@ with one ``error: cannot write stdout: ...`` line.
 One writer, ``_json``, writes every ``--json`` line of a query verb and
 every ``jsonl`` row of ``sweep``, in ``json.dumps``' layout.  Only the
 ``--jobs`` pipe of ``sweep`` imports the ``json`` module, so a query verb
-and a serial sweep run without it.
+and a serial sweep run without it.  A ``sweep`` record is a dict whose keys
+are ``SWEEP_COLUMNS``, in order, so ``_csv_line`` writes a CSV row straight
+from its values, with no lookup per column.  A valid row's two routes
+agree, and the record formats that value once.
 
 An ``insert`` profile has many marks and few distinct dimensions.
 ``parse_ell`` converts, and ``_json`` writes, each distinct value once,
@@ -292,13 +295,34 @@ def sweep_record(g: int, d: int, e: int, r: int,
         return None
     closed = closed_forms.vtev_hypersurface_closed(g, d, e, r)
     value_engine = engine.tev_hypersurface_engine(p, marks)
+    agreement = closed == value_engine
+    # The routes agree on every valid row, so the value is formatted once.
+    closed_text = int_str(closed)
     return {
         "g": g, "d": d, "e": e, "r": r, "n": p.n, "t": p.t,
-        "value_closed": int_str(closed),
-        "value_engine": int_str(value_engine),
-        "agreement": closed == value_engine,
+        "value_closed": closed_text,
+        "value_engine": closed_text if agreement else int_str(value_engine),
+        "agreement": agreement,
         **_hyp_flags(certify_enumerative(g, d, e, r)),
     }
+
+
+# A bool indexes the pair: False is 0 and True is 1.
+_BOOL_TEXT = ("false", "true")
+
+
+def _csv_line(rec: dict) -> str:
+    """A sweep record as one CSV line, its cells in ``SWEEP_COLUMNS`` order.
+
+    The record's values come in that order: six ints, written as digits,
+    the two values as decimal strings, and four bools, written ``true`` or
+    ``false``.  No cell needs quoting.
+    """
+    g, d, e, r, n, t, closed, value_engine, agree, virtual, bound_ok, certified = \
+        rec.values()
+    tf = _BOOL_TEXT
+    return (f"{g},{d},{e},{r},{n},{t},{closed},{value_engine},"
+            f"{tf[agree]},{tf[virtual]},{tf[bound_ok]},{tf[certified]}\n")
 
 
 SWEEP_CHUNK = 64    # tuples per unit of --jobs work
@@ -450,15 +474,10 @@ def cmd_sweep(args) -> int:
         if as_csv:
             out.write(",".join(SWEEP_COLUMNS) + "\n")
         # Rows are written as they come, so a breach leaves a prefix behind.
-        # Every CSV cell is an int, a decimal string or a bool, which is
-        # written lower-case, so no cell needs quoting.
+        write = _csv_line if as_csv else (lambda rec: _json(rec) + "\n")
         for rec in records:
-            if rec is None:
-                continue
-            if as_csv:
-                out.write(",".join([str(rec[k]).lower() for k in SWEEP_COLUMNS]) + "\n")
-            else:
-                out.write(_json(rec) + "\n")
+            if rec is not None:
+                out.write(write(rec))
     return 0
 
 

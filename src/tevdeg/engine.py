@@ -48,10 +48,11 @@ the assigned one.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from itertools import accumulate
 
-from .enumerativity import dims_check, insertion_dims_check
+from .enumerativity import bundle_rank, dims_check, insertion_dims_check
 from .errors import InvariantBreach, ParameterError, int_str
 from .truncpoly import TruncPoly
 
@@ -87,8 +88,18 @@ class HypParams(namedtuple("HypParams", "g d e r n t N ell")):
 
     @classmethod
     def standard(cls, g: int, d: int, e: int, r: int) -> HypParams:
-        """Parameters for plain point conditions (every mark on a line)."""
-        return cls(g, d, e, r, (1,) * dims_check(g, d, e, r))
+        """Parameters for plain point conditions (every mark on a line).
+
+        The same instance, and the same refusals, as
+        ``cls(g, d, e, r, (1,) * dims_check(g, d, e, r))``, with each check
+        run once: at ell = (1, ..., 1) the insertion gate's range and
+        dimension conditions hold by the definition of n, and its range and
+        stability checks are those ``dims_check`` has just run, so only
+        ``bundle_rank`` is left.
+        """
+        n = dims_check(g, d, e, r)
+        t = bundle_rank(g, d, e, n)
+        return tuple.__new__(cls, (g, d, e, r, n, t, (r + 2) * (d - g + 1), (1,) * n))
 
 
 def point_factor(e: int, r: int) -> tuple[tuple[int, int], ...]:
@@ -194,12 +205,20 @@ def deg_T(p: HypParams, marks: dict | None = None) -> int:
         table = marks[key] = point_factor(p.e, p.r)
     coeff = 1
     hdeg = 0
-    # The gate holds every ell_i to [1, r+1], so no index wraps around.
-    for li in set(p.ell):
-        mult = p.ell.count(li)
+    # The marks, sorted, come in one run per dimension: bisect finds where
+    # each run ends, so the grouping costs one sort, not a pass per
+    # dimension.  The gate holds every ell_i to [1, r+1], so no index wraps
+    # around.
+    ell = sorted(p.ell)
+    start = 0
+    while start < p.n:
+        li = ell[start]
+        end = bisect_right(ell, li, start)
+        mult = end - start
         alpha, h = table[li - 1]
         coeff *= alpha**mult
         hdeg += h * mult
+        start = end
 
     scale, ratio = step3_class(p.e, p.t, p.g)
     degree = hdeg + p.t

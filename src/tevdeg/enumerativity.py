@@ -316,30 +316,23 @@ def certify_enumerative(g: int, d: int, e: int, r: int) -> CertificationReport:
     bound_satisfied = bound_applicable and (
         bound is None or d * bound.denominator > bound.numerator)
 
-    def report(certified, reason, witness, checked):
-        return CertificationReport(
-            g=g, d=d, e=e, r=r, n=n,
-            certified=certified,
-            reason=reason,
-            witness=witness,
-            closed_bound=bound,
-            bound_applicable=bound_applicable,
-            bound_satisfied=bound_satisfied,
-            audit_sharper=certified and not bound_satisfied,
-            strata_checked=checked,
-        )
-
+    # A refusal by the n or d gate has no witness and checks no stratum.
+    certified, witness, checked = False, None, 0
     # 2g and n can pass the int/str digit limit that g and d are parsed under.
     if n < max(2 * g, 1):
-        return report(False, f"n = {int_str(n)} below max(2g, 1) = {int_str(max(2 * g, 1))}",
-                      None, 0)
-    if d < 2 * g:
-        return report(False, f"d = {int_str(d)} below 2g = {int_str(2 * g)}", None, 0)
-
-    # (0, a0, 0) is at position a0*(d+1) in (b2, b1, b0) order, since the
-    # b2 = 0 block has no (0, 0, 0).
-    a0 = n - max(2 * g, 1) + 1
-    witness = stratum_audit(g, d, e, r, n, StratumProfile(0, a0, 0))
-    if not witness.passed:
-        return report(False, "failing stratum", witness, a0 * (d + 1))
-    return report(True, "all strata pass", None, count_admissible_strata(d, n))
+        reason = f"n = {int_str(n)} below max(2g, 1) = {int_str(max(2 * g, 1))}"
+    elif d < 2 * g:
+        reason = f"d = {int_str(d)} below 2g = {int_str(2 * g)}"
+    else:
+        # (0, a0, 0) is at position a0*(d+1) in (b2, b1, b0) order, since
+        # the b2 = 0 block has no (0, 0, 0).
+        a0 = n - max(2 * g, 1) + 1
+        audit = stratum_audit(g, d, e, r, n, StratumProfile(0, a0, 0))
+        if audit.passed:
+            certified, reason = True, "all strata pass"
+            checked = count_admissible_strata(d, n)
+        else:
+            reason, witness, checked = "failing stratum", audit, a0 * (d + 1)
+    return CertificationReport(g, d, e, r, n, certified, reason, witness, bound,
+                               bound_applicable, bound_satisfied,
+                               certified and not bound_satisfied, checked)

@@ -806,6 +806,41 @@ def test_sweep_bytes_match_the_gate_oracle(tmp_path, capsys, monkeypatch, grid, 
         assert path.read_bytes() == want, jobs
 
 
+def test_sweep_record_keys_are_the_columns():
+    # The CSV writer reads a record's values in order, so the record's keys
+    # must be the header, in its order.
+    rows = 0
+    for e, r, g, d in itertools.product(range(3, 6), range(1, 11), range(4), range(1, 31)):
+        rec = cli.sweep_record(g, d, e, r)
+        if rec is not None:
+            assert tuple(rec) == cli.SWEEP_COLUMNS, (g, d, e, r)
+            rows += 1
+    assert rows > 500
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_int_cells_0_and_1_stay_digits(tmp_path, capsys, monkeypatch, fmt, jobs):
+    # 0 == False and 1 == True, and they hash alike, so a writer that maps
+    # the bools through a lookup on the value would write such an int cell
+    # as "false" or "true".  Row (1, 2, 3, 2) has g = n = 1, and row
+    # (0, 3, 3, 3) has g = 0 and t = 1.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    grid = ("3", "1..3", "0..1", "1..6")
+    path = tmp_path / f"small.{fmt}"
+    argv = ["sweep", *(f"--{k}={v}" for k, v in zip("ergd", grid)),
+            "--format", fmt, "--out", str(path), "--jobs", jobs]
+    assert run(capsys, argv) == (0, "", "")
+    assert path.read_bytes() == _gate_oracle_bytes(grid, fmt)
+    lines = path.read_text().splitlines()
+    if fmt == "csv":
+        cells = [line.split(",")[:6] for line in lines[1:]]
+    else:
+        cells = [[str(v) for v in json.loads(line).values()][:6] for line in lines]
+    assert all(cell.isdigit() for row in cells for cell in row), cells
+    assert ["1", "2", "3", "2", "1", "3"] in cells and ["0", "3", "3", "3", "3", "1"] in cells
+
+
 def test_serial_sweep_raises_only_where_a_later_gate_refuses(tmp_path, capsys,
                                                              monkeypatch):
     # 720 tuples of the acceptance grid have an integral n, and 572 are rows:

@@ -17,6 +17,7 @@ from tevdeg.closed_forms import (
     vtev_hypersurface_closed,
     vtev_projective_closed,
 )
+from tevdeg.engine import HypParams, deg_T
 from tevdeg.enumerativity import insertion_dims_check, line_dims_check
 from tevdeg.errors import ParameterError
 from tevdeg.schubert import tev_p1_schubert
@@ -314,3 +315,15 @@ def test_insertions_on_many_dimensions_stay_cheap():
     value = deg_T_insertions_closed(*profile)
     assert time.perf_counter() - start < 2.0
     assert value.bit_length() == 1295941
+
+
+def test_engine_insertions_on_many_dimensions_stay_cheap():
+    # The engine's twin of the test above: deg_T sorts the marks and finds
+    # each dimension's run by bisection, where one pass per dimension took
+    # 5 s; this takes about 0.1 s.
+    profile = _every_dimension_profile(1000)
+    p = HypParams(*profile)
+    start = time.perf_counter()
+    value = deg_T(p)
+    assert time.perf_counter() - start < 2.0
+    assert value == deg_T_insertions_closed(*profile)

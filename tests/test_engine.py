@@ -62,19 +62,31 @@ def _outcome(build):
         return str(ex)
 
 
-def test_standard_gates_match_all_lines_insertions():
-    # standard runs dims_check, then the insertion gate at ell = (1,)*n; it
-    # must accept and refuse exactly what that gate does, with the same text.
-    for g in range(5):
-        for e in range(3, 6):
-            for r in range(1, 11):
-                for d in range(1, 31):
-                    try:
-                        n = dims_check(g, d, e, r)
-                    except ParameterError:
-                        continue
-                    assert _outcome(lambda: HypParams.standard(g, d, e, r)) == _outcome(
-                        lambda: HypParams(g, d, e, r, (1,) * n))
+def test_standard_is_the_gated_all_lines_profile():
+    # standard runs dims_check and bundle_rank once each.  It must build the
+    # instance, and refuse with the text, of the gates it stands for:
+    # dims_check, then the whole insertion gate at ell = (1,)*n.
+    refusals = set()
+    for g in range(-1, 5):
+        for e in range(2, 6):
+            for r in range(0, 11):
+                for d in range(0, 31):
+                    want = _outcome(lambda: HypParams(
+                        g, d, e, r, (1,) * dims_check(g, d, e, r)))
+                    got = _outcome(lambda: HypParams.standard(g, d, e, r))
+                    assert got == want, (g, d, e, r)
+                    if isinstance(want, str):
+                        refusals.add(want.split(" = ")[0].split(",")[0])
+                    else:
+                        assert type(got) is HypParams and got.ell == (1,) * got.n
+    # Every check of dims_check refuses somewhere on the grid, and so does
+    # bundle_rank's d >= 2g.  Its t >= max(1, g) never does at ell = (1,)*n
+    # with e >= 3: there d - n = (e-2)d/r + g - 1, which is at least g.
+    assert refusals == {
+        "genus must be nonnegative", "map degree must be positive",
+        "hypersurface degree must be >= 3", "hypersurface dimension must be >= 1",
+        "point count n", "(g", "need d >= 2g",
+    }, refusals
 
 
 def test_hypparams_is_its_own_gate():
@@ -143,8 +155,8 @@ def test_point_factor_examples():
 
 
 def test_point_factor_is_alpha_monomial():
-    for e in range(3, 7):
-        for r in range(1, 9):
+    for e in range(3, 9):
+        for r in range(1, 40):
             alphas = alpha_coefficients(e, r)
             assert point_factor(e, r) == tuple(
                 (alphas[ell - 1], r + 1 + e - ell) for ell in range(1, r + 2))
@@ -538,6 +550,20 @@ def test_running_term_matches_list_oracle_at_large_genus(g):
     want = _list_pushforward_theta(_list_chern_terms(p.e, p.g), degree, p.r, p.N, p.g)
     assert _push(ratio, degree, p) == want
     assert deg_T(p) == alpha**p.n * scale * want[g]
+
+
+def test_pushed_down_sum_is_the_binomial_power():
+    # The lemma behind the engine's agreement with the closed form: the
+    # Chern class, pushed down at the top H-degree N - 1 + g and integrated,
+    # is sum_m (-e)^m C(g, m) (r+2)^(g-m) = (r+2-e)^g.  N only places the
+    # support window, so d = 2g stands for every d.
+    for e in range(3, 9):
+        for r in range(1, 41):
+            for g in range(201):
+                N = (r + 2) * (g + 1)
+                _, ratio = step3_class(e, g, g)
+                pushed = pushforward_theta(ratio, N - 1 + g, r, N, g)
+                assert integrate_theta(pushed, g) == (r + 2 - e) ** g, (e, r, g)
 
 
 def test_integrate_theta():
