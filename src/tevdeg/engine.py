@@ -71,7 +71,8 @@ class HypParams(namedtuple("HypParams", "g d e r n t N ell")):
     It is a tuple subclass with read-only fields and no ``__dict__``: it
     compares and hashes as the plain tuple (g, d, e, r, n, t, N, ell) of
     its fields, and equals that tuple.  The namedtuple helpers ``_make`` and
-    ``_replace`` skip the gate, so build an instance by calling the class.
+    ``_replace`` skip the gate, so build an instance by calling the class,
+    or ``standard``, which runs the same checks at ell = (1, ..., 1).
     """
 
     __slots__ = ()

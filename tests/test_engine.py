@@ -62,7 +62,7 @@ def _outcome(build):
         return str(ex)
 
 
-def test_standard_is_the_gated_all_lines_profile():
+def test_standard_gates_match_all_lines_insertions():
     # standard runs dims_check and bundle_rank once each.  It must build the
     # instance, and refuse with the text, of the gates it stands for:
     # dims_check, then the whole insertion gate at ell = (1,)*n.
