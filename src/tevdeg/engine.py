@@ -93,10 +93,10 @@ class HypParams(namedtuple("HypParams", "g d e r n t N ell")):
 
         The same instance, and the same refusals, as
         ``cls(g, d, e, r, (1,) * dims_check(g, d, e, r))``, with each check
-        run once: at ell = (1, ..., 1) the insertion gate's range and
-        dimension conditions hold by the definition of n, and its range and
-        stability checks are those ``dims_check`` has just run, so only
-        ``bundle_rank`` is left.
+        run once: at ell = (1, ..., 1) every ell_i is in range and the
+        insertion gate's dimension condition holds by the definition of n,
+        and its tuple and stability checks are those ``dims_check`` has just
+        run, so only ``bundle_rank`` is left.
         """
         n = dims_check(g, d, e, r)
         t = bundle_rank(g, d, e, n)
