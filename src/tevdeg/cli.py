@@ -8,12 +8,17 @@ anywhere.  A query verb, or help, whose stdout cannot be written exits 2
 with one ``error: cannot write stdout: ...`` line.
 
 One writer, ``_json``, writes every ``--json`` line of a query verb and
-every ``jsonl`` row of ``sweep``, in ``json.dumps``' layout.  Only the
-``--jobs`` pipe of ``sweep`` imports the ``json`` module, so a query verb
-and a serial sweep run without it.  A ``sweep`` record is a dict whose keys
-are ``SWEEP_COLUMNS``, in order, so ``_csv_line`` writes a CSV row straight
+every ``jsonl`` row of ``sweep``, in ``json.dumps``' layout, so no verb
+imports the ``json`` module.  A ``sweep`` record is a dict whose keys are
+``SWEEP_COLUMNS``, in order, so ``_csv_line`` writes a CSV row straight
 from its values, with no lookup per column.  A valid row's two routes
 agree, and the record formats that value once.
+
+A ``sweep --jobs`` worker sends the finished text of its chunks' rows and
+stops at its first failure of any kind; the calling process makes every
+chunk whose text does not arrive, with the loop that makes its own.  The
+rows are deterministic, so a failure recurs there at the serial row, and
+the file, exit status and stderr are those of a serial sweep.
 
 An ``insert`` profile has many marks and few distinct dimensions.
 ``parse_ell`` converts, and ``_json`` writes, each distinct value once,
@@ -187,7 +192,7 @@ def _hyp_flags(rep) -> dict:
     ``virtual_range`` is 2e <= r + 3, the range in which the closed form is
     proved as a virtual count.  For g >= 1, ``bound_ok`` and ``certified``
     are one condition, not two pieces of evidence: ``certified`` is
-    ``bound_ok`` and n >= 2g and d >= 2g (see ``certify_enumerative``).
+    ``bound_ok`` and n >= 2g, which gives d >= 2g (see ``certify_enumerative``).
     """
     return {
         "virtual_range": 2 * rep.e <= rep.r + 3,
@@ -333,8 +338,20 @@ def _chunks(tuples):
         yield chunk
 
 
+def _rows(chunk, marks, write):
+    """The text of each valid row of ``chunk``, as ``write`` formats its record.
+
+    ``sweep_record`` is looked up at each call, so rebinding it before a
+    sweep starts reaches every row, a worker's too.
+    """
+    for tup in chunk:
+        rec = sweep_record(*tup, marks)
+        if rec is not None:
+            yield write(rec)
+
+
 # The exceptions ``main`` maps to an exit status, with the status and the
-# stderr line, formatted with the exception.  A sweep worker passes them on.
+# stderr line, formatted with the exception.
 EXIT_STATUS = {
     ParameterError: (2, "error: {}"),
     InvariantBreach: (3, "internal invariant breach: {}"),
@@ -343,22 +360,16 @@ EXIT_STATUS = {
 }
 
 
-def _mapped(ex: BaseException) -> type | None:
-    """The class in ``EXIT_STATUS`` that ``ex`` is an instance of, or None."""
-    return next((cls for cls in EXIT_STATUS if isinstance(ex, cls)), None)
+def _sweep_worker(tuples, k, jobs, write, wfd, read_fds):
+    """Send the text of chunks k, k + jobs, ... down ``wfd``, one ``marshal``
+    dump per chunk, and stop at the first failure of any kind.
 
-
-def _sweep_worker(tuples, k, jobs, wfd, read_fds):
-    """Send chunks k, k + jobs, ... down ``wfd``, one JSON line each.
-
-    A line is ``[records, fault]``: the chunk's records, or those before a
-    failure, and ``fault`` None, ``[name, message]`` for an exception of a
-    class in ``EXIT_STATUS`` or ``["error", traceback]`` for any other.  A
+    The caller makes each chunk whose message does not arrive whole.  A
     worker closes the pipe ends ``read_fds`` it inherited, and never
-    returns: ``os._exit`` skips the buffers and exit hooks it inherited
-    too, such as those of ``--out`` and stdout.
+    returns: ``os._exit`` skips the buffers and exit hooks it inherited too,
+    such as those of ``--out`` and stdout.
     """
-    import json
+    import marshal
 
     try:
         for fd in read_fds:
@@ -366,39 +377,30 @@ def _sweep_worker(tuples, k, jobs, wfd, read_fds):
         with open(wfd, "wb") as pipe:
             marks = {}
             for chunk in itertools.islice(_chunks(tuples), k, None, jobs):
-                records, fault = [], None
-                try:
-                    for tup in chunk:
-                        records.append(sweep_record(*tup, marks))
-                except Exception as ex:
-                    import traceback
-
-                    cls = _mapped(ex)
-                    fault = ([cls.__name__, str(ex)] if cls else
-                             ["error", traceback.format_exc()])
-                pipe.write(json.dumps([records, fault]).encode() + b"\n")
+                marshal.dump("".join(_rows(chunk, marks, write)), pipe)
                 pipe.flush()
-                if fault:
-                    break
     finally:
         os._exit(0)
 
 
-def _sweep_records(tuples, jobs):
-    """The records of ``tuples`` in order, None for an invalid tuple.
+def _sweep_rows(tuples, jobs, write):
+    """The text of each valid row of ``tuples``, in order, as ``write``
+    formats its record.
 
-    Lazy on both sides: tuples are read and records made as the caller
+    Lazy on both sides: tuples are read and rows made as the caller
     consumes them.  Process k of 0 .. jobs-1 (this one is k = 0) makes the
     64-tuple chunks i with i = k mod jobs, each on its own copy of
-    ``tuples``; the jobs - 1 forked workers send theirs down a pipe, and
-    block when it is full.  Every worker is killed and reaped on the
+    ``tuples``; the jobs - 1 forked workers send the text of theirs down a
+    pipe, and block when it is full.  A chunk whose text does not arrive
+    whole, because its worker failed or died, is made here, and so is every
+    later chunk of that worker.  Every worker is killed and reaped on the
     way out, whatever the way.  The program starts no threads, so a forked
     worker inherits no lock held by another thread.
     """
     import signal
 
     if jobs > 1:
-        import json    # for the pipe: a serial sweep runs without it
+        import marshal    # for the pipe
 
     marks = {}
     pipes, pids = [], []
@@ -407,27 +409,22 @@ def _sweep_records(tuples, jobs):
             rfd, wfd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _sweep_worker(tuples, k, jobs, wfd, [rfd, *(p.fileno() for p in pipes)])
+                _sweep_worker(tuples, k, jobs, write, wfd,
+                              [rfd, *(p.fileno() for p in pipes)])
             os.close(wfd)
             pids.append(pid)
             pipes.append(open(rfd, "rb"))
         for i, chunk in enumerate(_chunks(tuples)):
             k = i % jobs
-            if k == 0:
-                for tup in chunk:
-                    yield sweep_record(*tup, marks)
-                continue
-            line = pipes[k - 1].readline()
-            if not line.endswith(b"\n"):
-                raise RuntimeError(f"sweep worker {k} ended before chunk {i}")
-            records, fault = json.loads(line)
-            yield from records
-            if fault:
-                kind, message = fault
-                for cls in EXIT_STATUS:
-                    if cls.__name__ == kind:
-                        raise cls(message)
-                raise RuntimeError(f"sweep worker {k} failed on chunk {i}:\n{message}")
+            if k and not pipes[k - 1].closed:
+                try:
+                    text = marshal.load(pipes[k - 1])
+                except EOFError:    # an end or a torn message: worker k has stopped
+                    pipes[k - 1].close()
+                else:
+                    yield text
+                    continue
+            yield from _rows(chunk, marks, write)
     finally:
         for pipe in pipes:
             pipe.close()
@@ -468,16 +465,14 @@ def cmd_sweep(args) -> int:
     except OSError as ex:
         raise ParameterError(f"cannot write {args.out}: {ex}") from ex
     jobs = min(args.jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    as_csv = args.format == "csv"
+    write = _csv_line if as_csv else (lambda rec: _json(rec) + "\n")
     # Leaving the block reaps the workers before it closes the file.
-    with out, contextlib.closing(_sweep_records(tuples, jobs)) as records:
-        as_csv = args.format == "csv"
+    with out, contextlib.closing(_sweep_rows(tuples, jobs, write)) as rows:
         if as_csv:
             out.write(",".join(SWEEP_COLUMNS) + "\n")
         # Rows are written as they come, so a breach leaves a prefix behind.
-        write = _csv_line if as_csv else (lambda rec: _json(rec) + "\n")
-        for rec in records:
-            if rec is not None:
-                out.write(write(rec))
+        out.writelines(rows)
     return 0
 
 
@@ -643,7 +638,7 @@ def main(argv=None) -> int:
         _print(end="", flush=True)
         return code
     except tuple(EXIT_STATUS) as ex:
-        status, message = EXIT_STATUS[_mapped(ex)]
+        status, message = next(v for cls, v in EXIT_STATUS.items() if isinstance(ex, cls))
         print(message.format(ex), file=sys.stderr)
         return status
 

@@ -291,19 +291,21 @@ def certify_enumerative(g: int, d: int, e: int, r: int) -> CertificationReport:
     """Certify that the count at (g, d, e, r) is enumerative.
 
     Certification requires (i) n >= max(2g, 1) so point conditions rule out
-    unwanted tangent vectors, (ii) d >= 2g so the construction applies, and
-    (iii) a passing audit for every admissible stratum.  On failure, the
-    witness is the lexicographically least failing (b2, b1, b0), and
-    ``strata_checked`` is its position in that order; on success it is
-    ``count_admissible_strata(d, n)``.  Every admissible stratum is covered
-    and counted, but only the first case-B stratum (0, n - max(2g, 1) + 1, 0)
-    is tested: no other stratum can fail first (proof above
-    ``test_certify_matches_run_heads`` in ``tests/test_enumerativity.py``).
+    unwanted tangent vectors, and (ii) a passing audit for every admissible
+    stratum.  The construction needs d >= 2g, which (i) gives: e >= 3, so
+    d > n + g - 1 >= 3g - 1 (proof above ``test_n_gate_gives_d_at_least_2g``).
+    On failure, the witness is the lexicographically least failing
+    (b2, b1, b0), and ``strata_checked`` is its position in that order; on
+    success it is ``count_admissible_strata(d, n)``.  Every admissible
+    stratum is covered and counted, but only the first case-B stratum
+    (0, n - max(2g, 1) + 1, 0) is tested: no other stratum can fail first
+    (proof above ``test_certify_matches_run_heads`` in
+    ``tests/test_enumerativity.py``).
 
     For g >= 1 that stratum passes iff d > ``enum_bound_closed(g, e, r)``,
     and never when the bound does not apply, so ``certified`` is exactly
-    ``bound_satisfied`` and n >= 2g and d >= 2g: one condition, not two
-    pieces of evidence (algebra above
+    ``bound_satisfied`` and n >= 2g: one condition, not two pieces of
+    evidence (algebra above
     ``test_certified_is_the_bound_and_the_gates_for_positive_genus``).
 
     A valid tuple raises nothing: ``closed_bound_applies`` decides whether
@@ -316,13 +318,11 @@ def certify_enumerative(g: int, d: int, e: int, r: int) -> CertificationReport:
     bound_satisfied = bound_applicable and (
         bound is None or d * bound.denominator > bound.numerator)
 
-    # A refusal by the n or d gate has no witness and checks no stratum.
+    # A refusal by the n gate has no witness and checks no stratum.
     certified, witness, checked = False, None, 0
     # 2g and n can pass the int/str digit limit that g and d are parsed under.
     if n < max(2 * g, 1):
         reason = f"n = {int_str(n)} below max(2g, 1) = {int_str(max(2 * g, 1))}"
-    elif d < 2 * g:
-        reason = f"d = {int_str(d)} below 2g = {int_str(2 * g)}"
     else:
         # (0, a0, 0) is at position a0*(d+1) in (b2, b1, b0) order, since
         # the b2 = 0 block has no (0, 0, 0).

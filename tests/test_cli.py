@@ -8,6 +8,7 @@ import hashlib
 import io
 import itertools
 import json
+import marshal
 import os
 import random
 import re
@@ -589,35 +590,59 @@ def test_sweep_breach_in_any_chunk_leaves_the_serial_prefix(
     _assert_no_child()
 
 
-def _boom():
-    raise RuntimeError("boom")
-
-
-@pytest.mark.parametrize("fail,message", [
-    (_boom, "(?s)sweep worker 1 failed on chunk 1:.*RuntimeError: boom"),
-    (lambda: os._exit(0), "sweep worker 1 ended before chunk 1"),
-])
-def test_sweep_worker_failure_is_never_silent(tmp_path, capsys, monkeypatch,
-                                              fail, message):
+def test_sweep_worker_exception_is_the_serial_sweeps(tmp_path, capsys, monkeypatch):
+    # A worker stops at an exception main does not map, and the caller makes
+    # that chunk itself: it raises the serial sweep's exception at the serial
+    # row, after the serial prefix.
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    argv = _one_r_per_chunk("3..5") + ["--jobs", "2"]
-    full = tmp_path / "full.csv"
-    assert run(capsys, argv + ["--out", str(full)])[0] == 0
     record = cli.sweep_record
 
     def failing(*args):
         if args[:4] == (0, 20, 3, 4):   # a valid tuple of chunk 1
-            fail()
+            raise RuntimeError("boom")
         return record(*args)
 
     monkeypatch.setattr(cli, "sweep_record", failing)
-    path = tmp_path / "cut.csv"
-    with pytest.raises(RuntimeError, match=message):
-        main(argv + ["--out", str(path)])
-    cut, full = path.read_text(), full.read_text()
-    assert full.startswith(cut) and len(cut) < len(full)
-    if fail is _boom:   # the rows before the failing tuple, as a serial sweep leaves
-        assert cut.splitlines()[-1].startswith("0,16,3,4,")
+    paths = [tmp_path / "serial.csv", tmp_path / "par.csv"]
+    for path, jobs in zip(paths, ["1", "2"]):
+        with pytest.raises(RuntimeError, match="^boom$"):
+            main(_one_r_per_chunk("3..5") + ["--out", str(path), "--jobs", jobs])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert paths[1].read_text().splitlines()[-1].startswith("0,16,3,4,")
+    assert capsys.readouterr() == ("", "")
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("torn", [False, True])
+def test_a_worker_that_dies_costs_time_not_rows(tmp_path, capsys, monkeypatch, torn):
+    # Chunks 1 and 3 (r = 4 and 6) are the worker's.  It dies before chunk 1,
+    # or part-way through sending it; the caller makes both.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = _one_r_per_chunk("3..7")
+    full = tmp_path / "full.csv"
+    assert run(capsys, argv + ["--out", str(full)])[0] == 0
+    record, caller, made_here = cli.sweep_record, os.getpid(), set()
+
+    def dying(*args):
+        if os.getpid() == caller:
+            made_here.add(args[3])
+        elif args[:4] == (0, 20, 3, 4) and not torn:
+            os._exit(0)
+        return record(*args)
+
+    def torn_dump(text, pipe):
+        data = marshal.dumps(text)
+        pipe.write(data[:len(data) // 2])
+        pipe.flush()
+        os._exit(0)
+
+    monkeypatch.setattr(cli, "sweep_record", dying)
+    if torn:
+        monkeypatch.setattr(marshal, "dump", torn_dump)
+    path = tmp_path / "par.csv"
+    assert run(capsys, argv + ["--out", str(path), "--jobs", "2"]) == (0, "", "")
+    assert path.read_bytes() == full.read_bytes()
+    assert made_here == {3, 4, 5, 6, 7}
     _assert_no_child()
 
 
@@ -646,9 +671,9 @@ def test_sweep_worker_passes_on_what_main_maps(tmp_path, capsys, monkeypatch, ex
 
 def test_closing_a_jobs_sweep_early_leaves_no_child():
     tuples = ((0, d, 3, 3) for d in range(1, 10_000))
-    records = cli._sweep_records(tuples, 2)
-    assert next(records) is None
-    records.close()
+    rows = cli._sweep_rows(tuples, 2, cli._csv_line)
+    assert next(rows) == "0,3,3,3,3,1,24,24,true,true,false,true\n"
+    rows.close()
     _assert_no_child()
 
 
@@ -669,9 +694,9 @@ def test_sweep_jobs_does_not_import_multiprocessing(tmp_path):
 
 def test_query_verbs_load_neither_dataclasses_inspect_nor_json(tmp_path):
     # Start-up cost: no query verb needs these modules, and each takes
-    # milliseconds to import.  Only the --jobs pipe of sweep loads json; a
-    # serial jsonl sweep writes its rows as the query verbs do.  Run as the
-    # benchmark times start-up, in a fresh isolated interpreter.
+    # milliseconds to import.  A jsonl sweep, serial or --jobs, writes its
+    # rows as the query verbs do.  Run as the benchmark times start-up, in a
+    # fresh isolated interpreter.
     queries = [
         ["hyp", "--g", "1", "--d", "30", "--e", "3", "--r", "10", "--json"],
         ["insert", "--g", "0", "--d", "6", "--e", "3", "--r", "3", "--ell", "2,2,2,1,1,1",
@@ -704,7 +729,7 @@ def test_query_verbs_load_neither_dataclasses_inspect_nor_json(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-I", "-c", code],
                           capture_output=True, text=True, timeout=60)
-    assert proc.stderr == "[0, 0, 0, 0, 0, 0, 0, 0, 'json']\n"
+    assert proc.stderr == "[0, 0, 0, 0, 0, 0, 0, 0]\n"
     assert len([json.loads(line) for line in proc.stdout.splitlines()]) == len(queries)
     assert (tmp_path / "x.jsonl").read_text().count("\n") > 0
     assert (tmp_path / "jobs.jsonl").read_text().count("\n") > 0

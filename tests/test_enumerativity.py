@@ -286,6 +286,28 @@ def test_certify_gates():
     assert not rep.certified and "below" in rep.reason
 
 
+# The n gate gives d >= 2g, so certify_enumerative needs no d gate.
+# dims_check gives n + g - 1 = (r+2-e)d/r with d >= 1, r >= 1 and e >= 3, so
+# d > (r+2-e)d/r = n + g - 1.  With n >= max(2g, 1) >= 2g that is d > 3g - 1,
+# so d >= 3g >= 2g.  The bound is attained: (g, 3g, 3, 3g) has n = 2g.
+def test_n_gate_gives_d_at_least_2g():
+    below_2g = at_3g = 0
+    for e in range(3, 9):
+        for r in range(1, 31):
+            for g in range(13):
+                for d in range(1, 100):
+                    try:
+                        n = dims_check(g, d, e, r)
+                    except ParameterError:
+                        continue
+                    if n < max(2 * g, 1):
+                        below_2g += d < 2 * g
+                        continue
+                    assert d >= 3 * g, (g, d, e, r)
+                    at_3g += d == 3 * g
+    assert below_2g > 0 and at_3g > 0
+
+
 # For g >= 1 the certificate is the closed bound plus the two gates.  Past
 # the gates it audits one stratum, (0, a0, 0) with a0 = n - 2g + 1, which is
 # case B (n - a0 = 2g - 1 free marks).  With b0 = b2 = 0, d' = d:

@@ -266,17 +266,17 @@ def test_point_count_examples():
 
 
 def test_count_identity_and_perturbations():
-    for r in range(1, 7):
-        for g in range(7):
-            for d in range(r, 4 * r + 1, r):
-                n = (r + 1) * d // r - g + 1
-                if n < 1 or 2 * g - 2 + n <= 0:
-                    continue
-                assert vtev_projective_qh(g, d, r, n) == (r + 1) ** g
-                for n2 in (n - 1, n + 1):
-                    if n2 < 1 or 2 * g - 2 + n2 <= 0:
+    # The lemma behind qh's count: it is (r+1)^g exactly where the grading
+    # reaches q^d h^r, r(n + g - 1) = (r+1)d, and 0 at every other stable n,
+    # for every d, not only the multiples of r.
+    for r in range(1, 9):
+        for g in range(9):
+            for d in range(1, 4 * r + 4):
+                for n in range(1, (r + 1) * d // r + g + 3):
+                    if 2 * g - 2 + n <= 0:
                         continue
-                    assert vtev_projective_qh(g, d, r, n2) == 0
+                    want = (r + 1) ** g if r * (n + g - 1) == (r + 1) * d else 0
+                    assert vtev_projective_qh(g, d, r, n) == want, (g, d, r, n)
 
 
 def test_qpow_matches_repeated_product():
