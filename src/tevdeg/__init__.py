@@ -1,12 +1,17 @@
 """Exact counts of pointed curves on low-degree hypersurfaces and P^r.
 
-Four independent routes compute (or bound) the same counts:
+Four routes compute (or bound) the same counts:
 
 * :mod:`tevdeg.engine` -- intersection theory on a projective bundle over
   the Jacobian, the general-purpose pipeline;
 * :mod:`tevdeg.closed_forms` -- direct closed-form evaluation;
 * :mod:`tevdeg.schubert` -- the Grassmannian integral for maps to the line;
 * :mod:`tevdeg.quantum` -- the small quantum ring of P^r.
+
+Only ``p1``'s pair, the binomial formula and the Grassmannian integral,
+agrees by a theorem.  The engine and the closed form (``hyp`` and
+``insert``), and ``qh`` and (r+1)^g, agree by identities, each pinned by a
+lemma test that the README names.
 
 :mod:`tevdeg.enumerativity` certifies when the computed numbers count
 honest maps, by a closed-form degree bound and a dimension audit over all

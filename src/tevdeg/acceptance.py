@@ -217,8 +217,7 @@ def enumerativity_grid_cases():
                 except ParameterError:
                     d += r
                     continue
-                if d >= 2 * g:
-                    picked.append(d)
+                picked.append(d)
                 d += r
             cases.extend((g, d, e, r) for d in picked)
     return cases

@@ -7,12 +7,13 @@ integers are printed as decimal strings, and no floating point appears
 anywhere.  A query verb, or help, whose stdout cannot be written exits 2
 with one ``error: cannot write stdout: ...`` line.
 
-One writer, ``_json``, writes every ``--json`` line of a query verb and
-every ``jsonl`` row of ``sweep``, in ``json.dumps``' layout, so no verb
-imports the ``json`` module.  A ``sweep`` record is a dict whose keys are
-``SWEEP_COLUMNS``, in order, so ``_csv_line`` writes a CSV row straight
-from its values, with no lookup per column.  A valid row's two routes
-agree, and the record formats that value once.
+Every ``--json`` line and ``jsonl`` row is in ``json.dumps``' layout, and
+no verb imports ``json``: ``_json`` writes most of them, but ``_report``
+writes its results, and ``cmd_alpha`` its whole line, by hand, for speed.
+A ``sweep`` record is a dict whose keys are ``SWEEP_COLUMNS``, in order,
+so ``_csv_line`` writes a CSV row straight from its values, with no lookup
+per column.  A valid row's two routes agree, and the record formats that
+value once.
 
 A ``sweep --jobs`` worker sends the finished text of its chunks' rows and
 stops at its first failure of any kind; the calling process makes every
@@ -180,7 +181,7 @@ def _report(args, params: dict, flags: dict, **routes) -> int:
 
 def cmd_p1(args) -> int:
     g, d = args.g, args.d
-    n = enumerativity.line_dims_check(g, d)
+    n = enumerativity.projective_dims_check(g, d, 1)
     return _report(args, {"g": g, "d": d, "n": n}, {},
                    cps=lambda: closed_forms.tev_p1_cps(g, d),
                    schubert=lambda: schubert.tev_p1_schubert(g, d))

@@ -15,7 +15,7 @@ from itertools import accumulate
 from math import factorial
 from operator import sub
 
-from .enumerativity import dims_check, insertion_dims_check, line_dims_check
+from .enumerativity import dims_check, insertion_dims_check, projective_dims_check
 from .errors import InvariantBreach, ParameterError
 from .truncpoly import UniPoly
 
@@ -33,7 +33,7 @@ def tev_p1_cps(g: int, d: int) -> int:
     C(g, i) (g-i) / (i+1), and ends at c = C(g, g-d), which gives both
     boundary terms: C(g, g-d+1) = c d / (g-d+1).
     """
-    line_dims_check(g, d)
+    projective_dims_check(g, d, 1)
     if d > g:
         return 2**g
     total = 2**g

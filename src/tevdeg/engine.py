@@ -62,11 +62,11 @@ class HypParams(namedtuple("HypParams", "g d e r n t N ell")):
 
     ell_i in [1, r+1] is the dimension of the linear space mark i must hit.
     Construction, ``HypParams(g, d, e, r, ell)``, runs ``insertion_dims_check``
-    (the gates ``dims_check``, ``line_dims_check`` and
-    ``projective_dims_check`` serve the other counts), so the engine trusts
-    every instance.  It fills in n, the number of marks; t = (d-n)e - g + 1,
-    the rank of the twisted push-down bundle; and N = (r+2)(d-g+1), the rank
-    of the ambient bundle (fiber dimension N - 1).
+    (the gates ``dims_check`` and ``projective_dims_check`` serve the other
+    counts), so the engine trusts every instance.  It fills in n, the number
+    of marks; t = (d-n)e - g + 1, the rank of the twisted push-down bundle;
+    and N = (r+2)(d-g+1), the rank of the ambient bundle (fiber dimension
+    N - 1).
 
     It is a tuple subclass with read-only fields and no ``__dict__``: it
     compares and hashes as the plain tuple (g, d, e, r, n, t, N, ell) of

@@ -6,10 +6,10 @@ on parameter tuples (g, d, e, r) where the number of point conditions
     n = (r + 2 - e) / r * d - g + 1
 
 is a positive integer in the stable range.  Every route and the CLI leave
-that decision to the four gates here: ``dims_check`` (hypersurfaces),
+that decision to the three gates here: ``dims_check`` (hypersurfaces),
 ``insertion_dims_check`` (linear-space insertions plus the engine's
-``bundle_rank``; ``HypParams`` runs it), ``line_dims_check`` (P^1) and
-``projective_dims_check`` (P^r).  ``point_count_integral`` is the
+``bundle_rank``; ``HypParams`` runs it) and ``projective_dims_check``
+(P^r, with P^1 as its case r = 1).  ``point_count_integral`` is the
 integrality test of n: ``dims_check`` raises on it, and ``sweep`` uses it to
 drop most tuples of its box without building an exception.
 
@@ -26,7 +26,7 @@ a virtual count polluted by degenerate loci) is certified two ways:
   dominate the incidence target, comparing its (virtual) dimension -- plus
   an h^1 excess allowance when too few free marks remain -- against the
   target dimension.  Every admissible stratum is covered and counted, but
-  past the n and d gates the first failing stratum, if any, is always
+  past the n gate the first failing stratum, if any, is always
   (b0, b1, b2) = (0, n - max(2g, 1) + 1, 0), so that one stratum is the
   only one tested.  The proof is the comment above
   ``test_certify_matches_run_heads`` in ``tests/test_enumerativity.py``.
@@ -127,34 +127,25 @@ def insertion_dims_check(g: int, d: int, e: int, r: int, ell) -> int:
     return n
 
 
-def line_dims_check(g: int, d: int) -> int:
-    """Validate (g, d) for maps to the line; return n = 2d - g + 1."""
-    if d < 1:
-        raise ParameterError(f"map degree must be positive, got d={d}")
-    if g < 0:
-        raise ParameterError(f"genus must be nonnegative, got g={g}")
-    n = 2 * d - g + 1
-    if n < 0:
-        raise ParameterError(f"point count n = 2d - g + 1 = {n} is negative")
-    if 2 * g - 2 + n <= 0:
-        raise ParameterError(f"(g, n) = ({g}, {n}) is outside the stable range")
-    return n
-
-
 def projective_dims_check(g: int, d: int, r: int) -> int:
-    """Validate (d, r) for maps to P^r; return n = (r+1)d/r - g + 1.
+    """Validate (g, d, r) for maps to P^r; return n = (r+1)d/r - g + 1.
 
-    ``vtev_projective_qh``, which takes any n, checks g, d and stability.
+    P^1 is r = 1: ``p1``, both P^1 routes and ``qh`` run this gate.  It
+    passes n = 0, which the quantum route refuses itself.  What passes is
+    stable: r | d gives (r+1)d/r >= 2, so 2g - 2 + n >= g + 1.
     """
     if r < 1:
-        raise ParameterError(f"projective space dimension must be >= 1, got {r}")
-    if ((r + 1) * d) % r != 0:
-        raise ParameterError(
-            f"point count n = (r+1)d/r - g + 1 is not an integer for d={d}, r={r}"
-        )
+        raise ParameterError(f"projective space dimension must be >= 1, got {int_str(r)}")
+    if d < 1:
+        raise ParameterError(f"map degree must be positive, got d={int_str(d)}")
+    if g < 0:
+        raise ParameterError(f"genus must be nonnegative, got g={int_str(g)}")
+    if d % r:
+        raise ParameterError(f"point count n = (r+1)d/r - g + 1 is not an integer: (r+1)d = "
+                             f"{int_str((r + 1) * d)} is not a multiple of r = {int_str(r)}")
     n = (r + 1) * d // r - g + 1
-    if n < 1:
-        raise ParameterError(f"point count n = {int_str(n)} must be >= 1")
+    if n < 0:
+        raise ParameterError(f"point count n = (r+1)d/r - g + 1 = {int_str(n)} is negative")
     return n
 
 

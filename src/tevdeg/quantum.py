@@ -165,10 +165,12 @@ def vtev_projective_qh(g: int, d: int, r: int, n: int) -> int:
     otherwise (the grading cannot reach q^d * h^r).
     """
     point = QPolyClass.point(r)  # refuses r < 1 first
-    if g < 0 or d < 1 or n < 1:
+    if g < 0 or d < 1:
         raise ParameterError(
             f"invalid parameters (g, d, r, n) = ({g}, {d}, {r}, {int_str(n)})"
         )
+    if n < 1:
+        raise ParameterError(f"the quantum route needs n >= 1, got n = {int_str(n)}")
     if 2 * g - 2 + n <= 0:
         raise ParameterError(f"(g, n) = ({g}, {n}) is outside the stable range")
     return qmul(qpow(point, n), qpow(quantum_euler(r), g)).coeff(d, r)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from math import comb
 from operator import add
 
-from .enumerativity import line_dims_check
+from .enumerativity import projective_dims_check
 
 
 def pieri_special(box: int, t: int, combo: list[int]) -> list[int]:
@@ -60,7 +60,7 @@ def tev_p1_schubert(g: int, d: int) -> int:
     with n = 2d - g + 1 point conditions.  The sum is empty (count 0) when
     2d - 2 - g < 0.
     """
-    line_dims_check(g, d)
+    projective_dims_check(g, d, 1)
     box = d - 1
     s = 2 * d - 2 - g
     if s < 0:

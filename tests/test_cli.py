@@ -309,19 +309,38 @@ def test_large_genus_qh_stays_cheap(capsys, request, limit):
     assert elapsed < 2.0
 
 
-def test_p1_and_qh_gates_disagree_at_n_0(capsys):
-    # At r = 1 the two gates part where n = 2d - g + 1 = 0: p1's gate takes
-    # n = 0, which is stable for g >= 2, and both P^1 routes give 0, while
-    # qh's gate asks n >= 1.  Which gate is right is ROADMAP item 8's to
-    # decide; until then both behaviours are data.  Changing p1 here changes
-    # P1_CORPUS_DIGEST.
-    for g, d in ((3, 1), (5, 2), (7, 3)):
-        code, out, err = run(capsys, ["p1", "--g", str(g), "--d", str(d)])
-        assert (code, err) == (0, "")
-        assert out == f"g={g} d={d} n=0\ncps        0\nschubert   0\nagreement  true\n"
-        code, out, err = run(capsys, ["qh", "--g", str(g), "--d", str(d), "--r", "1"])
-        assert (code, out) == (2, "")
-        assert "point count n = 0 must be >= 1" in err
+# qh's refusal of n = 0, which the P^r gate passes: the quantum route
+# takes n >= 1 only.
+QH_N_0_REFUSAL = "error: the quantum route needs n >= 1, got n = 0\n"
+
+
+def test_p1_and_qh_gates_agree(capsys):
+    # p1 and qh --r 1 run one gate, projective_dims_check at r = 1, so both
+    # P^1 routes and qh accept or refuse each (g, d) together, a refusal
+    # with the gate's one message.  The exception is n = 2d - g + 1 = 0,
+    # which the gate passes (it is stable): p1 counts 0 by both routes, and
+    # qh exits 2 from its route.
+    n_0 = 0
+    for g in range(31):
+        for d in range(-1, 41):
+            gd = ["--g", str(g), "--d", str(d)]
+            cps = run(capsys, ["p1", *gd, "--method", "cps"])
+            schubert = run(capsys, ["p1", *gd, "--method", "schubert"])
+            qh = run(capsys, ["qh", *gd, "--r", "1"])
+            if d >= 1 and 2 * d - g + 1 == 0:
+                n_0 += 1
+                head = f"g={g} d={d} n=0\n"
+                assert cps == (0, head + "cps        0\n", "")
+                assert schubert == (0, head + "schubert   0\n", "")
+                assert run(capsys, ["p1", *gd]) == (
+                    0, head + "cps        0\nschubert   0\nagreement  true\n", "")
+                assert qh == (2, "", QH_N_0_REFUSAL)
+                continue
+            assert cps[0] == schubert[0] == qh[0] in (0, 2), (g, d)
+            assert cps[2] == schubert[2] == qh[2], (g, d)
+            if qh[0] == 0:
+                assert qh[1].startswith(f"g={g} d={d} r=1 n={2 * d - g + 1}\n")
+    assert n_0 == 14
 
 
 def test_large_insert_profile_stays_cheap(capsys):
@@ -1061,18 +1080,19 @@ BIG_D = "9" * 640   # digits at the lowered limit
     (["p1", "--g", "0", "--d", BIG_D, "--json"], 0),
     (["qh", "--g", "0", "--d", BIG_D, "--r", "1"], 0),               # n = 2d + 1
     (["qh", "--g", "0", "--d", BIG_D, "--r", "1", "--json"], 0),
-    (["qh", "--g", "-1", "--d", BIG_D, "--r", "1"], 2),              # n = 2d + 2
-    (["qh", "--g", "0", "--d", "-" + BIG_D, "--r", "1"], 2),         # n = 2d + 1
+    (["qh", "--g", "0", "--d", BIG_D, "--r", "2"], 2),               # (r+1)d = 3d
+    (["qh", "--g", "0", "--d", "1", "--r", BIG_D], 2),               # (r+1)d = r + 1
     (["hyp", "--g", "0", "--d", BIG_D, "--e", "60", "--r", "1"], 2),  # n = -57d + 1
     (["insert", "--g", "0", "--d", BIG_D, "--e", "3", "--r", "12", "--ell", "1"], 2),
     # d = 1.5g gives n = 1, so the refusal reason names 2g.
     (["certify", "--g", "5" + "0" * 639, "--d", "75" + "0" * 638, "--e", "3", "--r", "3"], 0),
     (["certify", "--g", "5" + "0" * 639, "--d", "75" + "0" * 638, "--e", "3", "--r", "3",
       "--json"], 0),
-], ids=["p1", "p1-json", "qh", "qh-json", "qh-refused", "qh-negative-d", "hyp-refused",
+], ids=["p1", "p1-json", "qh", "qh-json", "qh-refused", "qh-refused-big-r", "hyp-refused",
         "insert-refused", "certify-refused", "certify-refused-json"])
 def test_verbs_write_ints_past_the_digit_limit(capsys, low_digit_limit, argv, code):
-    # Each output holds an int past the limit: the point count n, 11d or 2g.
+    # Each output holds an int past the limit: the point count n, 11d, 2g,
+    # or the (r+1)d of a point count that is not an integer.
     low, lifted = _bytes_past_the_limit(capsys, argv)
     assert low == lifted and low[0] == code
     assert max(map(len, re.findall(r"\d+", low[1] + low[2]))) > 640
@@ -1220,9 +1240,10 @@ def _p1_corpus():
 
 
 # SHA-256 of every (argv, exit status, stdout, stderr) of the p1 corpus,
-# hashed as for the query corpus.
+# hashed as for the query corpus.  Since p1 runs the P^r gate at r = 1,
+# only the stderr of its 150 argv with n < 0 moved from the last digest.
 P1_CORPUS_SIZE = 798
-P1_CORPUS_DIGEST = "b0150cc9bae85e7df343386216aeae5709f4ed6990bbc26f402fe74c10a0914d"
+P1_CORPUS_DIGEST = "8da45cc6430d9cd21acfa938b2b4c8b034ff209a1596865d516fb5909da1aad5"
 
 
 def test_p1_digest():

@@ -18,7 +18,7 @@ from tevdeg.closed_forms import (
     vtev_projective_closed,
 )
 from tevdeg.engine import HypParams, deg_T
-from tevdeg.enumerativity import insertion_dims_check, line_dims_check
+from tevdeg.enumerativity import insertion_dims_check, projective_dims_check
 from tevdeg.errors import ParameterError
 from tevdeg.schubert import tev_p1_schubert
 from tevdeg.truncpoly import UniPoly
@@ -91,7 +91,7 @@ def test_cps_running_binomial_equals_the_transcribed_sum():
     for g in range(61):
         for d in range(1, g + 4):   # past d = g + 1 every binomial term is empty or 0
             try:
-                line_dims_check(g, d)
+                projective_dims_check(g, d, 1)
             except ParameterError:
                 continue
             assert tev_p1_cps(g, d) == _cps_as_transcribed(g, d), (g, d)
@@ -116,7 +116,7 @@ def test_cps_agrees_with_schubert_everywhere():
     for g in range(61):
         for d in range(1, g + 8):
             try:
-                line_dims_check(g, d)
+                projective_dims_check(g, d, 1)
             except ParameterError:
                 continue
             assert tev_p1_cps(g, d) == tev_p1_schubert(g, d), (g, d)

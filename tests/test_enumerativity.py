@@ -19,7 +19,6 @@ from tevdeg.enumerativity import (
     dims_check,
     enum_bound_closed,
     insertion_dims_check,
-    line_dims_check,
     projective_dims_check,
     stratum_audit,
 )
@@ -73,9 +72,10 @@ def test_insertion_dims_check_names_the_first_offender():
 
 
 def test_line_gate_is_the_gate_of_both_p1_routes():
+    # The line's gate is the P^r gate at r = 1.
     for g in range(-1, 9):
         for d in range(-1, 9):
-            n = _outcome(line_dims_check, g, d)
+            n = _outcome(projective_dims_check, g, d, 1)
             if isinstance(n, str):
                 assert _outcome(tev_p1_cps, g, d) == n, (g, d)
                 assert _outcome(tev_p1_schubert, g, d) == n, (g, d)
@@ -88,13 +88,30 @@ def test_line_gate_is_the_gate_of_both_p1_routes():
 def test_projective_dims_check():
     assert projective_dims_check(2, 2, 2) == 2
     assert projective_dims_check(0, 1, 1) == 3
-    assert projective_dims_check(-1, 3, 3) == 6  # g is left to the quantum route
-    with pytest.raises(ParameterError, match="dimension must be >= 1, got 0"):
-        projective_dims_check(0, 1, 0)
-    with pytest.raises(ParameterError, match="not an integer for d=3, r=2"):
-        projective_dims_check(0, 3, 2)
-    with pytest.raises(ParameterError, match="n = 0 must be >= 1"):
-        projective_dims_check(4, 2, 2)
+    assert projective_dims_check(4, 2, 2) == 0
+    assert projective_dims_check(3, 1, 1) == 0
+    # Each tuple also fails a later check, where there is one, so its
+    # message shows the order: r, d, g, integrality, then n < 0.
+    for args, message in [
+        ((-1, 0, 0), "projective space dimension must be >= 1, got 0"),
+        ((-1, 0, 2), "map degree must be positive, got d=0"),
+        ((-1, 3, 2), "genus must be nonnegative, got g=-1"),
+        ((9, 3, 2), "point count n = (r+1)d/r - g + 1 is not an integer: "
+                    "(r+1)d = 9 is not a multiple of r = 2"),
+        ((9, 2, 2), "point count n = (r+1)d/r - g + 1 = -5 is negative"),
+    ]:
+        assert _outcome(projective_dims_check, *args) == message
+
+
+def test_projective_gate_passes_only_stable_pairs():
+    # The gate has no stability check: past its d, g and integrality checks,
+    # 2g - 2 + n = g - 1 + (r+1)d/r >= g + 1, since r | d and d >= 1.
+    for r in range(1, 7):
+        for g in range(12):
+            for d in range(1, 30):
+                n = _outcome(projective_dims_check, g, d, r)
+                if not isinstance(n, str):
+                    assert 2 * g - 2 + n >= g + 1, (g, d, r)
 
 
 def test_bundle_rank():
@@ -308,8 +325,8 @@ def test_n_gate_gives_d_at_least_2g():
     assert below_2g > 0 and at_3g > 0
 
 
-# For g >= 1 the certificate is the closed bound plus the two gates.  Past
-# the gates it audits one stratum, (0, a0, 0) with a0 = n - 2g + 1, which is
+# For g >= 1 the certificate is the closed bound plus the n gate, n >= 2g.
+# Past that gate it audits one stratum, (0, a0, 0) with a0 = n - 2g + 1, which is
 # case B (n - a0 = 2g - 1 free marks).  With b0 = b2 = 0, d' = d:
 #   vdim = delta - a0,  target = delta,  allowance = (d - a0)e + 1 + g(r+2),
 # so it passes iff (d - a0)e + 1 + g(r+2) < a0, i.e. a0(e+1) > de + 1 + g(r+2).
@@ -329,10 +346,10 @@ def test_certified_is_the_bound_and_the_gates_for_positive_genus():
                     except ParameterError:
                         continue
                     rep = certify_enumerative(g, d, e, r)
-                    gates = n >= 2 * g and d >= 2 * g
-                    assert rep.certified == (rep.bound_satisfied and gates), (g, d, e, r)
+                    n_gate = n >= 2 * g
+                    assert rep.certified == (rep.bound_satisfied and n_gate), (g, d, e, r)
                     assert not rep.audit_sharper
-                    outcomes.add((rep.certified, rep.bound_applicable, gates))
+                    outcomes.add((rep.certified, rep.bound_applicable, n_gate))
     assert outcomes >= {(True, True, True), (False, True, True), (False, False, True)}
 
 
@@ -359,8 +376,8 @@ def brute_certify(g, d, e, r):
 def _sweep_oracle_tuples():
     """Small tuples accepted by dims_check that reach the sweep.
 
-    The n and d gates return before any stratum is examined; test_certify_gates
-    covers them.
+    The n gate returns before any stratum is examined; test_certify_gates
+    covers it.
     """
     out = []
     for g in range(5):
@@ -371,7 +388,7 @@ def _sweep_oracle_tuples():
                         n = dims_check(g, d, e, r)
                     except ParameterError:
                         continue
-                    if n >= max(2 * g, 1) and d >= 2 * g:
+                    if n >= max(2 * g, 1):
                         out.append((g, d, e, r))
     return out
 
@@ -408,7 +425,7 @@ def run_heads_certify(g, d, e, r):
 
 
 def _wide_grid_tuples():
-    """Tuples with g 0..7, e 3..9, r 1..60, d 1..300 past the n and d gates."""
+    """Tuples with g 0..7, e 3..9, r 1..60, d 1..300 past the n gate."""
     out = []
     for g in range(8):
         for e in range(3, 10):
@@ -420,7 +437,7 @@ def _wide_grid_tuples():
                         n = dims_check(g, d, e, r)
                     except ParameterError:
                         continue
-                    if n >= max(2 * g, 1) and d >= 2 * g:
+                    if n >= max(2 * g, 1):
                         out.append((g, d, e, r))
     return out
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tevdeg.enumerativity import line_dims_check
+from tevdeg.enumerativity import projective_dims_check
 from tevdeg.errors import ParameterError
 from tevdeg.schubert import pieri_special, tev_p1_schubert
 
@@ -337,7 +337,7 @@ def test_large_degree_count_is_2_to_g():
 def _valid_line_degrees(g, d_max):
     for d in range(1, d_max + 1):
         try:
-            line_dims_check(g, d)
+            projective_dims_check(g, d, 1)
         except ParameterError:
             continue
         yield d
