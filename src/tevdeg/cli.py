@@ -283,15 +283,12 @@ SWEEP_COLUMNS = (
 )
 
 
-def sweep_record(g: int, d: int, e: int, r: int,
-                 marks: dict | None = None) -> dict | None:
+def sweep_record(g: int, d: int, e: int, r: int) -> dict | None:
     """One sweep row, or None when the tuple is invalid.
 
     ``cmd_sweep`` calls it on every tuple of the box.  Most of them have a
     non-integral n, and those are refused here without raising; the gate
-    refuses the rest.  ``marks`` is the engine's point-factor dict;
-    ``cmd_sweep`` keeps one per process, shared by all the rows that process
-    makes.
+    refuses the rest.
     """
     if not enumerativity.point_count_integral(d, e, r):
         return None
@@ -300,7 +297,7 @@ def sweep_record(g: int, d: int, e: int, r: int,
     except ParameterError:
         return None
     closed = closed_forms.vtev_hypersurface_closed(g, d, e, r)
-    value_engine = engine.tev_hypersurface_engine(p, marks)
+    value_engine = engine.tev_hypersurface_engine(p)
     agreement = closed == value_engine
     # The routes agree on every valid row, so the value is formatted once.
     closed_text = int_str(closed)
@@ -339,14 +336,14 @@ def _chunks(tuples):
         yield chunk
 
 
-def _rows(chunk, marks, write):
+def _rows(chunk, write):
     """The text of each valid row of ``chunk``, as ``write`` formats its record.
 
     ``sweep_record`` is looked up at each call, so rebinding it before a
     sweep starts reaches every row, a worker's too.
     """
     for tup in chunk:
-        rec = sweep_record(*tup, marks)
+        rec = sweep_record(*tup)
         if rec is not None:
             yield write(rec)
 
@@ -376,9 +373,8 @@ def _sweep_worker(tuples, k, jobs, write, wfd, read_fds):
         for fd in read_fds:
             os.close(fd)
         with open(wfd, "wb") as pipe:
-            marks = {}
             for chunk in itertools.islice(_chunks(tuples), k, None, jobs):
-                marshal.dump("".join(_rows(chunk, marks, write)), pipe)
+                marshal.dump("".join(_rows(chunk, write)), pipe)
                 pipe.flush()
     finally:
         os._exit(0)
@@ -403,7 +399,6 @@ def _sweep_rows(tuples, jobs, write):
     if jobs > 1:
         import marshal    # for the pipe
 
-    marks = {}
     pipes, pids = [], []
     try:
         for k in range(1, jobs):
@@ -425,7 +420,7 @@ def _sweep_rows(tuples, jobs, write):
                 else:
                     yield text
                     continue
-            yield from _rows(chunk, marks, write)
+            yield from _rows(chunk, write)
     finally:
         for pipe in pipes:
             pipe.close()

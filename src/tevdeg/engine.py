@@ -36,10 +36,9 @@ a class on the Jacobian is its list of theta^[m] coefficients.  The
 engine never evaluates the closed form's (r+2-e)^g.  The excess factor,
 a class in (H, H_i) with H_i capped at H_i^{r+1}, is a ``TruncPoly``.
 
-The point factors depend on (e, r) alone, so the entry points take an
-optional ``marks`` dict that keeps the factors built so far under that key;
-a sweep passes one dict for all its rows, and a one-off query gets a fresh
-one.
+The point factors depend on (e, r) alone, so ``point_factor`` keeps the
+last table it built: a sweep's rows come in (e, r) blocks and build each
+table once.
 
 The count of honest maps is the resulting degree divided by e^n: each
 line condition meets the hypersurface in e points, only one of which is
@@ -50,6 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
+from functools import lru_cache
 from itertools import accumulate
 
 from .enumerativity import bundle_rank, dims_check, insertion_dims_check
@@ -103,6 +103,9 @@ class HypParams(namedtuple("HypParams", "g d e r n t N ell")):
         return tuple.__new__(cls, (g, d, e, r, n, t, (r + 2) * (d - g + 1), (1,) * n))
 
 
+# One entry: a sweep runs e, then r, outermost, so a table is never needed
+# again once its (e, r) block ends, and the memo holds one table, not all.
+@lru_cache(maxsize=1)
 def point_factor(e: int, r: int) -> tuple[tuple[int, int], ...]:
     """Contribution of one mark, for every insertion dimension at once.
 
@@ -180,17 +183,14 @@ def integrate_theta(c: list[int], g: int) -> int:
     return c[g]
 
 
-def deg_T(p: HypParams, marks: dict | None = None) -> int:
+def deg_T(p: HypParams) -> int:
     """Degree of the incidence cycle for marks with dimensions ``p.ell``.
 
     The whole pipeline: point factors, Chern class, support-window check,
     pushforward and integral.  Marks with equal ell_i share one monomial,
-    and ``marks`` maps (e, r) to the table of (alpha, h) point factors
-    built so far, entry ell_i - 1 for dimension ell_i: a missing table is
-    built by ``point_factor`` and stored there, so it runs once per key and
-    dict.  With no dict each call starts from an empty one.  The
-    monomial's coefficient and the Chern scale e^t multiply the pushed-down
-    sum once, outside the stages.
+    read from the (e, r) table of (alpha, h) pairs of ``point_factor``,
+    entry ell_i - 1 for dimension ell_i.  The monomial's coefficient and the
+    Chern scale e^t multiply the pushed-down sum once, outside the stages.
 
     The result is e^n times the count of maps when every mark is on a
     line; it is certified integral and nonnegative, and e is certified to
@@ -198,12 +198,7 @@ def deg_T(p: HypParams, marks: dict | None = None) -> int:
     count's cycle degree is alpha_1^n e^t S, so that is what makes e^n
     divide it; e^t alone does whenever t >= n, whatever alpha_1 is.
     """
-    if marks is None:
-        marks = {}
-    key = (p.e, p.r)
-    table = marks.get(key)
-    if table is None:
-        table = marks[key] = point_factor(p.e, p.r)
+    table = point_factor(p.e, p.r)
     coeff = 1
     hdeg = 0
     # The marks, sorted, come in one run per dimension: bisect finds where
@@ -232,8 +227,8 @@ def deg_T(p: HypParams, marks: dict | None = None) -> int:
         )
     pushed = pushforward_theta(ratio, degree, p.r, p.N, p.g)
     value = coeff * scale * integrate_theta(pushed, p.g)
-    # Only a non-int point factor (a corrupted fixture or marks dict) makes
-    # a non-int here, and int() would truncate it silently.
+    # Only a non-int point factor (a corrupted fixture) makes a non-int
+    # here, and int() would truncate it silently.
     if type(value) is not int:
         num, den = value.as_integer_ratio()
         raise InvariantBreach(
@@ -248,14 +243,13 @@ def deg_T(p: HypParams, marks: dict | None = None) -> int:
     return value
 
 
-def tev_hypersurface_engine(p: HypParams, marks: dict | None = None) -> int:
+def tev_hypersurface_engine(p: HypParams) -> int:
     """The count of honest maps through points: deg_T divided exactly by e^n.
 
-    ``marks`` is the point-factor dict of ``deg_T``, which vouches that e^n
-    divides the cycle degree.
+    ``deg_T`` vouches that e^n divides the cycle degree.
     """
     if p.ell.count(1) != p.n:
         raise ParameterError(
             f"a count of maps needs ell_i = 1 for every mark, got ell = {p.ell}"
         )
-    return deg_T(p, marks) // p.e**p.n
+    return deg_T(p) // p.e**p.n

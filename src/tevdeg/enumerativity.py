@@ -113,7 +113,8 @@ def insertion_dims_check(g: int, d: int, e: int, r: int, ell) -> int:
         raise ParameterError("insertion profile must be nonempty")
     if min(ell) < 1 or max(ell) > r + 1:
         bad = next(li for li in ell if not (1 <= li <= r + 1))
-        raise ParameterError(f"insertion dimension {bad} out of range [1, {r + 1}]")
+        raise ParameterError(
+            f"insertion dimension {int_str(bad)} out of range [1, {int_str(r + 1)}]")
     lhs = r * (n + g - 1)
     rhs = (r + 2 - e) * d + sum(ell) - n
     if lhs != rhs:
@@ -165,12 +166,13 @@ def enum_bound_closed(g: int, e: int, r: int) -> Fraction | None:
     for g = 0 no condition on d is needed.
     """
     if g < 0:
-        raise ParameterError(f"genus must be nonnegative, got g={g}")
+        raise ParameterError(f"genus must be nonnegative, got g={int_str(g)}")
     if e < 3:
-        raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
+        raise ParameterError(f"hypersurface degree must be >= 3, got e={int_str(e)}")
     if not closed_bound_applies(e, r):
         raise ParameterError(
-            f"closed bound requires r > (e+1)(e-2) = {(e + 1) * (e - 2)}, got r={r}"
+            f"closed bound requires r > (e+1)(e-2) = {int_str((e + 1) * (e - 2))}, "
+            f"got r={int_str(r)}"
         )
     if g == 0:
         return None

@@ -343,6 +343,49 @@ def test_p1_and_qh_gates_agree(capsys):
     assert n_0 == 14
 
 
+# The (g, d, e, r) of the box below that certify answers and hyp refuses:
+# each has d < 2g, and certify reports it uncertified.
+CERTIFY_ONLY = [(2, 3, 3, 3), (3, 4, 3, 4), (3, 5, 3, 5), (3, 5, 4, 5),
+                (2, 3, 4, 6), (3, 4, 4, 8), (3, 5, 4, 10), (2, 3, 5, 9)]
+
+
+def test_hypersurface_verbs_share_one_domain(capsys):
+    # Over e 3..5, r 1..10, g 0..3, d 1..30: hyp answers exactly the tuples
+    # that sweep writes a row for, with its n and value; insert with n ones
+    # answers the same tuples with e^n times the count; and certify answers
+    # those plus CERTIFY_ONLY.
+    valid, certify_only = 0, []
+    for e, r, g, d in itertools.product(range(3, 6), range(1, 11), range(4), range(1, 31)):
+        rec = cli.sweep_record(g, d, e, r)
+        args = ["--g", str(g), "--d", str(d), "--e", str(e), "--r", str(r), "--json"]
+        code, out, _ = run(capsys, ["hyp", *args])
+        assert (code == 0) == (rec is not None), (g, d, e, r)
+        if rec is not None:
+            valid += 1
+            doc = json.loads(out)
+            assert doc["params"]["n"] == rec["n"]
+            assert [v["value"] for v in doc["results"]] == [rec["value_closed"]] * 2
+        num = (r + 2 - e) * d
+        if num % r == 0 and num // r - g + 1 >= 1:
+            n = num // r - g + 1
+            code, out, _ = run(capsys, ["insert", *args, "--ell", ",".join(["1"] * n)])
+            assert (code == 0) == (rec is not None), (g, d, e, r)
+            if rec is not None:
+                values = [int(v["value"]) for v in json.loads(out)["results"]]
+                assert values == [e**n * int(rec["value_closed"])] * 2
+        else:
+            assert rec is None
+        code, out, _ = run(capsys, ["certify", *args])
+        if rec is None and code == 0:
+            certify_only.append((g, d, e, r))
+            assert json.loads(out)["certified"] is False
+        else:
+            assert code == (0 if rec is not None else 2), (g, d, e, r)
+    assert valid == 628
+    assert certify_only == CERTIFY_ONLY
+    assert all(d < 2 * g for g, d, _, _ in CERTIFY_ONLY)
+
+
 def test_large_insert_profile_stays_cheap(capsys):
     # 300,003 marks, six of them of dimension 2, so the count is
     # 3^t 6^299997 21^6.  Parsing --ell, the closed form's product and the
@@ -914,21 +957,33 @@ def test_sweep_breach_exits_3(tmp_path, capsys, monkeypatch, jobs):
     _assert_no_child()
 
 
-def test_serial_sweep_builds_each_point_factor_once(tmp_path, capsys, monkeypatch):
-    calls = []
-    original = engine.point_factor
-
-    def counted(e, r):
-        calls.append((e, r))
-        return original(e, r)
-
-    monkeypatch.setattr(engine, "point_factor", counted)
+def test_serial_sweep_builds_each_point_factor_once(tmp_path, capsys):
+    # The box runs e, then r, outermost, so the one-table memo builds each
+    # (e, r) with a valid row once, and every other row reads it.
     path = tmp_path / "grid.csv"
     code, _, _ = run(capsys, ["sweep", *ACCEPTANCE_GRID, "--out", str(path)])
     assert code == 0
-    valid = {(int(row.split(",")[2]), int(row.split(",")[3]))
-             for row in path.read_text().splitlines()[1:]}
-    assert sorted(calls) == sorted(valid) and len(calls) == 23
+    rows = path.read_text().splitlines()[1:]
+    valid = {(int(row.split(",")[2]), int(row.split(",")[3])) for row in rows}
+    info = engine.point_factor.cache_info()
+    assert info.misses == len(valid) == 23
+    assert info.hits + info.misses == len(rows) == 572
+
+
+def test_sweep_holds_one_point_factor_table(tmp_path, capsys):
+    # A sweep keeps no table past its (e, r) block: over r 1..300 the tables
+    # add up to megabytes, and the traced peak stays under 1 MB.
+    import tracemalloc
+
+    argv = ["sweep", "--e", "3", "--r", "1..300", "--g", "0", "--d", "1..300",
+            "--out", str(tmp_path / "x.csv")]
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 1_000_000
 
 
 HUGE_SWEEP = ["sweep", "--e", "3", "--r", "3", "--g", "0", "--d", "1..1000000000000"]
@@ -1084,15 +1139,17 @@ BIG_D = "9" * 640   # digits at the lowered limit
     (["qh", "--g", "0", "--d", "1", "--r", BIG_D], 2),               # (r+1)d = r + 1
     (["hyp", "--g", "0", "--d", BIG_D, "--e", "60", "--r", "1"], 2),  # n = -57d + 1
     (["insert", "--g", "0", "--d", BIG_D, "--e", "3", "--r", "12", "--ell", "1"], 2),
+    (["insert", "--g", "0", "--d", "1", "--e", "3", "--r", BIG_D, "--ell", "0"], 2),  # r + 1
     # d = 1.5g gives n = 1, so the refusal reason names 2g.
     (["certify", "--g", "5" + "0" * 639, "--d", "75" + "0" * 638, "--e", "3", "--r", "3"], 0),
     (["certify", "--g", "5" + "0" * 639, "--d", "75" + "0" * 638, "--e", "3", "--r", "3",
       "--json"], 0),
 ], ids=["p1", "p1-json", "qh", "qh-json", "qh-refused", "qh-refused-big-r", "hyp-refused",
-        "insert-refused", "certify-refused", "certify-refused-json"])
+        "insert-refused", "insert-refused-big-r", "certify-refused", "certify-refused-json"])
 def test_verbs_write_ints_past_the_digit_limit(capsys, low_digit_limit, argv, code):
     # Each output holds an int past the limit: the point count n, 11d, 2g,
-    # or the (r+1)d of a point count that is not an integer.
+    # the (r+1)d of a point count that is not an integer, or the r + 1 that
+    # bounds an insertion dimension.
     low, lifted = _bytes_past_the_limit(capsys, argv)
     assert low == lifted and low[0] == code
     assert max(map(len, re.findall(r"\d+", low[1] + low[2]))) > 640

@@ -252,6 +252,10 @@ def test_point_factor_breaches_on_a_missing_alpha(monkeypatch):
     monkeypatch.setattr(TruncPoly, "__mul__", drop_h_i)
     with pytest.raises(InvariantBreach, match=r"\(e=3, r=3, ell=1\) has no term at H\^6"):
         point_factor(3, 3)
+    # The memo keeps no raise: with the product mended, the next call builds.
+    monkeypatch.undo()
+    assert point_factor(3, 3) == ((6, 6), (21, 5), (27, 4), (27, 3))
+    assert point_factor.cache_info().misses == 2
 
 
 def _convolution_point_factor(e, r):
@@ -627,15 +631,14 @@ def test_deg_T_builds_one_point_factor_per_e_r(monkeypatch):
     calls.clear()
     deg_T(HypParams.standard(3, 300, 3, 10))  # 268 marks, all ell = 1
     assert calls == [(3, 10)]
-    # A shared dict builds each (e, r) once, across calls and profiles.
-    calls.clear()
-    marks = {}
+    assert point_factor.cache_info().misses == 2
+    # The memo builds each (e, r) once across calls and profiles, and holds
+    # one table: a new (e, r) replaces the last.
     for g, d in ((0, 3), (1, 3), (0, 6)):
-        tev_hypersurface_engine(HypParams.standard(g, d, 3, 3), marks)
-    deg_T(p, marks)
-    assert calls == [(3, 3)]
-    assert sorted(marks) == [(3, 3)]
-    assert marks[(3, 3)] == point_factor(3, 3)
+        tev_hypersurface_engine(HypParams.standard(g, d, 3, 3))
+    deg_T(p)
+    info = point_factor.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (3, 3, 1, 1)
 
 
 def test_every_insertion_dimension_from_one_point_factor(capsys, monkeypatch):
@@ -660,13 +663,19 @@ def test_every_insertion_dimension_from_one_point_factor(capsys, monkeypatch):
     assert calls == [(3, 60)]
 
 
-def test_engine_reads_point_factors_from_marks():
+def test_a_corrupted_table_stays_out_of_the_memo(monkeypatch):
+    # deg_T looks engine.point_factor up at each call, so a corrupted table
+    # comes in by rebinding that name, as criterion 6 does.  The memo sits
+    # behind the rebinding and keeps the true table.
     p = HypParams.standard(0, 3, 3, 3)
     table = point_factor(3, 3)
-    scaled = tuple((alpha * Fraction(1, 1_000_000_007), h) for alpha, h in table)
+    monkeypatch.setattr(engine, "point_factor", lambda e, r: tuple(
+        (alpha * Fraction(1, 1_000_000_007), h) for alpha, h in point_factor(e, r)))
     with pytest.raises(InvariantBreach, match="not an integer"):
-        deg_T(p, {(3, 3): scaled})
-    assert deg_T(p, {(3, 3): table}) == deg_T(p) == 648
+        deg_T(p)
+    monkeypatch.undo()
+    assert deg_T(p) == 648 and point_factor(3, 3) is table
+    assert point_factor.cache_info().misses == 1
 
 
 def test_deg_T_rejects_mismatched_profile():

@@ -137,6 +137,15 @@ def test_bound_rejects_small_r():
         enum_bound_closed(1, 3, 4)  # needs r > 4
 
 
+def test_bound_refusal_writes_ints_past_the_digit_limit():
+    # (e+1)(e-2) at e = 10^2200 has 4,400 digits, past the default limit of
+    # 4,300 that str(int) keeps; the refusal is still a ParameterError.
+    with pytest.raises(ParameterError, match="closed bound requires") as info:
+        enum_bound_closed(1, 10**2200, 5)
+    # 10^4400 - 10^2200 - 2
+    assert str(info.value).endswith(f"= {'9' * 2199}8{'9' * 2199}8, got r=5")
+
+
 def test_certificate_bound_fields():
     def verdict(g, d, e, r):
         rep = certify_enumerative(g, d, e, r)
