@@ -365,9 +365,9 @@ def test_hypersurface_verbs_share_one_domain(capsys):
             doc = json.loads(out)
             assert doc["params"]["n"] == rec["n"]
             assert [v["value"] for v in doc["results"]] == [rec["value_closed"]] * 2
-        num = (r + 2 - e) * d
-        if num % r == 0 and num // r - g + 1 >= 1:
-            n = num // r - g + 1
+        q, rem = divmod((r + 2 - e) * d, r)
+        n = q - g + 1
+        if rem == 0 and n >= 1:
             code, out, _ = run(capsys, ["insert", *args, "--ell", ",".join(["1"] * n)])
             assert (code == 0) == (rec is not None), (g, d, e, r)
             if rec is not None:

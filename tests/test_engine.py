@@ -632,8 +632,8 @@ def test_deg_T_builds_one_point_factor_per_e_r(monkeypatch):
     deg_T(HypParams.standard(3, 300, 3, 10))  # 268 marks, all ell = 1
     assert calls == [(3, 10)]
     assert point_factor.cache_info().misses == 2
-    # The memo builds each (e, r) once across calls and profiles, and holds
-    # one table: a new (e, r) replaces the last.
+    # The memo holds one table, so (3, 10) replaced (3, 3): the next four
+    # calls, over three counts and an insertion profile, build (3, 3) once.
     for g, d in ((0, 3), (1, 3), (0, 6)):
         tev_hypersurface_engine(HypParams.standard(g, d, 3, 3))
     deg_T(p)
