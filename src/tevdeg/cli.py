@@ -10,7 +10,8 @@ with one ``error: cannot write stdout: ...`` line.
 Every ``--json`` line and ``jsonl`` row is in ``json.dumps``' layout, and
 no verb imports ``json``: ``_json`` writes most of them, but ``_report``
 writes its results, and ``cmd_alpha`` its whole line, by hand, for speed.
-A ``sweep`` record is a dict whose keys are ``SWEEP_COLUMNS``, in order,
+Routes that agree share one formatted value, in ``_report`` as in a
+sweep row.  A ``sweep`` record is a dict whose keys are ``SWEEP_COLUMNS``, in order,
 so ``_csv_line`` writes a CSV row straight from its values, with no lookup
 per column.  A valid row's two routes agree, and the record formats that
 value once.
@@ -21,10 +22,14 @@ chunk whose text does not arrive, with the loop that makes its own.  The
 rows are deterministic, so a failure recurs there at the serial row, and
 the file, exit status and stderr are those of a serial sweep.
 
-An ``insert`` profile has many marks and few distinct dimensions.
-``parse_ell`` converts, and ``_json`` writes, each distinct value once,
-and the closed form and the engine multiply one power per dimension, so
-no step runs Python code per mark.
+An ``insert`` profile has many marks and few distinct dimensions, and a
+query walks its marks in six C-level passes and no Python loop:
+``parse_ell`` splits the text, builds the table of distinct tokens and
+their ints, and ``cmd_insert`` reads the int tuple from it; ``HypParams``
+and the closed form each group the marks once with a ``Counter``, and
+their gate and their product read that grouping, one power per
+dimension; and the ``ell`` echo is joined from the tokens, a token whose
+text is not its int's going through that int's text.
 
 ``VERBS`` declares each verb and its flags once, and both ``build_parser``
 and ``_read_plain`` read it.  ``main`` reads plain argv (see ``_read_plain``)
@@ -87,21 +92,21 @@ def parse_range(text: str) -> list[range]:
     return [range(lo, stop) for lo, stop in merged]
 
 
-def parse_ell(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated insertion profile, as ``tuple(map(int, ...))``.
+def parse_ell(text: str) -> tuple[list[str], dict[str, int]]:
+    """The tokens of a comma-separated insertion profile, and each distinct
+    token's int: the profile is ``tuple(map(table.__getitem__, tokens))``.
 
     A profile has many marks and few distinct dimensions, so each distinct
-    token is converted once and the marks are read from that table in one
-    C-level pass.  ``dict.fromkeys`` keeps first-seen order, so the first
-    token to fail is the first bad token in the list, and the error text is
-    the one-liner's.
+    token is converted once.  ``dict.fromkeys`` keeps first-seen order, so
+    the first token to fail is the first bad token in the list, and the
+    error text is that of ``tuple(map(int, text.split(",")))``.
     """
     tokens = text.split(",")
     try:
         table = {tok: int(tok) for tok in dict.fromkeys(tokens)}
     except ValueError as ex:
         raise ParameterError(f"bad insertion list {text!r}: {ex}") from None
-    return tuple(map(table.__getitem__, tokens))
+    return tokens, table
 
 
 def _print(*values, end: str = "\n", flush: bool = False) -> None:
@@ -116,10 +121,14 @@ def _print(*values, end: str = "\n", flush: bool = False) -> None:
         raise ParameterError(f"cannot write stdout: {ex}") from ex
 
 
+class _Verbatim(str):
+    """Text already in ``json.dumps``' layout, which ``_json`` writes as it is."""
+
+
 def _json(v) -> str:
     """``v`` as ``json.dumps`` writes it: None, a bool, an int, a str, a
-    list of ints, or a dict of those.  The text forms write params and
-    flags so too.
+    dict of those, or a ``_Verbatim`` text.  The text forms write params
+    and flags so too.
 
     Every int is written by ``int_str``, so one past the digit limit, which
     ``str`` refuses, is written too.  A str is written unescaped: every one
@@ -128,11 +137,9 @@ def _json(v) -> str:
     fixed ASCII texts with ints in decimal, so none holds a character that
     ``json.dumps`` escapes.
 
-    The only list any verb writes is the insertion profile in ``params``:
-    many marks, few distinct dimensions.  So each distinct value is written
-    once and the list is joined from that table.  The list must hold ints
-    only: ``True == 1`` and they hash alike, so a bool would share 1's
-    table entry.
+    The only list any verb writes is the insertion profile in ``params``,
+    and ``cmd_insert`` joins it from the profile's tokens as a
+    ``_Verbatim``.
     """
     if v is None:
         return "null"
@@ -140,12 +147,11 @@ def _json(v) -> str:
         return "true" if v else "false"
     if isinstance(v, int):
         return int_str(v)
-    if isinstance(v, str):
+    if type(v) is str:
         return f'"{v}"'
     if isinstance(v, dict):
         return "{" + ", ".join([f'"{k}": {_json(x)}' for k, x in v.items()]) + "}"
-    table = {x: int_str(x) for x in dict.fromkeys(v)}
-    return "[" + ", ".join(map(table.__getitem__, v)) + "]"
+    return v
 
 
 def _report(args, params: dict, flags: dict, **routes) -> int:
@@ -156,22 +162,26 @@ def _report(args, params: dict, flags: dict, **routes) -> int:
     ``--method``.  The text form is a params line, a line per route, the
     agreement line when more than one ran, and a line per flag; ``--json``
     gives one object of the same in ``json.dumps``' layout, its values
-    written by ``_json``.
+    written by ``_json``.  When the routes agree, their value is formatted
+    once.
     """
     names = routes if getattr(args, "method", "both") == "both" else (args.method,)
     results = [(name, routes[name]()) for name in names]
     agreement = len({v for _, v in results}) <= 1
+    # Routes that agree share one text, so a big count is formatted once.
+    # No text is empty, so "text or" formats a value only on disagreement.
+    text = int_str(results[0][1]) if agreement else None
     if args.json:
         # The results are formatted here: building them as dicts for _json
         # took about 5 microseconds more per call.
-        values = ", ".join([f'{{"method": "{m}", "value": "{int_str(v)}"}}'
+        values = ", ".join([f'{{"method": "{m}", "value": "{text or int_str(v)}"}}'
                             for m, v in results])
         _print(f'{{"params": {_json(params)}, "results": [{values}], '
                f'"agreement": {_json(agreement)}, "flags": {_json(flags)}}}')
         return 0
     _print(" ".join(f"{k}={_json(v)}" for k, v in params.items()))
     for method, value in results:
-        _print(f"{method:<10} {int_str(value)}")
+        _print(f"{method:<10} {text or int_str(value)}")
     if len(results) > 1:
         _print(f"agreement  {_json(agreement)}")
     for k, v in flags.items():
@@ -214,9 +224,17 @@ def cmd_hyp(args) -> int:
 
 def cmd_insert(args) -> int:
     g, d, e, r = args.g, args.d, args.e, args.r
-    ell = parse_ell(args.ell)
+    tokens, table = parse_ell(args.ell)
+    ell = tuple(map(table.__getitem__, tokens))
     p = engine.HypParams(g, d, e, r, ell)
-    params = {"g": g, "d": d, "e": e, "r": r, "n": p.n, "ell": list(ell)}
+    # The echo is joined from the tokens, each written as its int: a token
+    # int() reads but does not write back, such as "01", "+1" or " 1",
+    # goes through its int's text.
+    texts = {tok: int_str(v) for tok, v in table.items()}
+    if any(tok != text for tok, text in texts.items()):
+        tokens = map(texts.__getitem__, tokens)
+    echo = _Verbatim("[" + ", ".join(tokens) + "]")
+    params = {"g": g, "d": d, "e": e, "r": r, "n": p.n, "ell": echo}
     return _report(args, params, {},
                    closed=lambda: closed_forms.deg_T_insertions_closed(g, d, e, r, ell),
                    engine=lambda: engine.deg_T(p))

@@ -15,7 +15,7 @@ from itertools import accumulate
 from math import factorial
 from operator import sub
 
-from .enumerativity import dims_check, insertion_dims_check, projective_dims_check
+from .enumerativity import dims_check, insertion_counts_check, projective_dims_check
 from .errors import InvariantBreach, ParameterError
 from .truncpoly import UniPoly
 
@@ -103,18 +103,18 @@ def deg_T_insertions_closed(g: int, d: int, e: int, r: int, ell) -> int:
     The product over the marks is taken as a product of powers, alpha_ell
     to the number of marks of dimension ell, over the distinct dimensions:
     one power each, where a factor per mark multiplies a growing int n
-    times.  ``Counter`` counts the marks in one C-level pass, where a
-    ``count`` per dimension would take one pass each.  The per-mark loop
+    times.  ``Counter`` groups the marks in one C-level pass, and the gate
+    reads that grouping, so the marks are walked once.  The per-mark loop
     is the test oracle.  At ell = (1, ..., 1) this equals e^n times the
     hypersurface count.
     """
-    ell = tuple(ell)
-    n = insertion_dims_check(g, d, e, r, ell)
+    counts = Counter(ell)
+    n = insertion_counts_check(g, d, e, r, counts)
     t = (d - n) * e - g + 1
     alphas = alpha_coefficients(e, r)
     prod = 1
     # The gate holds every ell_i to [1, r+1], so no index wraps around.
-    for li, mult in Counter(ell).items():
+    for li, mult in counts.items():
         prod *= alphas[li - 1] ** mult
     return (r + 2 - e) ** g * e**t * prod
 

@@ -47,41 +47,43 @@ the assigned one.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import accumulate
 
-from .enumerativity import bundle_rank, dims_check, insertion_dims_check
+from .enumerativity import bundle_rank, dims_check, insertion_counts_check
 from .errors import InvariantBreach, ParameterError, int_str
 from .truncpoly import TruncPoly
 
 
-class HypParams(namedtuple("HypParams", "g d e r n t N ell")):
+class HypParams(namedtuple("HypParams", "g d e r n t N ell dims")):
     """A parameter tuple that passed its gate, with its derived quantities.
 
     ell_i in [1, r+1] is the dimension of the linear space mark i must hit.
-    Construction, ``HypParams(g, d, e, r, ell)``, runs ``insertion_dims_check``
-    (the gates ``dims_check`` and ``projective_dims_check`` serve the other
+    Construction, ``HypParams(g, d, e, r, ell)``, groups the marks by
+    dimension and runs ``insertion_counts_check`` on that grouping (the
+    gates ``dims_check`` and ``projective_dims_check`` serve the other
     counts), so the engine trusts every instance.  It fills in n, the number
     of marks; t = (d-n)e - g + 1, the rank of the twisted push-down bundle;
-    and N = (r+2)(d-g+1), the rank of the ambient bundle (fiber dimension
-    N - 1).
+    N = (r+2)(d-g+1), the rank of the ambient bundle (fiber dimension
+    N - 1); and dims, the gate's grouping as sorted (dimension, number of
+    marks) pairs, which is all the engine reads of the profile.
 
     It is a tuple subclass with read-only fields and no ``__dict__``: it
-    compares and hashes as the plain tuple (g, d, e, r, n, t, N, ell) of
-    its fields, and equals that tuple.  The namedtuple helpers ``_make`` and
-    ``_replace`` skip the gate, so build an instance by calling the class,
-    or ``standard``, which runs the same checks at ell = (1, ..., 1).
+    compares and hashes as the plain tuple (g, d, e, r, n, t, N, ell, dims)
+    of its fields, and equals that tuple.  The namedtuple helpers ``_make``
+    and ``_replace`` skip the gate, so build an instance by calling the
+    class, or ``standard``, which runs the same checks at ell = (1, ..., 1).
     """
 
     __slots__ = ()
 
     def __new__(cls, g: int, d: int, e: int, r: int, ell) -> HypParams:
         ell = tuple(ell)
-        n = insertion_dims_check(g, d, e, r, ell)
+        counts = Counter(ell)
+        n = insertion_counts_check(g, d, e, r, counts)
         return super().__new__(cls, g, d, e, r, n, (d - n) * e - g + 1,
-                               (r + 2) * (d - g + 1), ell)
+                               (r + 2) * (d - g + 1), ell, tuple(sorted(counts.items())))
 
     def __getnewargs__(self):
         # Copies and pickles rebuild through the gate, from the given fields.
@@ -100,7 +102,8 @@ class HypParams(namedtuple("HypParams", "g d e r n t N ell")):
         """
         n = dims_check(g, d, e, r)
         t = bundle_rank(g, d, e, n)
-        return tuple.__new__(cls, (g, d, e, r, n, t, (r + 2) * (d - g + 1), (1,) * n))
+        return tuple.__new__(cls, (g, d, e, r, n, t, (r + 2) * (d - g + 1), (1,) * n,
+                                   ((1, n),)))
 
 
 # One entry: a sweep runs e, then r, outermost, so a table is never needed
@@ -189,7 +192,8 @@ def deg_T(p: HypParams) -> int:
     The whole pipeline: point factors, Chern class, support-window check,
     pushforward and integral.  Marks with equal ell_i share one monomial,
     read from the (e, r) table of (alpha, h) pairs of ``point_factor``,
-    entry ell_i - 1 for dimension ell_i.  The monomial's coefficient and the
+    entry ell_i - 1 for dimension ell_i, and raised to their number, read
+    from ``p.dims``.  The monomial's coefficient and the
     Chern scale e^t multiply the pushed-down sum once, outside the stages.
 
     The result is e^n times the count of maps when every mark is on a
@@ -201,20 +205,11 @@ def deg_T(p: HypParams) -> int:
     table = point_factor(p.e, p.r)
     coeff = 1
     hdeg = 0
-    # The marks, sorted, come in one run per dimension: bisect finds where
-    # each run ends, so the grouping costs one sort, not a pass per
-    # dimension.  The gate holds every ell_i to [1, r+1], so no index wraps
-    # around.
-    ell = sorted(p.ell)
-    start = 0
-    while start < p.n:
-        li = ell[start]
-        end = bisect_right(ell, li, start)
-        mult = end - start
+    # The gate holds every ell_i to [1, r+1], so no index wraps around.
+    for li, mult in p.dims:
         alpha, h = table[li - 1]
         coeff *= alpha**mult
         hdeg += h * mult
-        start = end
 
     scale, ratio = step3_class(p.e, p.t, p.g)
     degree = hdeg + p.t
@@ -248,7 +243,7 @@ def tev_hypersurface_engine(p: HypParams) -> int:
 
     ``deg_T`` vouches that e^n divides the cycle degree.
     """
-    if p.ell.count(1) != p.n:
+    if p.dims != ((1, p.n),):
         raise ParameterError(
             f"a count of maps needs ell_i = 1 for every mark, got ell = {p.ell}"
         )

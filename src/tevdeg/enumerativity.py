@@ -8,8 +8,9 @@ on parameter tuples (g, d, e, r) where the number of point conditions
 is a positive integer in the stable range.  Every route and the CLI leave
 that decision to the three gates here: ``dims_check`` (hypersurfaces),
 ``insertion_dims_check`` (linear-space insertions plus the engine's
-``bundle_rank``; ``HypParams`` runs it) and ``projective_dims_check``
-(P^r, with P^1 as its case r = 1).  ``point_count_integral`` is the
+``bundle_rank``; ``HypParams`` and the closed form run it on their own
+grouping of the marks, as ``insertion_counts_check``) and
+``projective_dims_check`` (P^r, with P^1 as its case r = 1).  ``point_count_integral`` is the
 integrality test of n: ``dims_check`` raises on it, and ``sweep`` uses it to
 drop most tuples of its box without building an exception.
 
@@ -40,7 +41,9 @@ sweep row.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .errors import ParameterError, int_str
@@ -49,13 +52,13 @@ from .errors import ParameterError, int_str
 def _check_tuple(g: int, d: int, e: int, r: int) -> None:
     """The ranges of g, d, e and r that every gate below starts from."""
     if g < 0:
-        raise ParameterError(f"genus must be nonnegative, got g={g}")
+        raise ParameterError(f"genus must be nonnegative, got g={int_str(g)}")
     if d < 1:
-        raise ParameterError(f"map degree must be positive, got d={d}")
+        raise ParameterError(f"map degree must be positive, got d={int_str(d)}")
     if e < 3:
-        raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
+        raise ParameterError(f"hypersurface degree must be >= 3, got e={int_str(e)}")
     if r < 1:
-        raise ParameterError(f"hypersurface dimension must be >= 1, got r={r}")
+        raise ParameterError(f"hypersurface dimension must be >= 1, got r={int_str(r)}")
 
 
 def point_count_integral(d: int, e: int, r: int) -> bool:
@@ -72,25 +75,29 @@ def dims_check(g: int, d: int, e: int, r: int) -> int:
     _check_tuple(g, d, e, r)
     if not point_count_integral(d, e, r):
         raise ParameterError(
-            f"point count n = ({r}+2-{e})*{d}/{r} - {g} + 1 is not an integer"
+            f"point count n = ({int_str(r)}+2-{int_str(e)})*{int_str(d)}/{int_str(r)} "
+            f"- {int_str(g)} + 1 is not an integer"
         )
     n = (r + 2 - e) * d // r - g + 1
     if n < 1:
         raise ParameterError(f"point count n = {int_str(n)} must be >= 1")
     if 2 * g - 2 + n <= 0:
-        raise ParameterError(f"(g, n) = ({g}, {n}) is outside the stable range")
+        raise ParameterError(
+            f"(g, n) = ({int_str(g)}, {int_str(n)}) is outside the stable range")
     return n
 
 
 def bundle_rank(g: int, d: int, e: int, n: int) -> int:
     """Gate d >= 2g and t >= max(1, g); return the bundle rank t = (d-n)e - g + 1."""
     if d < 2 * g:
-        raise ParameterError(f"need d >= 2g, got d={d}, g={g}")
+        raise ParameterError(f"need d >= 2g, got d={int_str(d)}, g={int_str(g)}")
     t = (d - n) * e - g + 1
     if t < 1:
-        raise ParameterError(f"bundle rank t = (d-n)e - g + 1 = {t} must be >= 1")
+        raise ParameterError(
+            f"bundle rank t = (d-n)e - g + 1 = {int_str(t)} must be >= 1")
     if t < g:
-        raise ParameterError(f"bundle rank t = {t} below genus g = {g}: out of model")
+        raise ParameterError(
+            f"bundle rank t = {int_str(t)} below genus g = {int_str(g)}: out of model")
     return t
 
 
@@ -105,25 +112,38 @@ def insertion_dims_check(g: int, d: int, e: int, r: int, ell) -> int:
 
     which specializes at ell = (1, ..., 1) to the condition of
     ``dims_check``.  The remaining gates are those of ``bundle_rank``.
+    The marks are grouped by dimension and ``insertion_counts_check``
+    decides.
+    """
+    return insertion_counts_check(g, d, e, r, Counter(ell))
+
+
+def insertion_counts_check(g: int, d: int, e: int, r: int, counts: Counter) -> int:
+    """``insertion_dims_check`` on a profile grouped as dimension -> marks.
+
+    Every check reads the distinct dimensions, not the marks: the range is
+    checked on their least and largest, and sum(ell_i) is the sum of
+    dimension times multiplicity.  ``Counter`` keeps first-seen order, so
+    the first dimension out of range is the first offender in the profile.
     """
     _check_tuple(g, d, e, r)
-    ell = tuple(ell)
-    n = len(ell)
+    n = counts.total()
     if n < 1:
         raise ParameterError("insertion profile must be nonempty")
-    if min(ell) < 1 or max(ell) > r + 1:
-        bad = next(li for li in ell if not (1 <= li <= r + 1))
+    if min(counts) < 1 or max(counts) > r + 1:
+        bad = next(li for li in counts if not (1 <= li <= r + 1))
         raise ParameterError(
             f"insertion dimension {int_str(bad)} out of range [1, {int_str(r + 1)}]")
     lhs = r * (n + g - 1)
-    rhs = (r + 2 - e) * d + sum(ell) - n
+    rhs = (r + 2 - e) * d + sum(map(mul, counts, counts.values())) - n
     if lhs != rhs:
         raise ParameterError(
             f"insertion dimension condition fails: r(n+g-1) = {int_str(lhs)} "
             f"!= (r+2-e)d + sum(ell_i - 1) = {int_str(rhs)}"
         )
     if 2 * g - 2 + n <= 0:
-        raise ParameterError(f"(g, n) = ({g}, {n}) is outside the stable range")
+        raise ParameterError(
+            f"(g, n) = ({int_str(g)}, {int_str(n)}) is outside the stable range")
     bundle_rank(g, d, e, n)
     return n
 

@@ -69,7 +69,7 @@ ELL_TOKENS = ["", "x", " 7", "1_0", "0x10", "\u0663", "-3"]
 
 
 def _one_liner_ell(text):
-    """What parse_ell gives, as tuple(map(int, ...)) or its error text."""
+    """The profile parse_ell gives, as tuple(map(int, ...)), or its error text."""
     try:
         return tuple(map(int, text.split(",")))
     except ValueError as ex:
@@ -77,18 +77,37 @@ def _one_liner_ell(text):
 
 
 def test_parse_ell():
-    assert parse_ell("2,2,1") == (2, 2, 1)
+    assert parse_ell("2,2,1") == (["2", "2", "1"], {"2": 2, "1": 1})
     texts = ["2,2,1", "1,y,x,y", "3,x,3,x,3", *ELL_TOKENS,
              *map(",".join, itertools.product(ELL_TOKENS + ["2"], repeat=3))]
     for text in texts:
         try:
-            got = parse_ell(text)
+            tokens, table = parse_ell(text)
         except ParameterError as ex:
             got = str(ex)
+        else:
+            assert list(table) == list(dict.fromkeys(tokens)), text
+            got = tuple(map(table.__getitem__, tokens))
         assert got == _one_liner_ell(text), text
     # The first bad token in the list is named, however often others repeat.
     with pytest.raises(ParameterError, match="'y'$"):
         parse_ell("1,y,x,y")
+
+
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_insert_echoes_each_mark_as_its_int(capsys, as_json):
+    # The ell echo is joined from the tokens of --ell, and a token that
+    # int() reads but does not write back is written as its int: the
+    # stdout of "01,+1,<Arabic-Indic one>" is that of "1,1,1".
+    argv = ["insert", "--g", "0", "--d", "3", "--e", "3", "--r", "3", *as_json, "--ell"]
+    want = run(capsys, argv + ["1,1,1"])
+    assert want[0] == 0
+    for text in ("01,+1,\u0661", " 1,+01,1"):
+        assert run(capsys, argv + [text]) == want, text
+    if as_json:
+        assert f'"ell": {json.dumps([1, 1, 1])}}}, ' in want[1]
+    else:
+        assert want[1].startswith("g=0 d=3 e=3 r=3 n=3 ell=[1, 1, 1]\n")
 
 
 # -- p1 -------------------------------------------------------------------------
@@ -388,10 +407,11 @@ def test_hypersurface_verbs_share_one_domain(capsys):
 
 def test_large_insert_profile_stays_cheap(capsys):
     # 300,003 marks, six of them of dimension 2, so the count is
-    # 3^t 6^299997 21^6.  Parsing --ell, the closed form's product and the
-    # echo of ell each take a C-level pass over the marks and Python work
-    # per distinct dimension.  Run in process: Linux caps one execve
-    # argument at 128 KiB, and this --ell is about 600 kB.
+    # 3^t 6^299997 21^6.  The query walks the marks in six C-level passes
+    # (split, token table, int tuple, two groupings, echo join) and does
+    # Python work per distinct dimension; the 1.49-million-bit count is
+    # formatted once.  Run in process: Linux caps one execve argument at
+    # 128 KiB, and this --ell is about 600 kB.
     ell = ",".join(["1"] * 299997 + ["2"] * 6)
     start = time.perf_counter()
     code, out, _ = run(capsys, ["insert", "--g", "0", "--d", "450000", "--e", "3",
@@ -1343,13 +1363,15 @@ def test_json_lines_are_json_dumps_lines(capsys):
             ("closed_bound", None), ("closed_bound", "all d"),
             ("closed_bound", "fraction")} <= shapes
     # No corpus argv makes two routes disagree, so call _report directly.
+    # The insertion profile comes as the text cmd_insert joins.
     args = argparse.Namespace(json=True)
-    params, flags = {"g": 1, "d": 2, "ell": [3, 1]}, {"certified": False}
+    params, flags = {"g": 1, "d": 2, "ell": cli._Verbatim("[3, 1]")}, {"certified": False}
     assert cli._report(args, params, flags, a=lambda: 5, b=lambda: -7) == 0
     out = capsys.readouterr().out
     doc = json.loads(out)
     assert json.dumps(doc) + "\n" == out
-    assert doc == {"params": params, "agreement": False, "flags": flags,
+    assert doc == {"params": {"g": 1, "d": 2, "ell": [3, 1]}, "agreement": False,
+                   "flags": flags,
                    "results": [{"method": "a", "value": "5"}, {"method": "b", "value": "-7"}]}
 
 

@@ -318,9 +318,9 @@ def test_insertions_on_many_dimensions_stay_cheap():
 
 
 def test_engine_insertions_on_many_dimensions_stay_cheap():
-    # The engine's twin of the test above: deg_T sorts the marks and finds
-    # each dimension's run by bisection, where one pass per dimension took
-    # 5 s; this takes about 0.1 s.
+    # The engine's twin of the test above: HypParams groups the marks once
+    # and deg_T reads one (dimension, count) pair per dimension, where one
+    # pass per dimension took 5 s; this takes about 0.1 s.
     profile = _every_dimension_profile(1000)
     p = HypParams(*profile)
     start = time.perf_counter()

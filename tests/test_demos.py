@@ -17,7 +17,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 STDOUT_SHA256 = {
     "enumerativity_audit.py": "705de4a4b8d627465ebf2193b0e7c96adaeff5a0d56556f536d690c23a17d52e",
-    "hypersurface_pipeline.py": "9e6371c97e772ff6ca9c4767bb12366bc157be8b3ced61749a7db848fc56745f",
+    "hypersurface_pipeline.py": "489c5cb45461e672c9ae96bb3c6006d437412efc218a69420fcc3ca065638889",
     "insertions.py": "f9573d0de978e9c7d8d108be84e4b025e91c43072817f8611fe83a1556ef4f0b",
     "line_counts.py": "41c6244f7709aeb8f1e1c64096bb3a2f6783e821e24d69be95f60a761629388d",
     "quantum_ring.py": "6246cbf55690385557d2da4ddcb62786293c1f83f76e99860ba35424775d3c6b",

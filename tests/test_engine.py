@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -20,8 +21,8 @@ from tevdeg.engine import (
     step3_class,
     tev_hypersurface_engine,
 )
-from tevdeg.enumerativity import dims_check, insertion_dims_check
-from tevdeg.errors import InvariantBreach, ParameterError
+from tevdeg.enumerativity import _check_tuple, bundle_rank, dims_check, insertion_dims_check
+from tevdeg.errors import InvariantBreach, ParameterError, int_str
 from tevdeg.truncpoly import TruncPoly, UniPoly
 
 
@@ -98,7 +99,8 @@ def test_hypparams_is_its_own_gate():
         HypParams(0, 3, 3, 3, 3, 1, 20, (1, 1))
     p = HypParams(0, 3, 3, 3, [1, 1, 1])
     assert p == HypParams.standard(0, 3, 3, 3)
-    assert repr(p) == "HypParams(g=0, d=3, e=3, r=3, n=3, t=1, N=20, ell=(1, 1, 1))"
+    assert repr(p) == ("HypParams(g=0, d=3, e=3, r=3, n=3, t=1, N=20, ell=(1, 1, 1), "
+                       "dims=((1, 3),))")
 
 
 def test_hypparams_is_a_read_only_tuple_of_its_fields():
@@ -111,11 +113,58 @@ def test_hypparams_is_a_read_only_tuple_of_its_fields():
     assert p == q and hash(p) == hash(q) and p is not q
     assert p != HypParams(0, 3, 3, 3, (1, 1, 1))
     # A tuple subclass: it equals, and hashes as, the plain tuple of its fields.
-    assert p == (1, 3, 3, 3, 2, 3, 15, (1, 1)) and hash(p) == hash(tuple(p))
+    assert p == (1, 3, 3, 3, 2, 3, 15, (1, 1), ((1, 2),)) and hash(p) == hash(tuple(p))
     assert HypParams.standard(1, 3, 3, 3) == p
     # Copies and pickles go back through the gate with the five given fields.
     for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert type(twin) is HypParams and twin == p
+
+
+def _tuple_walking_insertion_gate(g, d, e, r, ell):
+    """The insertion gate as it was when it walked the marks: min, max and
+    sum over the tuple, and the first offender found in list order.
+
+    The oracle of the grouped gate, ``insertion_counts_check``, which reads
+    each distinct dimension once.
+    """
+    _check_tuple(g, d, e, r)
+    ell = tuple(ell)
+    n = len(ell)
+    if n < 1:
+        raise ParameterError("insertion profile must be nonempty")
+    if min(ell) < 1 or max(ell) > r + 1:
+        bad = next(li for li in ell if not (1 <= li <= r + 1))
+        raise ParameterError(
+            f"insertion dimension {int_str(bad)} out of range [1, {int_str(r + 1)}]")
+    lhs = r * (n + g - 1)
+    rhs = (r + 2 - e) * d + sum(ell) - n
+    if lhs != rhs:
+        raise ParameterError(
+            f"insertion dimension condition fails: r(n+g-1) = {int_str(lhs)} "
+            f"!= (r+2-e)d + sum(ell_i - 1) = {int_str(rhs)}"
+        )
+    if 2 * g - 2 + n <= 0:
+        raise ParameterError(f"(g, n) = ({g}, {n}) is outside the stable range")
+    bundle_rank(g, d, e, n)
+    return n
+
+
+def _assert_gates_match_the_tuple_walk(g, d, e, r, ell):
+    """The grouped gate, ``HypParams`` and the closed form accept and refuse
+    as the tuple walk does, with its n and its message; True on acceptance."""
+    want = _outcome(lambda: _tuple_walking_insertion_gate(g, d, e, r, ell))
+    assert _outcome(lambda: insertion_dims_check(g, d, e, r, ell)) == want, (g, d, e, r, ell)
+    got = _outcome(lambda: HypParams(g, d, e, r, ell))
+    closed = _outcome(lambda: deg_T_insertions_closed(g, d, e, r, ell))
+    if isinstance(want, str):
+        assert got == want and closed == want, (g, d, e, r, ell)
+        return False
+    assert (got.n, got.ell) == (want, tuple(ell))
+    assert got.dims == tuple(sorted(Counter(ell).items()))
+    assert got.t == (d - want) * e - g + 1
+    assert got.N == (r + 2) * (d - g + 1)
+    assert type(closed) is int
+    return True
 
 
 def test_hypparams_accepts_exactly_the_insertion_gate():
@@ -134,16 +183,28 @@ def test_hypparams_accepts_exactly_the_insertion_gate():
             for e in range(2, 5):
                 for r in range(0, 5):
                     for ell in profiles(r):
-                        want = _outcome(lambda: insertion_dims_check(g, d, e, r, ell))
-                        got = _outcome(lambda: HypParams(g, d, e, r, ell))
-                        if isinstance(want, str):
-                            assert got == want, (g, d, e, r, ell)
-                        else:
-                            accepted += 1
-                            assert (got.n, got.ell) == (want, ell)
-                            assert got.t == (d - want) * e - g + 1
-                            assert got.N == (r + 2) * (d - g + 1)
+                        accepted += _assert_gates_match_the_tuple_walk(g, d, e, r, ell)
     assert accepted > 0
+
+
+def test_grouped_gate_matches_the_tuple_walk_on_random_profiles():
+    # Profiles of up to 40 marks, most in range and some not, with d set to
+    # balance the dimension condition where it can: every check of the gate
+    # is reached, and many refused profiles hold several offenders.
+    rng = random.Random(4021)
+    outcomes = Counter()
+    for _ in range(3000):
+        g, e, r = rng.randrange(3), rng.randrange(3, 5), rng.randrange(1, 6)
+        n = rng.randrange(41)
+        ell = [rng.randrange(1, r + 2) if rng.random() < 0.9 else
+               rng.choice((-1, 0, r + 2, r + 3)) for _ in range(n)]
+        excess, slope = r * (n + g - 1) - sum(ell) + n, r + 2 - e
+        d = excess // slope if slope and excess % slope == 0 else rng.randrange(1, 60)
+        if _assert_gates_match_the_tuple_walk(g, d, e, r, ell):
+            outcomes["accepted"] += 1
+        elif sum(not 1 <= li <= r + 1 for li in set(ell)) > 1:
+            outcomes["offenders"] += 1
+    assert outcomes["accepted"] > 50 and outcomes["offenders"] > 50, outcomes
 
 
 # -- point_factor ---------------------------------------------------------------

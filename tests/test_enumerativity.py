@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tevdeg.acceptance import enumerativity_grid_cases
 from tevdeg.cli import _hyp_flags
 from tevdeg.closed_forms import tev_p1_cps
+from tevdeg.engine import HypParams
 from tevdeg.enumerativity import (
     StratumProfile,
     bundle_rank,
@@ -144,6 +145,43 @@ def test_bound_refusal_writes_ints_past_the_digit_limit():
         enum_bound_closed(1, 10**2200, 5)
     # 10^4400 - 10^2200 - 2
     assert str(info.value).endswith(f"= {'9' * 2199}8{'9' * 2199}8, got r=5")
+
+
+BIG = 10**5000
+BIG_TEXT = "1" + "0" * 5000
+# g = BIG, d = 2 BIG and t = 3: 10^5000 - 1 is a multiple of 3.
+T3_N = 2 * BIG - (BIG - 1) // 3 - 1
+
+
+INTEGRALITY_TEXT = f"point count n = (7+2-3)*{BIG_TEXT}/7 - 0 + 1 is not an integer"
+
+
+@pytest.mark.parametrize("call, text", [
+    pytest.param(lambda: dims_check(-BIG, 1, 3, 3),
+                 f"genus must be nonnegative, got g=-{BIG_TEXT}", id="tuple-g"),
+    pytest.param(lambda: dims_check(0, -BIG, 3, 3),
+                 f"map degree must be positive, got d=-{BIG_TEXT}", id="tuple-d"),
+    pytest.param(lambda: dims_check(0, 1, -BIG, 3),
+                 f"hypersurface degree must be >= 3, got e=-{BIG_TEXT}", id="tuple-e"),
+    pytest.param(lambda: dims_check(0, 1, 3, -BIG),
+                 f"hypersurface dimension must be >= 1, got r=-{BIG_TEXT}", id="tuple-r"),
+    pytest.param(lambda: dims_check(0, BIG, 3, 7), INTEGRALITY_TEXT, id="integrality"),
+    pytest.param(lambda: certify_enumerative(0, BIG, 3, 7), INTEGRALITY_TEXT, id="certify"),
+    pytest.param(lambda: HypParams.standard(0, BIG, 3, 7), INTEGRALITY_TEXT, id="standard"),
+    pytest.param(lambda: bundle_rank(BIG, 1, 3, 1),
+                 f"need d >= 2g, got d=1, g={BIG_TEXT}", id="d-below-2g"),
+    pytest.param(lambda: bundle_rank(0, 1, 3, BIG),
+                 f"bundle rank t = (d-n)e - g + 1 = -2{'9' * 4999}6 must be >= 1",
+                 id="t-below-1"),
+    pytest.param(lambda: bundle_rank(BIG, 2 * BIG, 3, T3_N),
+                 f"bundle rank t = 3 below genus g = {BIG_TEXT}: out of model", id="t-below-g"),
+])
+def test_gate_refusals_write_ints_past_the_digit_limit(call, text):
+    # Every int is past the default limit of 4,300 digits that str(int)
+    # keeps, and the refusal is still a ParameterError.
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == text
 
 
 def test_certificate_bound_fields():
