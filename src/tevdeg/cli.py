@@ -33,31 +33,44 @@ text is not its int's going through that int's text.
 
 ``VERBS`` declares each verb and its flags once, and both ``build_parser``
 and ``_read_plain`` read it.  ``main`` reads plain argv (see ``_read_plain``)
-in one pass, in a few microseconds where argparse takes tens.  Every other
+in one pass, in a few microseconds where argparse takes tens, into a
+``SimpleNamespace`` with the attributes argparse would give.  Every other
 argv goes to argparse, which alone decides: help and ``--``,
 ``--flag=value``, abbreviations, unknown, repeated or missing flags, values
 starting with "-" and values a flag refuses.  So argparse writes every
 help, usage and error message.
 
 The parser is built once per process, for the first argv the plain reader
-leaves to argparse, and then shared: building it costs more than most
-queries.  ``parse_args`` builds a fresh ``Namespace`` for each call and
-never changes the parser, and the help formatter, with it ``COLUMNS``, is
-read each time help or usage is formatted.  ``VERBS`` binds the ``cmd_*``
+leaves to argparse, and then shared: importing ``argparse`` and building
+the parser cost more than most queries.  ``parse_args`` builds a fresh
+``Namespace`` for each call and never changes the parser, and the help
+formatter, with it ``COLUMNS``, is read each time help or usage is
+formatted.  ``VERBS`` binds the ``cmd_*``
 functions at import, and nothing rebinds them; what callers rebind
 (``main``, ``certify_enumerative``, ``sweep_record``) the verbs look up at
 call time.
+
+A verb loads only the modules it runs, each imported where it is first
+needed, so ``import tevdeg.cli`` loads none of them: ``build_parser``
+imports ``argparse`` (and with it ``gettext``), for help and every argv
+that is not plain; ``enum_bound_closed`` imports ``fractions`` when it
+builds a bound, which ``hyp``, ``certify`` and ``sweep`` do at g >= 1
+where the bound applies; ``split_str`` imports ``decimal``, for an int
+past the int/str digit limit or 2^16 bits; ``verify`` imports ``acceptance``; and
+``sweep`` imports ``signal``, and with ``--jobs`` ``marshal``.  So a plain
+``p1``, ``qh``, ``insert`` or ``alpha`` query, and ``hyp`` or ``certify``
+at g = 0, loads none of them.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import io
 import itertools
 import os
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import closed_forms, engine, enumerativity, quantum, schubert
@@ -560,23 +573,28 @@ VERBS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Help on stdout is output: an OSError writing it exits 2, as for a verb.
-
-    argparse's own ``print_help`` ignores that error.  Subparsers take the
-    class of their parent, so verb help goes through here too.
-    """
-
-    def print_help(self, file=None) -> None:
-        if file is None:
-            _print(self.format_help(), end="")
-        else:
-            super().print_help(file)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every verb in ``VERBS``, built on the first call and then shared."""
+    """The parser of every verb in ``VERBS``, built on the first call and then shared.
+
+    ``argparse``, and with it ``gettext``, is imported here, so only help
+    and an argv that is not plain load it.
+    """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Help on stdout is output: an OSError writing it exits 2, as for a verb.
+
+        argparse's own ``print_help`` ignores that error.  Subparsers take the
+        class of their parent, so verb help goes through here too.
+        """
+
+        def print_help(self, file=None) -> None:
+            if file is None:
+                _print(self.format_help(), end="")
+            else:
+                super().print_help(file)
+
     parser = _Parser(
         prog="tevdeg",
         description="Exact curve counts on low-degree hypersurfaces and "
@@ -602,14 +620,15 @@ _PLAIN = {name: ({f"--{flag.name}": flag for flag in flags},
           for name, (_, func, flags) in VERBS.items()}
 
 
-def _read_plain(argv) -> argparse.Namespace | None:
-    """The namespace ``build_parser().parse_args(argv)`` gives, for plain argv.
+def _read_plain(argv) -> SimpleNamespace | None:
+    """The attributes of ``build_parser().parse_args(argv)``, for plain argv.
 
     Plain argv is a verb, then each of its flags at most once, exactly as
     declared: ``--flag value`` with a value that does not start with "-",
     converts by the flag's type and lies in its choices, or a bare
-    store_true flag; and every required flag given.  For any other argv,
-    help included, this returns None and argparse decides.
+    store_true flag; and every required flag given.  The namespace is a
+    ``SimpleNamespace``, so plain argv does not load ``argparse``.  For any
+    other argv, help included, this returns None and argparse decides.
     """
     if not argv or argv[0] not in _PLAIN:
         return None
@@ -632,7 +651,7 @@ def _read_plain(argv) -> argparse.Namespace | None:
             return None
         if flag.choices is not None and value not in flag.choices:
             return None
-    args = argparse.Namespace()
+    args = SimpleNamespace()
     vars(args).update(defaults, **values)
     return None if REQUIRED in vars(args).values() else args
 

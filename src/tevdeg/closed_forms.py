@@ -16,7 +16,7 @@ from math import factorial
 from operator import sub
 
 from .enumerativity import dims_check, insertion_counts_check, projective_dims_check
-from .errors import InvariantBreach, ParameterError
+from .errors import InvariantBreach, ParameterError, int_str
 from .truncpoly import UniPoly
 
 
@@ -47,7 +47,7 @@ def tev_p1_cps(g: int, d: int) -> int:
 def vtev_projective_closed(g: int, r: int) -> int:
     """Count for P^r in the virtual sense: (r+1)^g, independent of d."""
     if g < 0 or r < 1:
-        raise ParameterError(f"invalid (g, r) = {(g, r)}")
+        raise ParameterError(f"invalid (g, r) = ({int_str(g)}, {int_str(r)})")
     return (r + 1) ** g
 
 
@@ -76,9 +76,9 @@ def alpha_coefficients(e: int, r: int) -> tuple[int, ...]:
     (r+2) e^e (both sides evaluated at z = 1).
     """
     if e < 3:
-        raise ParameterError(f"hypersurface degree must be >= 3, got e={e}")
+        raise ParameterError(f"hypersurface degree must be >= 3, got e={int_str(e)}")
     if r < 1:
-        raise ParameterError(f"hypersurface dimension must be >= 1, got r={r}")
+        raise ParameterError(f"hypersurface dimension must be >= 1, got r={int_str(r)}")
     poly = UniPoly("z", [0, e])
     for j in range(1, e):
         poly = poly * UniPoly("z", [j, e - j])

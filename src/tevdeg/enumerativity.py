@@ -37,12 +37,18 @@ a virtual count polluted by degenerate loci) is certified two ways:
 
 The reports are immutable ``NamedTuple``s, cheap enough to build on every
 sweep row.
+
+``fractions`` is imported by ``enum_bound_closed``, only when it builds a
+bound (g >= 1), so a query that never reaches one does not load it.  So
+``Fraction`` is not a global of this module, and
+``typing.get_type_hints`` on ``enum_bound_closed`` or
+``CertificationReport`` raises ``NameError`` unless the caller passes it,
+as in ``localns={"Fraction": fractions.Fraction}``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
@@ -196,8 +202,13 @@ def enum_bound_closed(g: int, e: int, r: int) -> Fraction | None:
         )
     if g == 0:
         return None
+    # A sweep builds a bound on most rows.  Once loaded, "import fractions"
+    # costs about 0.1 us; "from fractions import Fraction" costs about 1 us,
+    # as it looks up the module's missing __path__.
+    import fractions
+
     slack = r - (e + 1) * (e - 2)
-    return Fraction(r * ((3 * g - 2) * (1 + e) + 1 + g * (r + 2)), slack)
+    return fractions.Fraction(r * ((3 * g - 2) * (1 + e) + 1 + g * (r + 2)), slack)
 
 
 class StratumProfile(NamedTuple):
@@ -232,15 +243,16 @@ def stratum_audit(
     """Audit a single stratum of maps with base-points against domination."""
     b0, b1, b2 = stratum.b0, stratum.b1, stratum.b2
     if b0 < 0 or b1 < 0 or b2 < 0:
-        raise ParameterError(f"stratum counts must be nonnegative: {stratum}")
+        raise ParameterError(f"stratum counts must be nonnegative: StratumProfile("
+                             f"b0={int_str(b0)}, b1={int_str(b1)}, b2={int_str(b2)})")
     if b0 == 0 and b1 == 0 and b2 == 0:
         raise ParameterError("stratum must have at least one base-point")
     if b1 + b2 > n:
-        raise ParameterError(f"b1 + b2 = {b1 + b2} exceeds n = {n}")
+        raise ParameterError(f"b1 + b2 = {int_str(b1 + b2)} exceeds n = {int_str(n)}")
     # d', the degree left after twisting down all base-points.
     dp = d - b0 - 2 * b2
     if dp < 0:
-        raise ParameterError(f"stratum degree d' = {dp} is negative")
+        raise ParameterError(f"stratum degree d' = {int_str(dp)} is negative")
 
     delta = (3 * g - 3 + n) + r * n
     target = delta - (r + 1) * b2

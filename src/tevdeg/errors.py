@@ -12,8 +12,6 @@ Two failure modes are kept strictly apart:
   This signals a bug, never bad input.  The CLI maps it to exit status 3.
 """
 
-import decimal
-
 
 class ParameterError(ValueError):
     """Rejected input: the requested parameters violate a validity condition."""
@@ -51,7 +49,13 @@ def split_str(v: int) -> str:
     n = hi * 2^w + lo is split down to 128-bit pieces, which are joined
     back in ``decimal`` at ``MAX_PREC`` with ``Inexact`` trapped: exact, and
     in subquadratic time, unlike ``str``.
+
+    ``decimal`` is imported here, on the first call: only an int past the
+    digit limit or ``SPLIT_BITS`` gets this far, so no query with a count
+    of ordinary size loads it.
     """
+    import decimal
+
     def convert(n, w):
         if w <= 128:
             return decimal.Decimal(n)

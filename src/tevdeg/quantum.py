@@ -27,7 +27,7 @@ QTerm = tuple[int, int]
 
 def _check_dimension(r: int) -> None:
     if r < 1:
-        raise ParameterError(f"projective space dimension must be >= 1, got {r}")
+        raise ParameterError(f"projective space dimension must be >= 1, got {int_str(r)}")
 
 
 class QPolyClass:
@@ -125,7 +125,7 @@ def qmul(x: QPolyClass, y: QPolyClass) -> QPolyClass:
     when i + j > r; the coefficient is c * c'.
     """
     if x.r != y.r:
-        raise ParameterError(f"mismatched rings: r={x.r} vs r={y.r}")
+        raise ParameterError(f"mismatched rings: r={int_str(x.r)} vs r={int_str(y.r)}")
     return _make(x.r, x.degree + y.degree, x.c * y.c)
 
 
@@ -151,7 +151,7 @@ def qpow(x: QPolyClass, k: int) -> QPolyClass:
     the zero class).  This holds for one-monomial classes only.
     """
     if k < 0:
-        raise ParameterError(f"power must be nonnegative, got {k}")
+        raise ParameterError(f"power must be nonnegative, got {int_str(k)}")
     return _make(x.r, x.degree * k, x.c ** k)
 
 
@@ -167,7 +167,8 @@ def vtev_projective_qh(g: int, d: int, r: int, n: int) -> int:
     point = QPolyClass.point(r)  # refuses r < 1 first
     if g < 0 or d < 1:
         raise ParameterError(
-            f"invalid parameters (g, d, r, n) = ({g}, {d}, {r}, {int_str(n)})"
+            f"invalid parameters (g, d, r, n) = "
+            f"({int_str(g)}, {int_str(d)}, {int_str(r)}, {int_str(n)})"
         )
     if n < 1:
         raise ParameterError(f"the quantum route needs n >= 1, got n = {int_str(n)}")

@@ -15,13 +15,21 @@ function, so unrestricted concurrent use is safe.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def _check_coeff(c):
+    """``c``, refused unless it is an int or a ``Fraction``.
+
+    An int is accepted first, so ``fractions`` is imported only for a
+    coefficient that is not one: the engine and the closed forms pass ints
+    only, and a query does not load it.
+    """
+    if isinstance(c, int):
+        return c
     if isinstance(c, float):
         raise TypeError("floating-point coefficients are not allowed")
-    if not isinstance(c, (int, Fraction)):
+    import fractions
+
+    if not isinstance(c, fractions.Fraction):
         raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
     return c
 

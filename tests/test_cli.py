@@ -1,6 +1,7 @@
 """Tests for the command-line interface: output, schema, exit codes."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import functools
@@ -775,10 +776,12 @@ def test_sweep_jobs_does_not_import_multiprocessing(tmp_path):
 
 
 def test_query_verbs_load_neither_dataclasses_inspect_nor_json(tmp_path):
-    # Start-up cost: no query verb needs these modules, and each takes
+    # Start-up cost: no verb but verify needs these modules, and each takes
     # milliseconds to import.  A jsonl sweep, serial or --jobs, writes its
     # rows as the query verbs do.  Run as the benchmark times start-up, in a
-    # fresh isolated interpreter.
+    # fresh isolated interpreter.  The modules some verbs load on their
+    # first use (argparse, fractions, decimal) are held to which verb loads
+    # them by test_each_verb_loads_only_what_it_runs.
     queries = [
         ["hyp", "--g", "1", "--d", "30", "--e", "3", "--r", "10", "--json"],
         ["insert", "--g", "0", "--d", "6", "--e", "3", "--r", "3", "--ell", "2,2,2,1,1,1",
@@ -815,6 +818,109 @@ def test_query_verbs_load_neither_dataclasses_inspect_nor_json(tmp_path):
     assert len([json.loads(line) for line in proc.stdout.splitlines()]) == len(queries)
     assert (tmp_path / "x.jsonl").read_text().count("\n") > 0
     assert (tmp_path / "jobs.jsonl").read_text().count("\n") > 0
+
+
+# -- start-up: the modules a verb loads on its first use --------------------------------
+
+# Imported where a verb first needs them: argparse by build_parser, for help
+# and every argv that is not plain; fractions by enum_bound_closed, for a
+# bound at g >= 1; decimal by split_str, for an int past the digit limit or
+# SPLIT_BITS.
+LAZY_MODULES = ("argparse", "fractions", "decimal")
+
+
+def _fresh_main(argvs, cwd):
+    """Run each argv through ``cli.main`` in turn, in one fresh isolated
+    interpreter, as the benchmark times start-up.
+
+    Returns the lazy modules loaded by ``import tevdeg.cli`` and, for each
+    argv, (exit status, stdout, stderr, lazy modules loaded by then).
+    """
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "def loaded():\n"
+        f"    return [m for m in {LAZY_MODULES!r} if m in sys.modules]\n"
+        "import tevdeg.cli as cli\n"
+        "rows = [loaded()]\n"
+        f"for argv in {argvs!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = cli.main(argv)\n"
+        "    rows.append((code, out.getvalue(), err.getvalue(), loaded()))\n"
+        "print(repr(rows))\n"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code], cwd=cwd,
+                          env=dict(os.environ, COLUMNS="80"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_import, *rows = ast.literal_eval(proc.stdout)
+    return at_import, rows
+
+
+PLAIN_QUERIES = [
+    ["p1", "--g", "3", "--d", "4", "--json"],
+    ["qh", "--g", "2", "--d", "2", "--r", "2", "--json"],
+    ["insert", "--g", "0", "--d", "6", "--e", "3", "--r", "3", "--ell", "2,2,2,1,1,1"],
+    ["alpha", "--e", "3", "--r", "3", "--json"],
+    # At g = 0 the bound is "all d", and no Fraction is built.
+    ["hyp", "--g", "0", "--d", "5", "--e", "3", "--r", "5"],
+    ["certify", "--g", "0", "--d", "5", "--e", "3", "--r", "5", "--json"],
+]
+# 4^100000 has 200,001 bits, past SPLIT_BITS, and 60,206 digits.
+BIG_QH = ["qh", "--g", "100000", "--d", "300000", "--r", "3"]
+
+
+@pytest.mark.parametrize("argvs, loads, skips", [
+    pytest.param(PLAIN_QUERIES, (), LAZY_MODULES, id="plain-queries"),
+    pytest.param([["hyp", "--g", "1", "--d", "30", "--e", "3", "--r", "10"]],
+                 ("fractions",), ("argparse",), id="hyp-bound"),
+    pytest.param([["certify", "--g", "1", "--d", "30", "--e", "3", "--r", "10"]],
+                 ("fractions",), ("argparse",), id="certify-bound"),
+    pytest.param([["sweep", "--g", "1", "--d", "30", "--e", "3", "--r", "10", "--out", "x.csv"]],
+                 ("fractions",), ("argparse",), id="sweep-bound"),
+    pytest.param([["--help"]], ("argparse",), ("fractions", "decimal"), id="help"),
+    pytest.param([["p1", "--g=3", "--d", "4"]], ("argparse",), ("fractions", "decimal"),
+                 id="not-plain"),
+    pytest.param([BIG_QH], ("decimal",), ("argparse", "fractions"), id="big-count"),
+])
+def test_each_verb_loads_only_what_it_runs(tmp_path, argvs, loads, skips):
+    at_import, rows = _fresh_main(argvs, tmp_path)
+    assert at_import == []
+    for argv, (code, _, err, loaded) in zip(argvs, rows):
+        assert code == 0, (argv, err)
+        assert set(loads) <= set(loaded) and not set(skips) & set(loaded), (argv, loaded)
+
+
+def test_each_lazy_path_gives_the_bytes_of_an_eager_one(tmp_path):
+    # Each lazy import runs first here, in a fresh interpreter, where no
+    # other test has loaded the module already.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(4**100000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    cases = [
+        (BIG_QH, f"g=100000 d=300000 r=3 n=300001\nquantum    {digits}\n"),
+        (["certify", "--g", "1", "--d", "30", "--e", "3", "--r", "10", "--json"],
+         '{"params": {"g": 1, "d": 30, "e": 3, "r": 10, "n": 27}, "certified": true, '
+         '"reason": "all strata pass", "witness": null, "closed_bound": "85/3", '
+         '"bound_applicable": true, "bound_satisfied": true, "audit_sharper": false, '
+         '"strata_checked": 5927}\n'),
+        (["p1", "--g=3", "--d", "4"], "g=3 d=4 n=6\ncps        8\nschubert   8\nagreement  true\n"),
+    ]
+    for argv, want in cases:
+        _, [(code, out, err, _)] = _fresh_main([argv], tmp_path)
+        assert (code, out, err) == (0, want, ""), argv
+    _, rows = _fresh_main(HELP_ARGV, tmp_path)
+    digest = hashlib.sha256()
+    for argv, (code, out, err, _) in zip(HELP_ARGV, rows):
+        digest.update((json.dumps([argv, code, out, err]) + "\n").encode())
+    assert digest.hexdigest() == HELP_DIGEST
+    _, [(code, out, err, _)] = _fresh_main([["verify"]], tmp_path)
+    assert (code, err) == (0, "") and out.count("  PASS  ") == 7
+    assert out.endswith("\n\nall criteria passed\n")
 
 
 # SHA-256 of the acceptance grid's output; any refactor must keep these bytes.

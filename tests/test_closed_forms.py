@@ -157,6 +157,33 @@ def test_projective_closed():
     assert vtev_projective_closed(3, 1) == 8
 
 
+BIG = 10**5000
+BIG_TEXT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("call, text", [
+    pytest.param(lambda: vtev_projective_closed(-BIG, 1),
+                 f"invalid (g, r) = (-{BIG_TEXT}, 1)", id="projective"),
+    pytest.param(lambda: alpha_coefficients(-BIG, 3),
+                 f"hypersurface degree must be >= 3, got e=-{BIG_TEXT}", id="alpha-e"),
+    pytest.param(lambda: alpha_coefficients(3, -BIG),
+                 f"hypersurface dimension must be >= 1, got r=-{BIG_TEXT}", id="alpha-r"),
+])
+def test_refusals_write_ints_past_the_digit_limit(call, text):
+    # Every int is past the default limit of 4,300 digits that str(int)
+    # keeps, and the refusal is still a ParameterError.
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == text
+
+
+def test_projective_closed_refusal_reads_as_the_tuple():
+    # Under the digit limit, the text is that of the tuple's repr.
+    with pytest.raises(ParameterError) as info:
+        vtev_projective_closed(-1, 0)
+    assert str(info.value) == f"invalid (g, r) = {(-1, 0)}"
+
+
 # -- alpha coefficients -----------------------------------------------------------
 
 def test_alpha_e3_r3():

@@ -175,6 +175,13 @@ INTEGRALITY_TEXT = f"point count n = (7+2-3)*{BIG_TEXT}/7 - 0 + 1 is not an inte
                  id="t-below-1"),
     pytest.param(lambda: bundle_rank(BIG, 2 * BIG, 3, T3_N),
                  f"bundle rank t = 3 below genus g = {BIG_TEXT}: out of model", id="t-below-g"),
+    pytest.param(lambda: stratum_audit(0, 1, 3, 3, 1, StratumProfile(0, BIG, 0)),
+                 f"b1 + b2 = {BIG_TEXT} exceeds n = 1", id="stratum-b1-b2"),
+    pytest.param(lambda: stratum_audit(0, 1, 3, 3, BIG, StratumProfile(0, 0, BIG // 10)),
+                 f"stratum degree d' = -1{'9' * 4999} is negative", id="stratum-degree"),
+    pytest.param(lambda: stratum_audit(0, 1, 3, 3, 1, StratumProfile(-BIG, 0, 0)),
+                 f"stratum counts must be nonnegative: StratumProfile(b0=-{BIG_TEXT}, b1=0, b2=0)",
+                 id="stratum-counts"),
 ])
 def test_gate_refusals_write_ints_past_the_digit_limit(call, text):
     # Every int is past the default limit of 4,300 digits that str(int)
@@ -182,6 +189,14 @@ def test_gate_refusals_write_ints_past_the_digit_limit(call, text):
     with pytest.raises(ParameterError) as info:
         call()
     assert str(info.value) == text
+
+
+def test_stratum_refusal_writes_the_stratum_as_its_repr():
+    # Under the digit limit, the refusal's text is that of the NamedTuple's repr.
+    stratum = StratumProfile(-1, 2, 0)
+    with pytest.raises(ParameterError) as info:
+        stratum_audit(0, 1, 3, 3, 1, stratum)
+    assert str(info.value) == f"stratum counts must be nonnegative: {stratum!r}"
 
 
 def test_certificate_bound_fields():

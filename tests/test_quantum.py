@@ -397,6 +397,28 @@ def test_names_the_dimension_before_other_parameters():
             vtev_projective_qh(g, d, 0, n)
 
 
+BIG = 10**5000
+BIG_TEXT = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("call, text", [
+    pytest.param(lambda: QPolyClass.point(-BIG),
+                 f"projective space dimension must be >= 1, got -{BIG_TEXT}", id="point"),
+    pytest.param(lambda: vtev_projective_qh(-BIG, 1, 1, 3),
+                 f"invalid parameters (g, d, r, n) = (-{BIG_TEXT}, 1, 1, 3)", id="count"),
+    pytest.param(lambda: qpow(QPolyClass.point(2), -BIG),
+                 f"power must be nonnegative, got -{BIG_TEXT}", id="qpow"),
+    pytest.param(lambda: qmul(QPolyClass.one(BIG), QPolyClass.one(2)),
+                 f"mismatched rings: r={BIG_TEXT} vs r=2", id="qmul"),
+])
+def test_refusals_write_ints_past_the_digit_limit(call, text):
+    # Every int is past the default limit of 4,300 digits that str(int)
+    # keeps, and the refusal is still a ParameterError.
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == text
+
+
 def test_rejects_unstable_range():
     with pytest.raises(ParameterError):
         vtev_projective_qh(0, 1, 1, 2)  # (g, n) = (0, 2) unstable

@@ -1,5 +1,6 @@
 """Tests for the graded classes of the engine and dense univariates."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,17 @@ def test_float_coefficients_rejected():
         TruncPoly(0, "x", 1, [0.5])
     with pytest.raises(TypeError):
         TruncPoly(2, "x", 1, [1, 0, 0.5])  # refused even past the cap
+
+
+
+@pytest.mark.parametrize("coeff, kind", [("1", "str"), (Decimal(1), "Decimal"),
+                                         (1j, "complex"), (None, "NoneType")])
+def test_coefficients_other_than_int_or_fraction_refused(coeff, kind):
+    for build in (lambda: TruncPoly(0, "x", 1, [coeff]), lambda: UniPoly("z", [1, coeff])):
+        with pytest.raises(TypeError, match=f"must be int or Fraction, got {kind}$"):
+            build()
+    # Ints, bools among them, and Fractions are kept as they are.
+    assert UniPoly("z", [True, Fraction(1, 2), 3]).coeffs == (True, Fraction(1, 2), 3)
 
 
 CAP = 3
