@@ -776,7 +776,7 @@ def test_sweep_jobs_does_not_import_multiprocessing(tmp_path):
 
 
 def test_query_verbs_load_neither_dataclasses_inspect_nor_json(tmp_path):
-    # Start-up cost: no verb but verify needs these modules, and each takes
+    # Start-up cost: no query verb needs these modules, and each takes
     # milliseconds to import.  A jsonl sweep, serial or --jobs, writes its
     # rows as the query verbs do.  Run as the benchmark times start-up, in a
     # fresh isolated interpreter.  The modules some verbs load on their
@@ -914,10 +914,7 @@ def test_each_lazy_path_gives_the_bytes_of_an_eager_one(tmp_path):
         _, [(code, out, err, _)] = _fresh_main([argv], tmp_path)
         assert (code, out, err) == (0, want, ""), argv
     _, rows = _fresh_main(HELP_ARGV, tmp_path)
-    digest = hashlib.sha256()
-    for argv, (code, out, err, _) in zip(HELP_ARGV, rows):
-        digest.update((json.dumps([argv, code, out, err]) + "\n").encode())
-    assert digest.hexdigest() == HELP_DIGEST
+    assert _rows_digest((argv, *row[:3]) for argv, row in zip(HELP_ARGV, rows)) == HELP_DIGEST
     _, [(code, out, err, _)] = _fresh_main([["verify"]], tmp_path)
     assert (code, err) == (0, "") and out.count("  PASS  ") == 7
     assert out.endswith("\n\nall criteria passed\n")
@@ -1393,15 +1390,22 @@ QUERY_CORPUS_SIZE = 758
 QUERY_CORPUS_DIGEST = "f70502acc39410c6b400872327056b30acaa18a08e71286d5999c2f9cd1527f3"
 
 
-def _corpus_digest(argvs):
+def _rows_digest(rows):
+    """The digest of (argv, exit status, stdout, stderr) rows."""
     digest = hashlib.sha256()
+    for row in rows:
+        digest.update((json.dumps(list(row)) + "\n").encode())
+    return digest.hexdigest()
+
+
+def _corpus_digest(argvs):
+    rows = []
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        digest.update((json.dumps([argv, code, out.getvalue(), err.getvalue()])
-                       + "\n").encode())
-    return digest.hexdigest()
+        rows.append((argv, code, out.getvalue(), err.getvalue()))
+    return _rows_digest(rows)
 
 
 def test_query_verbs_digest():
