@@ -68,6 +68,7 @@ import contextlib
 import functools
 import io
 import itertools
+import math
 import os
 import sys
 from types import SimpleNamespace
@@ -317,9 +318,9 @@ SWEEP_COLUMNS = (
 def sweep_record(g: int, d: int, e: int, r: int) -> dict | None:
     """One sweep row, or None when the tuple is invalid.
 
-    ``cmd_sweep`` calls it on every tuple of the box.  Most of them have a
-    non-integral n, and those are refused here without raising; the gate
-    refuses the rest.
+    ``cmd_sweep`` calls it only on the tuples of its box whose n is an
+    integer.  Other callers may pass any tuple: one whose n is not an
+    integer is refused here without raising, and the gate refuses the rest.
     """
     if not enumerativity.point_count_integral(d, e, r):
         return None
@@ -359,7 +360,7 @@ def _csv_line(rec: dict) -> str:
             f"{tf[agree]},{tf[virtual]},{tf[bound_ok]},{tf[certified]}\n")
 
 
-SWEEP_CHUNK = 64    # tuples per unit of --jobs work
+SWEEP_CHUNK = 64    # integral tuples per unit of --jobs work
 
 
 def _chunks(tuples):
@@ -369,6 +370,7 @@ def _chunks(tuples):
 
 def _rows(chunk, write):
     """The text of each valid row of ``chunk``, as ``write`` formats its record.
+    A chunk of ``cmd_sweep`` holds only tuples whose n is an integer.
 
     ``sweep_record`` is looked up at each call, so rebinding it before a
     sweep starts reaches every row, a worker's too.
@@ -413,7 +415,8 @@ def _sweep_worker(tuples, k, jobs, write, wfd, read_fds):
 
 def _sweep_rows(tuples, jobs, write):
     """The text of each valid row of ``tuples``, in order, as ``write``
-    formats its record.
+    formats its record.  ``cmd_sweep`` passes only the tuples whose n is an
+    integer, so a chunk is 64 of those.
 
     Lazy on both sides: tuples are read and rows made as the caller
     consumes them.  Process k of 0 .. jobs-1 (this one is k = 0) makes the
@@ -481,11 +484,17 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     es, rs, gs, ds = [parse_range(text) for text in (args.e, args.r, args.g, args.d)]
-    # Nested loops, not itertools.product, which would first copy each
-    # range into a tuple.
+    # Only the tuples whose n is an integer, in box order.  No n is one at
+    # r < 1, and (r+2-e)d = 0 mod r exactly when r / gcd(r, e-2) divides d,
+    # so d steps over the multiples of that in each of its ranges.  Nested
+    # loops, not itertools.product, which would first copy each range into
+    # a tuple.
     chain = itertools.chain
+    rs = [range(max(part.start, 1), part.stop) for part in rs]
     tuples = ((g, d, e, r) for e in chain(*es) for r in chain(*rs)
-              for g in chain(*gs) for d in chain(*ds))
+              for step in (r // math.gcd(r, e - 2),) for g in chain(*gs)
+              for part in ds
+              for d in range(part.start + (-part.start) % step, part.stop, step))
 
     try:
         out = _SweepOut(open(args.out, "wb"), encoding="utf-8", newline="")

@@ -11,8 +11,10 @@ that decision to the three gates here: ``dims_check`` (hypersurfaces),
 ``bundle_rank``; ``HypParams`` and the closed form run it on their own
 grouping of the marks, as ``insertion_counts_check``) and
 ``projective_dims_check`` (P^r, with P^1 as its case r = 1).  ``point_count_integral`` is the
-integrality test of n: ``dims_check`` raises on it, and ``sweep`` uses it to
-drop most tuples of its box without building an exception.
+integrality test of n: ``dims_check`` raises on it, and ``sweep_record``
+refuses on it without building an exception.  ``sweep`` itself never makes
+a tuple that fails it, since n is an integer exactly when r >= 1 and
+r / gcd(r, e - 2) divides d; the tests hold that to this function.
 
 Whether the resulting integer actually enumerates honest maps (rather than
 a virtual count polluted by degenerate loci) is certified two ways:

@@ -635,9 +635,21 @@ def test_sweep_jobs_clamped_to_cpu_count(tmp_path, capsys, monkeypatch):
     _assert_no_child()
 
 
-# e 3, r 3..n, g 0, d 1..64: chunk i of 64 tuples is r = 3 + i, with valid rows.
+# e 3, r 3..n (n <= 7), g 0..63, d 420: a sweep makes only the tuples whose n
+# is an integer, and 420 = lcm(3..7) makes n one for every r, so chunk i of 64
+# tuples is r = 3 + i, and each of its rows is valid.
 def _one_r_per_chunk(rs):
-    return ["sweep", "--e", "3", "--r", rs, "--g", "0", "--d", "1..64"]
+    return ["sweep", "--e", "3", "--r", rs, "--g", "0..63", "--d", "420"]
+
+
+def test_one_r_per_chunk_gives_each_r_one_chunk_of_valid_rows(tmp_path, capsys,
+                                                               monkeypatch):
+    seen = _recording_sweep_record(monkeypatch)
+    path = tmp_path / "x.csv"
+    assert run(capsys, _one_r_per_chunk("3..7") + ["--out", str(path)]) == (0, "", "")
+    assert seen == [(g, 420, 3, r) for r in range(3, 8) for g in range(64)]
+    assert len(seen) == 5 * cli.SWEEP_CHUNK
+    assert path.read_text().count("\n") == 1 + len(seen)
 
 
 @pytest.mark.parametrize("jobs,rs", [
@@ -669,7 +681,7 @@ def test_sweep_breach_in_any_chunk_leaves_the_serial_prefix(
                                                                "--jobs", jobs])
     assert code == 3 and err_par == err
     assert paths[0].read_bytes() == paths[1].read_bytes()
-    assert paths[1].read_text().count("\n") == 1 + 21 * (bad_r > 3) + 16 * (bad_r > 4)
+    assert paths[1].read_text().count("\n") == 1 + 64 * (bad_r - 3)
     _assert_no_child()
 
 
@@ -681,7 +693,7 @@ def test_sweep_worker_exception_is_the_serial_sweeps(tmp_path, capsys, monkeypat
     record = cli.sweep_record
 
     def failing(*args):
-        if args[:4] == (0, 20, 3, 4):   # a valid tuple of chunk 1
+        if args[:4] == (20, 420, 3, 4):   # a valid tuple of chunk 1
             raise RuntimeError("boom")
         return record(*args)
 
@@ -691,7 +703,7 @@ def test_sweep_worker_exception_is_the_serial_sweeps(tmp_path, capsys, monkeypat
         with pytest.raises(RuntimeError, match="^boom$"):
             main(_one_r_per_chunk("3..5") + ["--out", str(path), "--jobs", jobs])
     assert paths[0].read_bytes() == paths[1].read_bytes()
-    assert paths[1].read_text().splitlines()[-1].startswith("0,16,3,4,")
+    assert paths[1].read_text().splitlines()[-1].startswith("19,420,3,4,")
     assert capsys.readouterr() == ("", "")
     _assert_no_child()
 
@@ -709,7 +721,7 @@ def test_a_worker_that_dies_costs_time_not_rows(tmp_path, capsys, monkeypatch, t
     def dying(*args):
         if os.getpid() == caller:
             made_here.add(args[3])
-        elif args[:4] == (0, 20, 3, 4) and not torn:
+        elif args[:4] == (20, 420, 3, 4) and not torn:
             os._exit(0)
         return record(*args)
 
@@ -738,7 +750,7 @@ def test_sweep_worker_passes_on_what_main_maps(tmp_path, capsys, monkeypatch, ex
     record = cli.sweep_record
 
     def failing(*args):
-        if args[:4] == (0, 20, 3, 4):   # a valid tuple of chunk 1
+        if args[:4] == (20, 420, 3, 4):   # a valid tuple of chunk 1
             raise exc("failed in chunk 1")
         return record(*args)
 
@@ -959,6 +971,45 @@ def test_sweep_refuses_without_the_gate_only_what_the_gate_refuses():
         with pytest.raises(ParameterError):
             engine.HypParams.standard(g, d, e, r)
     assert dropped and kept
+
+
+def _recording_sweep_record(monkeypatch):
+    """Rebind cli.sweep_record to record its arguments; the list it fills."""
+    record, seen = cli.sweep_record, []
+
+    def recorded(*tup):
+        seen.append(tup)
+        return record(*tup)
+
+    monkeypatch.setattr(cli, "sweep_record", recorded)
+    return seen
+
+
+def test_sweep_makes_exactly_the_integral_tuples_in_box_order(tmp_path, capsys,
+                                                              monkeypatch):
+    # The slow oracle is point_count_integral on every tuple of the box.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    want = [(g, d, e, r) for e, r, g, d in itertools.product(*REFUSAL_BOX)
+            if enumerativity.point_count_integral(d, e, r)]
+    seen = _recording_sweep_record(monkeypatch)
+    ranges = ["1..8", "-1..14", "-1..4", f"-1..90,{10**22 + 7}"]
+    argv = ["sweep", *(f"--{k}={v}" for k, v in zip("ergd", ranges))]
+    paths = [tmp_path / "serial.csv", tmp_path / "par.csv"]
+    assert run(capsys, argv + ["--out", str(paths[0])]) == (0, "", "")
+    assert seen == want
+    assert run(capsys, argv + ["--out", str(paths[1]), "--jobs", "2"]) == (0, "", "")
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    _assert_no_child()
+
+
+def test_sweep_cost_is_its_integral_tuples(tmp_path, capsys, monkeypatch):
+    # e = 3 makes d step by r, so the 250,000-tuple box holds
+    # sum(500 // r) = 3,190 integral tuples, and only those are made.
+    seen = _recording_sweep_record(monkeypatch)
+    argv = ["sweep", "--e", "3", "--r", "1..500", "--g", "0", "--d", "1..500",
+            "--out", str(tmp_path / "x.csv")]
+    assert run(capsys, argv) == (0, "", "")
+    assert len(seen) == sum(500 // r for r in range(1, 501)) == 3190
 
 
 @functools.cache
