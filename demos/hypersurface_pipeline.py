@@ -41,7 +41,7 @@ print(f"per-mark factor: {alpha}*H^{h}")
 # divided powers theta^[m] = theta^m / m! of the Jacobian's theta divisor
 # (no theta at genus 0).  It comes as a scale e^t and the ratio -e of
 # successive terms: term m is (-e)^m theta^[m] H^(t-m).
-scale, ratio = step3_class(p.e, p.t, p.g)
+scale, ratio = step3_class(p.e, p.t)
 print(f"global factor:   {show(scale, ratio, p.t, p.g)}")
 
 # Assemble, push down to the Jacobian, and integrate.  All n marks carry

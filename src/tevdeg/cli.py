@@ -57,9 +57,10 @@ that is not plain; ``enum_bound_closed`` imports ``fractions`` when it
 builds a bound, which ``hyp``, ``certify`` and ``sweep`` do at g >= 1
 where the bound applies; ``split_str`` imports ``decimal``, for an int
 past the int/str digit limit or 2^16 bits; ``verify`` imports ``acceptance``; and
-``sweep`` imports ``signal``, and with ``--jobs`` ``marshal``.  So a plain
-``p1``, ``qh``, ``insert`` or ``alpha`` query, and ``hyp`` or ``certify``
-at g = 0, loads none of them.
+``sweep`` imports ``signal``.  So a plain ``p1``, ``qh``, ``insert`` or
+``alpha`` query, and ``hyp`` or ``certify`` at g = 0, loads none of them.
+``marshal``, which a ``sweep --jobs`` pipe carries its rows in, is imported
+at the top: the interpreter has loaded it before any module runs.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ import contextlib
 import functools
 import io
 import itertools
-import math
+import marshal
 import os
 import sys
 from types import SimpleNamespace
@@ -318,12 +319,10 @@ SWEEP_COLUMNS = (
 def sweep_record(g: int, d: int, e: int, r: int) -> dict | None:
     """One sweep row, or None when the tuple is invalid.
 
-    ``cmd_sweep`` calls it only on the tuples of its box whose n is an
-    integer.  Other callers may pass any tuple: one whose n is not an
-    integer is refused here without raising, and the gate refuses the rest.
+    ``HypParams.standard``'s gate alone decides: any tuple it refuses gives
+    None.  ``cmd_sweep`` calls this only on the tuples of its box whose n
+    is an integer.
     """
-    if not enumerativity.point_count_integral(d, e, r):
-        return None
     try:
         p = engine.HypParams.standard(g, d, e, r)
     except ParameterError:
@@ -400,8 +399,6 @@ def _sweep_worker(tuples, k, jobs, write, wfd, read_fds):
     returns: ``os._exit`` skips the buffers and exit hooks it inherited too,
     such as those of ``--out`` and stdout.
     """
-    import marshal
-
     try:
         for fd in read_fds:
             os.close(fd)
@@ -429,9 +426,6 @@ def _sweep_rows(tuples, jobs, write):
     worker inherits no lock held by another thread.
     """
     import signal
-
-    if jobs > 1:
-        import marshal    # for the pipe
 
     pipes, pids = [], []
     try:
@@ -484,17 +478,14 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     es, rs, gs, ds = [parse_range(text) for text in (args.e, args.r, args.g, args.d)]
-    # Only the tuples whose n is an integer, in box order.  No n is one at
-    # r < 1, and (r+2-e)d = 0 mod r exactly when r / gcd(r, e-2) divides d,
-    # so d steps over the multiples of that in each of its ranges.  Nested
-    # loops, not itertools.product, which would first copy each range into
-    # a tuple.
-    chain = itertools.chain
-    rs = [range(max(part.start, 1), part.stop) for part in rs]
+    # Only the tuples whose n is an integer, in box order: each (e, r) reads
+    # its d once from enumerativity, and one with none skips the g loop.
+    # Nested loops, not itertools.product, which would first copy each
+    # range into a tuple.
+    chain, integral_degrees = itertools.chain, enumerativity.integral_degrees
     tuples = ((g, d, e, r) for e in chain(*es) for r in chain(*rs)
-              for step in (r // math.gcd(r, e - 2),) for g in chain(*gs)
-              for part in ds
-              for d in range(part.start + (-part.start) % step, part.stop, step))
+              for dr in ([integral_degrees(e, r, part) for part in ds],) if any(dr)
+              for g in chain(*gs) for d in chain(*dr))
 
     try:
         out = _SweepOut(open(args.out, "wb"), encoding="utf-8", newline="")

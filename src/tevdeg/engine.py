@@ -144,8 +144,8 @@ def point_factor(e: int, r: int) -> tuple[tuple[int, int], ...]:
     return tuple((alpha, degree - ell) for ell, alpha in enumerate(alphas, 1))
 
 
-def step3_class(e: int, t: int, g: int) -> tuple[int, int]:
-    """Top Chern class of the twisted push-down bundle, in H and theta:
+def step3_class(e: int, t: int) -> tuple[int, int]:
+    """Top Chern class of the twisted push-down bundle at genus g, in H and theta:
 
         e^t * sum_{m=0}^{g} (-e)^m * theta^[m] * H^{t-m},
 
@@ -211,7 +211,7 @@ def deg_T(p: HypParams) -> int:
         coeff *= alpha**mult
         hdeg += h * mult
 
-    scale, ratio = step3_class(p.e, p.t, p.g)
+    scale, ratio = step3_class(p.e, p.t)
     degree = hdeg + p.t
     # The Chern terms (-e)^m theta^[m] H^{degree-m}, m = 0..g, are all
     # nonzero, and all lie in the support window [N-1, N-1+g] of H-degrees

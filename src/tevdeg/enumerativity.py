@@ -10,11 +10,10 @@ that decision to the three gates here: ``dims_check`` (hypersurfaces),
 ``insertion_dims_check`` (linear-space insertions plus the engine's
 ``bundle_rank``; ``HypParams`` and the closed form run it on their own
 grouping of the marks, as ``insertion_counts_check``) and
-``projective_dims_check`` (P^r, with P^1 as its case r = 1).  ``point_count_integral`` is the
-integrality test of n: ``dims_check`` raises on it, and ``sweep_record``
-refuses on it without building an exception.  ``sweep`` itself never makes
-a tuple that fails it, since n is an integer exactly when r >= 1 and
-r / gcd(r, e - 2) divides d; the tests hold that to this function.
+``projective_dims_check`` (P^r, with P^1 as its case r = 1).  This module
+alone knows when n is an integer: ``dims_check`` tests it, and
+``integral_degrees`` lists the d that pass for an (e, r), the only d that
+``sweep`` makes; the gate alone decides which of those give a row.
 
 Whether the resulting integer actually enumerates honest maps (rather than
 a virtual count polluted by degenerate loci) is certified two ways:
@@ -51,6 +50,7 @@ as in ``localns={"Fraction": fractions.Fraction}``.
 from __future__ import annotations
 
 from collections import Counter
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
@@ -69,9 +69,15 @@ def _check_tuple(g: int, d: int, e: int, r: int) -> None:
         raise ParameterError(f"hypersurface dimension must be >= 1, got r={int_str(r)}")
 
 
-def point_count_integral(d: int, e: int, r: int) -> bool:
-    """Whether n = (r+2-e)d/r - g + 1 is an integer; False for r < 1."""
-    return r >= 1 and (r + 2 - e) * d % r == 0
+def integral_degrees(e: int, r: int, part: range) -> range:
+    """The d in ``part``, a step-1 range, for which n = (r+2-e)d/r - g + 1 is
+    an integer: none for r < 1, else the multiples of r / gcd(r, e-2), since
+    (r+2-e)d = 0 mod r exactly when that divides d.
+    """
+    if r < 1:
+        return range(0)
+    step = r // gcd(r, e - 2)
+    return range(part.start + (-part.start) % step, part.stop, step)
 
 
 def dims_check(g: int, d: int, e: int, r: int) -> int:
@@ -81,7 +87,7 @@ def dims_check(g: int, d: int, e: int, r: int) -> int:
     positive integer in the stable range.
     """
     _check_tuple(g, d, e, r)
-    if not point_count_integral(d, e, r):
+    if (r + 2 - e) * d % r:
         raise ParameterError(
             f"point count n = ({int_str(r)}+2-{int_str(e)})*{int_str(d)}/{int_str(r)} "
             f"- {int_str(g)} + 1 is not an integer"

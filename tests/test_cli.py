@@ -951,26 +951,44 @@ def test_sweep_acceptance_grid_digest(tmp_path, capsys, monkeypatch, fmt, jobs):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ACCEPTANCE_DIGESTS[fmt]
 
 
-# The box of the fast-refusal test: every gate's edge, r = 0 and a d past 10^22.
+# The box of the sweep-row tests: every gate's edge, r = 0 and a d past 10^22.
 REFUSAL_BOX = (range(1, 9), range(-1, 15), range(-1, 5), (*range(-1, 91), 10**22 + 7))
 
 
-def test_sweep_refuses_without_the_gate_only_what_the_gate_refuses():
-    # The slow oracle is HypParams.standard, whose gate raises ParameterError.
-    dropped = kept = 0
+def _n_is_integral(d, e, r):
+    """The slow oracle of when n = (r+2-e)d/r - g + 1 is an integer."""
+    return r >= 1 and (r + 2 - e) * d % r == 0
+
+
+def test_sweep_record_is_none_exactly_where_the_gate_refuses():
+    # The slow oracle is HypParams.standard, whose gate raises ParameterError;
+    # it refuses every tuple whose n is not an integer, and no other for that reason.
+    rows = refused_integral = 0
     for e, r, g, d in itertools.product(*REFUSAL_BOX):
-        if enumerativity.point_count_integral(d, e, r):
-            kept += 1
-            try:
-                enumerativity.dims_check(g, d, e, r)
-            except ParameterError as ex:
-                assert "not an integer" not in str(ex), (g, d, e, r)
-            continue
-        dropped += 1
-        assert cli.sweep_record(g, d, e, r) is None
-        with pytest.raises(ParameterError):
+        try:
             engine.HypParams.standard(g, d, e, r)
-    assert dropped and kept
+        except ParameterError as ex:
+            refused = True
+            if _n_is_integral(d, e, r):
+                refused_integral += 1
+                assert "not an integer" not in str(ex), (g, d, e, r)
+        else:
+            refused = False
+            assert _n_is_integral(d, e, r), (g, d, e, r)
+        assert (cli.sweep_record(g, d, e, r) is None) == refused, (g, d, e, r)
+        rows += not refused
+    assert rows == 5236 and refused_integral
+
+
+def test_integral_degrees_are_the_integral_d():
+    parts = [range(1, 91), range(-7, 13), range(0, 1), range(0, 25), range(-30, -2),
+             range(10**22 + 7, 10**22 + 8), range(10**22 - 100, 10**22 + 100)]
+    found = 0
+    for e, r, part in itertools.product(range(1, 9), range(-1, 15), parts):
+        got = enumerativity.integral_degrees(e, r, part)
+        assert list(got) == [d for d in part if _n_is_integral(d, e, r)], (e, r, part)
+        found += len(got)
+    assert found
 
 
 def _recording_sweep_record(monkeypatch):
@@ -987,10 +1005,10 @@ def _recording_sweep_record(monkeypatch):
 
 def test_sweep_makes_exactly_the_integral_tuples_in_box_order(tmp_path, capsys,
                                                               monkeypatch):
-    # The slow oracle is point_count_integral on every tuple of the box.
+    # The slow oracle is _n_is_integral on every tuple of the box.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     want = [(g, d, e, r) for e, r, g, d in itertools.product(*REFUSAL_BOX)
-            if enumerativity.point_count_integral(d, e, r)]
+            if _n_is_integral(d, e, r)]
     seen = _recording_sweep_record(monkeypatch)
     ranges = ["1..8", "-1..14", "-1..4", f"-1..90,{10**22 + 7}"]
     argv = ["sweep", *(f"--{k}={v}" for k, v in zip("ergd", ranges))]

@@ -501,19 +501,19 @@ def test_engine_matches_fraction_oracle_at_large_genus(g, d):
 # -- step3_class ------------------------------------------------------------------
 
 def test_step3_genus_zero():
-    assert step3_class(3, 1, 0) == (3, -3)
+    assert step3_class(3, 1) == (3, -3)
     assert _chern_terms(3, -3, 0) == _divided(_fraction_step3_class(3, 1, 0)) == [3]
 
 
 def test_step3_genus_one():
-    assert step3_class(3, 3, 1) == (27, -3)
+    assert step3_class(3, 3) == (27, -3)
     assert _chern_terms(27, -3, 1) == _divided(_fraction_step3_class(3, 3, 1)) == [27, -81]
 
 
 def test_step3_genus_two_has_rational_term():
     # In theta^m the oracle needs 729/2; in theta^[2] it is 81 * 9 = 729.
     assert _fraction_step3_class(3, 4, 2) == _jac(4, 2, [81, -243, Fraction(729, 2)])
-    assert step3_class(3, 4, 2) == (81, -3)
+    assert step3_class(3, 4) == (81, -3)
     assert _chern_terms(81, -3, 2) == [81, -243, 729]
 
 
@@ -523,7 +523,7 @@ def test_step3_matches_all_fraction_oracle():
     for e in range(3, 7):
         for g in range(7):
             for t in range(g, g + 9):
-                scale, ratio = step3_class(e, t, g)
+                scale, ratio = step3_class(e, t)
                 assert type(scale) is int and type(ratio) is int, (e, t, g)
                 assert (scale, ratio) == (e**t, -e), (e, t, g)
                 assert _chern_terms(scale, ratio, g) == _divided(
@@ -573,7 +573,7 @@ def test_pushforward_matches_all_fraction_oracle():
     for p in _sample_params():
         alpha, h = point_factor(p.e, p.r)[0]
         coeff, hdeg = alpha**p.n, h * p.n
-        scale, ratio = step3_class(p.e, p.t, p.g)
+        scale, ratio = step3_class(p.e, p.t)
         full = _jac(hdeg, p.g, [coeff]) * _fraction_step3_class(p.e, p.t, p.g)
         want = _fraction_pushforward_theta(full, p)
         got = _push(ratio, hdeg + p.t, p)
@@ -611,7 +611,7 @@ def test_running_term_matches_list_oracle_at_large_genus(g):
     p = HypParams.standard(g, 30 * g, 3, 3)
     alpha, h = point_factor(p.e, p.r)[0]
     degree = h * p.n + p.t
-    scale, ratio = step3_class(p.e, p.t, p.g)
+    scale, ratio = step3_class(p.e, p.t)
     want = _list_pushforward_theta(_list_chern_terms(p.e, p.g), degree, p.r, p.N, p.g)
     assert _push(ratio, degree, p) == want
     assert deg_T(p) == alpha**p.n * scale * want[g]
@@ -626,7 +626,7 @@ def test_pushed_down_sum_is_the_binomial_power():
         for r in range(1, 41):
             for g in range(201):
                 N = (r + 2) * (g + 1)
-                _, ratio = step3_class(e, g, g)
+                _, ratio = step3_class(e, g)
                 pushed = pushforward_theta(ratio, N - 1 + g, r, N, g)
                 assert integrate_theta(pushed, g) == (r + 2 - e) ** g, (e, r, g)
 
@@ -757,7 +757,7 @@ def test_pipeline_support_window():
             alpha, h = point_factor(e, r)[li - 1]
             coeff *= alpha
             hdeg += h
-        scale, ratio = step3_class(e, p.t, g)
+        scale, ratio = step3_class(e, p.t)
         hdegs = sorted(hdeg + p.t - j
                        for j, c in enumerate(_chern_terms(scale, ratio, g)) if coeff * c)
         assert hdegs == list(range(p.N - 1, p.N - 1 + g + 1))
@@ -831,7 +831,7 @@ def test_breach_on_a_count_past_the_digit_limit_names_it(monkeypatch):
     # With 49 for alpha and no scale e^t, 3^n does not divide the degree.
     monkeypatch.setattr(engine, "point_factor",
                         lambda e, r: tuple((49, h) for _, h in table))
-    monkeypatch.setattr(engine, "step3_class", lambda e, t, g: (1, 0))
+    monkeypatch.setattr(engine, "step3_class", lambda e, t: (1, 0))
     with pytest.raises(InvariantBreach, match="not divisible"):
         tev_hypersurface_engine(p)
 
