@@ -31,9 +31,12 @@ print(f"  n = {p.n} marks, bundle rank t = {p.t}, ambient rank N = {p.N}")
 # Each mark contributes one factor: the incidence class times the excess
 # factors times the line condition, with the top H_i power extracted.
 # The result is a single monomial alpha * H^h in the hyperplane class H.
-# One expansion gives it for every linear space of dimension 1..r+1; a
-# line is dimension 1, the first entry.
-alpha, h = point_factor(p.e, p.r)[0]
+# One expansion of the excess factors, which depend on e alone, gives it
+# for every r and every linear space of dimension 1..r+1: alpha_ell is a
+# prefix sum of the expansion and h = degree + r + 1 - ell.  A line is
+# dimension 1.
+degree, sums = point_factor(p.e)
+alpha, h = sums[1], degree + p.r
 print(f"per-mark factor: {alpha}*H^{h}")
 
 # The global factor forces the tuple to define a map into the cubic: the

@@ -282,8 +282,9 @@ def _run_cli_with_corrupted_point_factor(d, method, corrupt) -> int:
 
     original = engine.point_factor
 
-    def corrupted(e, r):
-        return tuple((corrupt(alpha), h) for alpha, h in original(e, r))
+    def corrupted(e):
+        degree, sums = original(e)
+        return degree, tuple(map(corrupt, sums))
 
     engine.point_factor = corrupted
     try:

@@ -478,6 +478,7 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     es, rs, gs, ds = [parse_range(text) for text in (args.e, args.r, args.g, args.d)]
+    rs = enumerativity.gated_dims(rs)
     # Only the tuples whose n is an integer, in box order: each (e, r) reads
     # its d once from enumerativity, and one with none skips the g loop.
     # Nested loops, not itertools.product, which would first copy each

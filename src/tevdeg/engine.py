@@ -34,11 +34,11 @@ Chern class is a scale e^t and the ratio -e of successive terms, and the
 pushforward sums its terms against the Segre terms with one running term;
 a class on the Jacobian is its list of theta^[m] coefficients.  The
 engine never evaluates the closed form's (r+2-e)^g.  The excess factor,
-a class in (H, H_i) with H_i capped at H_i^{r+1}, is a ``TruncPoly``.
+a class in (H, H_i) of degree e, is a ``TruncPoly``.
 
-The point factors depend on (e, r) alone, so ``point_factor`` keeps the
-last table it built: a sweep's rows come in (e, r) blocks and build each
-table once.
+The excess factor depends on e alone, and r only shifts a mark's H-degree,
+so ``point_factor`` is keyed by e and keeps the last table it built: a
+sweep's rows come in e blocks and build each table once.
 
 The count of honest maps is the resulting degree divided by e^n: each
 line condition meets the hypersurface in e points, only one of which is
@@ -106,42 +106,35 @@ class HypParams(namedtuple("HypParams", "g d e r n t N ell dims")):
                                    ((1, n),)))
 
 
-# One entry: a sweep runs e, then r, outermost, so a table is never needed
-# again once its (e, r) block ends, and the memo holds one table, not all.
+# One entry: a sweep runs e outermost, so a table is never needed again
+# once its e block ends, and the memo holds one table, not all.
 @lru_cache(maxsize=1)
-def point_factor(e: int, r: int) -> tuple[tuple[int, int], ...]:
-    """Contribution of one mark, for every insertion dimension at once.
+def point_factor(e: int) -> tuple[int, tuple[int, ...]]:
+    """Contribution of one mark, for every r and insertion dimension at once.
 
     Mark i contributes the H_i^{r+1} coefficient of
     (sum_{a+b=r+1} H^a H_i^b) * prod_{k=1}^{e} ((k-1)H + (e+1-k)H_i)
     * H_i^{r+1-ell_i}: the monomial alpha_{ell_i} * H^h.  The last factor
-    only shifts the H_i power, so one expansion of the first two as an
-    honest class in H and H_i (capped at H_i^{r+1}) serves every ell_i:
-    alpha_ell is its H_i^ell coefficient and h = degree - ell (by
-    homogeneity r+1+e-ell).  Only the excess product is multiplied out,
-    in e - 1 small products; the incidence class has every coefficient 1,
-    so alpha_ell is the prefix sum of the excess's H_i^0..H_i^ell
-    coefficients, O(e^2 + r) steps in all.  Returns the pairs
-    (alpha_ell, h) for ell = 1..r+1, so entry ell - 1 is dimension ell;
-    that every alpha is nonzero is asserted, not assumed.  The caller's
-    ``HypParams`` vouches for e >= 3 and r >= 1.
+    only shifts the H_i power, and the incidence class has every
+    coefficient 1, so alpha_ell is the sum of the excess product's H_i^0 ..
+    H_i^ell coefficients, and h = degree + r + 1 - ell (degree = e, the
+    excess's H-degree).  The excess depends on e alone and stops at H_i^e,
+    so one expansion, in e - 1 small products, serves every r and ell.
+    Returns the excess's degree and its e + 1 prefix sums: alpha_ell =
+    sums[min(ell, e)] for every ell >= 1.  That the product has its e + 1
+    terms and that every alpha is nonzero is asserted, not assumed.  The
+    caller's ``HypParams`` vouches for e >= 3.
     """
-    excess = TruncPoly(1, "Hi", r + 1, [0, e])
+    excess = TruncPoly(1, "Hi", e, [0, e])
     for k in range(2, e + 1):
-        excess = excess * TruncPoly(1, "Hi", r + 1, [k - 1, e + 1 - k])
-    # Times the all-ones incidence class, the H_i^ell coefficient is the
-    # sum of the excess terms up to H_i^ell: past the excess's last term
-    # every alpha is the full sum (zero if the excess has no terms).
-    sums = list(accumulate(excess.terms)) or [0]
-    alphas = sums[1 : r + 2] + sums[-1:] * (r + 2 - len(sums))
-    degree = excess.degree + r + 1
-    if 0 in alphas:
-        ell = alphas.index(0) + 1
+        excess = excess * TruncPoly(1, "Hi", e, [k - 1, e + 1 - k])
+    sums = tuple(accumulate(excess.terms))
+    if len(sums) != e + 1 or 0 in sums[1:]:
+        # The first ell whose alpha is zero, or has no sum to read.
+        ell = (sums[1:] + (0,)).index(0) + 1
         raise InvariantBreach(
-            f"point factor for (e={e}, r={r}, ell={ell}) has no term at "
-            f"H^{degree - ell}: excess {excess!r}"
-        )
-    return tuple((alpha, degree - ell) for ell, alpha in enumerate(alphas, 1))
+            f"point factor for (e={e}, ell={ell}) has no term: excess {excess!r}")
+    return excess.degree, sums
 
 
 def step3_class(e: int, t: int) -> tuple[int, int]:
@@ -190,10 +183,10 @@ def deg_T(p: HypParams) -> int:
     """Degree of the incidence cycle for marks with dimensions ``p.ell``.
 
     The whole pipeline: point factors, Chern class, support-window check,
-    pushforward and integral.  Marks with equal ell_i share one monomial,
-    read from the (e, r) table of (alpha, h) pairs of ``point_factor``,
-    entry ell_i - 1 for dimension ell_i, and raised to their number, read
-    from ``p.dims``.  The monomial's coefficient and the
+    pushforward and integral.  Marks with equal ell_i share one monomial
+    alpha_{ell_i} H^h, read from the e-keyed prefix sums of
+    ``point_factor`` with h = degree + r + 1 - ell_i, and raised to their
+    number, read from ``p.dims``.  The monomial's coefficient and the
     Chern scale e^t multiply the pushed-down sum once, outside the stages.
 
     The result is e^n times the count of maps when every mark is on a
@@ -202,14 +195,13 @@ def deg_T(p: HypParams) -> int:
     count's cycle degree is alpha_1^n e^t S, so that is what makes e^n
     divide it; e^t alone does whenever t >= n, whatever alpha_1 is.
     """
-    table = point_factor(p.e, p.r)
+    excess_degree, sums = point_factor(p.e)
     coeff = 1
     hdeg = 0
-    # The gate holds every ell_i to [1, r+1], so no index wraps around.
+    # The gate holds every ell_i to [1, r+1]; alpha_ell = sums[e] past ell = e.
     for li, mult in p.dims:
-        alpha, h = table[li - 1]
-        coeff *= alpha**mult
-        hdeg += h * mult
+        coeff *= sums[min(li, p.e)] ** mult
+        hdeg += (excess_degree + p.r + 1 - li) * mult
 
     scale, ratio = step3_class(p.e, p.t)
     degree = hdeg + p.t
@@ -230,7 +222,7 @@ def deg_T(p: HypParams) -> int:
             f"cycle degree {int_str(num)}/{int_str(den)} is not an integer")
     if value < 0:
         raise InvariantBreach(f"cycle degree {int_str(value)} is negative")
-    alpha_1 = table[0][0]
+    alpha_1 = sums[1]
     if alpha_1 % p.e:
         raise InvariantBreach(
             f"point factor alpha_1 = {int_str(alpha_1)} is not divisible by e = {p.e}"

@@ -11,9 +11,9 @@ that decision to the three gates here: ``dims_check`` (hypersurfaces),
 ``bundle_rank``; ``HypParams`` and the closed form run it on their own
 grouping of the marks, as ``insertion_counts_check``) and
 ``projective_dims_check`` (P^r, with P^1 as its case r = 1).  This module
-alone knows when n is an integer: ``dims_check`` tests it, and
-``integral_degrees`` lists the d that pass for an (e, r), the only d that
-``sweep`` makes; the gate alone decides which of those give a row.
+alone knows when n is an integer: ``dims_check`` tests it, and ``sweep``
+makes only the d that ``integral_degrees`` lists for an (e, r) with r in
+``gated_dims``; the gate alone decides which of those give a row.
 
 Whether the resulting integer actually enumerates honest maps (rather than
 a virtual count polluted by degenerate loci) is certified two ways:
@@ -67,6 +67,11 @@ def _check_tuple(g: int, d: int, e: int, r: int) -> None:
         raise ParameterError(f"hypersurface degree must be >= 3, got e={int_str(e)}")
     if r < 1:
         raise ParameterError(f"hypersurface dimension must be >= 1, got r={int_str(r)}")
+
+
+def gated_dims(parts: list[range]) -> list[range]:
+    """The r in ``parts``, step-1 ranges, that the gates admit: r >= 1."""
+    return [range(max(part.start, 1), part.stop) for part in parts if part.stop > 1]
 
 
 def integral_degrees(e: int, r: int, part: range) -> range:

@@ -40,7 +40,7 @@ class TruncPoly:
     ``terms[j]`` is the coefficient of H^{degree-j} * var^j, so the list
     stops at min(degree, cap) and a product adds the degrees and takes the
     capped convolution of the two lists.  The cap is the ring structure: it
-    models nilpotence (theta^{g+1} = 0 on a Jacobian, H_i^{r+2} = 0 on the
+    models nilpotence (theta^{g+1} = 0 on a Jacobian, H_i^{e+1} = 0 on the
     excess factors), so multiplication remains associative and commutative.
     Trailing zeros are stripped, so 0 has no terms and equality is plain
     structural equality.  Treat instances as immutable.

@@ -9,7 +9,7 @@ from tevdeg.engine import point_factor
 def fresh_point_factor_memo():
     """Start and end each test with ``point_factor``'s memo empty.
 
-    The memo keeps the last (e, r) table, so without this a test that patches
+    The memo keeps the last e's table, so without this a test that patches
     the ``TruncPoly`` product, or counts products or builds, would read a
     table another test built, and a table built under a patched product
     would reach the next test.

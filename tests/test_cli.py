@@ -171,18 +171,18 @@ def test_hyp_invalid_input_exits_2(capsys):
     assert code == 2 and "not an integer" in err
 
 
-def _scaled_point_factor(monkeypatch, only_r=None):
+def _scaled_point_factor(monkeypatch, only_e=None):
     """Rebind engine.point_factor to the true table, each alpha times 1/p, p prime.
 
-    With ``only_r``, only the tables of that r are scaled.
+    With ``only_e``, only the table of that e is scaled.
     """
     original = engine.point_factor
 
-    def corrupted(e, r):
-        table = original(e, r)
-        if only_r not in (None, r):
+    def corrupted(e):
+        degree, sums = table = original(e)
+        if only_e not in (None, e):
             return table
-        return tuple((alpha * Fraction(1, 1_000_000_007), h) for alpha, h in table)
+        return degree, tuple(alpha * Fraction(1, 1_000_000_007) for alpha in sums)
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
 
@@ -198,8 +198,8 @@ def test_hyp_alpha_not_divisible_by_e_exits_3(capsys, monkeypatch):
     # At (0, 9, 3, 3), n = t = 7: e^t alone makes e^n divide the corrupted
     # cycle degree, so only the check on alpha_1 itself refuses it.
     original = engine.point_factor
-    monkeypatch.setattr(engine, "point_factor", lambda e, r: tuple(
-        (alpha + 1, h) for alpha, h in original(e, r)))
+    monkeypatch.setattr(engine, "point_factor", lambda e: (
+        original(e)[0], tuple(alpha + 1 for alpha in original(e)[1])))
     code, out, err = run(capsys, ["hyp", "--g", "0", "--d", "9", "--e", "3",
                                   "--r", "3", "--method", "both"])
     assert (code, out) == (3, "")
@@ -668,20 +668,26 @@ def test_sweep_jobs_shapes_match_serial(tmp_path, capsys, monkeypatch, jobs, rs)
     _assert_no_child()
 
 
+def _one_e_per_chunk(es):
+    """A box whose every e in ``es`` gives one chunk of 64 valid rows."""
+    return ["sweep", "--e", es, "--r", "10", "--g", "0..63", "--d", "420"]
+
+
 @pytest.mark.parametrize("jobs", ["2", "3"])
-@pytest.mark.parametrize("bad_r", [3, 4, 5])   # chunk 0 is the caller's
+@pytest.mark.parametrize("bad_e", [3, 4, 5])   # chunk 0 is the caller's
 def test_sweep_breach_in_any_chunk_leaves_the_serial_prefix(
-        tmp_path, capsys, monkeypatch, jobs, bad_r):
+        tmp_path, capsys, monkeypatch, jobs, bad_e):
+    # The point factor is keyed by e, so the breach is put in one e's chunk.
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    _scaled_point_factor(monkeypatch, only_r=bad_r)
+    _scaled_point_factor(monkeypatch, only_e=bad_e)
     paths = [tmp_path / "serial.csv", tmp_path / "par.csv"]
-    code, _, err = run(capsys, _one_r_per_chunk("3..5") + ["--out", str(paths[0])])
+    code, _, err = run(capsys, _one_e_per_chunk("3..5") + ["--out", str(paths[0])])
     assert code == 3 and "invariant breach" in err
-    code, _, err_par = run(capsys, _one_r_per_chunk("3..5") + ["--out", str(paths[1]),
+    code, _, err_par = run(capsys, _one_e_per_chunk("3..5") + ["--out", str(paths[1]),
                                                                "--jobs", jobs])
     assert code == 3 and err_par == err
     assert paths[0].read_bytes() == paths[1].read_bytes()
-    assert paths[1].read_text().count("\n") == 1 + 64 * (bad_r - 3)
+    assert paths[1].read_text().count("\n") == 1 + 64 * (bad_e - 3)
     _assert_no_child()
 
 
@@ -991,6 +997,15 @@ def test_integral_degrees_are_the_integral_d():
     assert found
 
 
+def test_gated_dims_are_the_r_the_gates_admit():
+    for text in ("-1000000..0", "-3..2", "0", "1", "-7..-2,0..4,9,12..15", "2..5,100"):
+        parts = parse_range(text)
+        clipped = enumerativity.gated_dims(parts)
+        assert all(clipped), text
+        assert list(itertools.chain(*clipped)) == [
+            r for r in itertools.chain(*parts) if r >= 1], text
+
+
 def _recording_sweep_record(monkeypatch):
     """Rebind cli.sweep_record to record its arguments; the list it fills."""
     record, seen = cli.sweep_record, []
@@ -1150,21 +1165,21 @@ def test_sweep_breach_exits_3(tmp_path, capsys, monkeypatch, jobs):
 
 
 def test_serial_sweep_builds_each_point_factor_once(tmp_path, capsys):
-    # The box runs e, then r, outermost, so the one-table memo builds each
-    # (e, r) with a valid row once, and every other row reads it.
+    # The box runs e outermost, so the one-table memo builds each e with a
+    # valid row once, and every other row, at any r, reads it.
     path = tmp_path / "grid.csv"
     code, _, _ = run(capsys, ["sweep", *ACCEPTANCE_GRID, "--out", str(path)])
     assert code == 0
     rows = path.read_text().splitlines()[1:]
-    valid = {(int(row.split(",")[2]), int(row.split(",")[3])) for row in rows}
+    valid = {int(row.split(",")[2]) for row in rows}
     info = engine.point_factor.cache_info()
-    assert info.misses == len(valid) == 23
+    assert info.misses == len(valid) == 3
     assert info.hits + info.misses == len(rows) == 572
 
 
 def test_sweep_holds_one_point_factor_table(tmp_path, capsys):
-    # A sweep keeps no table past its (e, r) block: over r 1..300 the tables
-    # add up to megabytes, and the traced peak stays under 1 MB.
+    # A sweep keeps one table per e, whatever its r: over r 1..300 one table
+    # of e + 1 ints serves every row, and the traced peak stays under 1 MB.
     import tracemalloc
 
     argv = ["sweep", "--e", "3", "--r", "1..300", "--g", "0", "--d", "1..300",
@@ -1176,6 +1191,25 @@ def test_sweep_holds_one_point_factor_table(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0 and peak < 1_000_000
+    assert engine.point_factor.cache_info().misses == 1
+
+
+def test_sweep_spends_nothing_on_r_below_1(tmp_path, capsys, monkeypatch):
+    # No tuple with r < 1 passes the gate, so a million of them cost no
+    # call to integral_degrees, let alone a g loop: at most one per d part.
+    integral_degrees, calls = enumerativity.integral_degrees, []
+
+    def counted(e, r, part):
+        calls.append((e, r, part))
+        return integral_degrees(e, r, part)
+
+    monkeypatch.setattr(enumerativity, "integral_degrees", counted)
+    path = tmp_path / "x.csv"
+    argv = ["sweep", "--e", "3", "--r=-1000000..0", "--g", "0..1000", "--d", "1",
+            "--out", str(path)]
+    assert run(capsys, argv) == (0, "", "")
+    assert len(calls) <= 1
+    assert path.read_text() == ",".join(cli.SWEEP_COLUMNS) + "\n"
 
 
 HUGE_SWEEP = ["sweep", "--e", "3", "--r", "3", "--g", "0", "--d", "1..1000000000000"]

@@ -209,18 +209,27 @@ def test_grouped_gate_matches_the_tuple_walk_on_random_profiles():
 
 # -- point_factor ---------------------------------------------------------------
 
+def _pairs(e, r):
+    """The e-keyed table read as deg_T reads it: (alpha_ell, h) at ell = 1..r+1."""
+    degree, sums = point_factor(e)
+    return tuple((sums[min(ell, e)], degree + r + 1 - ell) for ell in range(1, r + 2))
+
+
 def test_point_factor_examples():
-    assert point_factor(3, 3) == ((6, 6), (21, 5), (27, 4), (27, 3))
-    assert point_factor(3, 1) == ((6, 4), (21, 3))
-    assert point_factor(6, 1)[0] == (720, 7)
+    assert point_factor(3) == (3, (0, 6, 21, 27))
+    assert _pairs(3, 3) == ((6, 6), (21, 5), (27, 4), (27, 3))
+    assert _pairs(3, 1) == ((6, 4), (21, 3))
+    assert _pairs(6, 1)[0] == (720, 7)
 
 
 def test_point_factor_is_alpha_monomial():
+    # r from 1, so r + 1 < e, where the table reads alpha_ell before the
+    # excess product's last term, up to r + 1 = 39 > e.
     for e in range(3, 9):
         for r in range(1, 40):
             alphas = alpha_coefficients(e, r)
-            assert point_factor(e, r) == tuple(
-                (alphas[ell - 1], r + 1 + e - ell) for ell in range(1, r + 2))
+            assert _pairs(e, r) == tuple(
+                (alphas[ell - 1], r + 1 + e - ell) for ell in range(1, r + 2)), (e, r)
 
 
 def _per_ell_point_factor(e, r, ell_i):
@@ -236,7 +245,7 @@ def _per_ell_point_factor(e, r, ell_i):
 def test_point_factor_matches_per_ell_expansion():
     for e in range(3, 7):
         for r in range(1, 25):
-            assert point_factor(e, r) == tuple(
+            assert _pairs(e, r) == tuple(
                 _per_ell_point_factor(e, r, ell) for ell in range(1, r + 2)), (e, r)
 
 
@@ -261,8 +270,8 @@ def _brute_point_factor(e, r, ell):
 def test_point_factor_matches_brute_expansion():
     for e in range(3, 7):
         for r in range(1, 11):
-            table = point_factor(e, r)
-            assert len(table) == r + 1, (e, r)
+            assert len(point_factor(e)[1]) == e + 1, e
+            table = _pairs(e, r)
             for ell in range(1, r + 2):
                 top = _brute_point_factor(e, r, ell)
                 assert len(top) == 1, (e, r, ell, top)
@@ -274,17 +283,17 @@ def test_point_factor_line_entry_is_e_factorial():
     # alpha_1 = e!, so e divides it: the fact that deg_T checks on every
     # table it reads, and that makes e^n divide the cycle degree.
     for e in range(3, 9):
-        for r in range(1, 61):
-            assert point_factor(e, r)[0][0] == factorial(e), (e, r)
+        assert point_factor(e)[1][1] == factorial(e), e
+        assert {_pairs(e, r)[0][0] for r in range(1, 61)} == {factorial(e)}, e
 
 
 def test_point_factor_rejects_out_of_range(monkeypatch):
-    # point_factor trusts the gate for e and r.  ell_i = 0 and ell_i = r+2
-    # would read entries -1 and r+1 of the table; the gate refuses both
-    # before any table is built or read.
+    # point_factor trusts the gate for e.  ell_i = 0 would read the H_i^0
+    # sum, which is no alpha, and ell_i = r+2 a dimension past P^{r+1}; the
+    # gate refuses both before any table is built or read.
     from tevdeg.cli import main
 
-    def unreachable(e, r):
+    def unreachable(e):
         raise AssertionError("point_factor called past the gate")
 
     monkeypatch.setattr(engine, "point_factor", unreachable)
@@ -311,12 +320,20 @@ def test_point_factor_breaches_on_a_missing_alpha(monkeypatch):
         return out
 
     monkeypatch.setattr(TruncPoly, "__mul__", drop_h_i)
-    with pytest.raises(InvariantBreach, match=r"\(e=3, r=3, ell=1\) has no term at H\^6"):
-        point_factor(3, 3)
+    with pytest.raises(InvariantBreach, match=r"\(e=3, ell=1\) has no term"):
+        point_factor(3)
+    # An excess that lost its H_i^e term has no sum for alpha_e.
+    def drop_top(a, b):
+        out = original(a, b)
+        return TruncPoly(3, out.var, out.cap, out.terms[:-1]) if out.degree == 3 else out
+
+    monkeypatch.setattr(TruncPoly, "__mul__", drop_top)
+    with pytest.raises(InvariantBreach, match=r"\(e=3, ell=3\) has no term"):
+        point_factor(3)
     # The memo keeps no raise: with the product mended, the next call builds.
     monkeypatch.undo()
-    assert point_factor(3, 3) == ((6, 6), (21, 5), (27, 4), (27, 3))
-    assert point_factor.cache_info().misses == 2
+    assert point_factor(3) == (3, (0, 6, 21, 27))
+    assert point_factor.cache_info().misses == 3
 
 
 def _convolution_point_factor(e, r):
@@ -333,7 +350,7 @@ def _convolution_point_factor(e, r):
 @pytest.mark.parametrize("e", range(3, 9))
 def test_running_sum_matches_convolution(e):
     for r in (*range(1, 61), 500, 3000):
-        assert point_factor(e, r) == _convolution_point_factor(e, r), (e, r)
+        assert _pairs(e, r) == _convolution_point_factor(e, r), (e, r)
 
 
 def _term_pairs(monkeypatch):
@@ -349,19 +366,19 @@ def _term_pairs(monkeypatch):
 
 
 @pytest.mark.parametrize("e", range(3, 7))
-def test_point_factor_and_alpha_products_do_not_grow_with_r(e, monkeypatch):
+def test_point_factor_and_alpha_make_the_same_excess_products(e, monkeypatch):
     # Both routes multiply only the e - 1 small products of their excess
-    # polynomial, a (k+1)-term class by a 2-term factor, whatever r is; the
-    # engine's classes stop at H_i^{r+1}, so at small r a product can be
-    # shorter.  The all-ones incidence class is a running sum, never a product.
+    # polynomial, a (k+1)-term class by a 2-term factor.  The engine's takes
+    # no r at all, and the closed form's does not grow with r.  The all-ones
+    # incidence class is a running sum, never a product.
+    excess_pairs = sum(2 * (k + 1) for k in range(1, e))
     pairs = _term_pairs(monkeypatch)
+    point_factor(e)
+    assert sum(pairs) == excess_pairs
     for r in (3, 3000):
         pairs.clear()
-        point_factor(e, r)
-        assert sum(pairs) == sum(2 * (min(k, r + 1) + 1) for k in range(1, e)), r
-        pairs.clear()
         alpha_coefficients(e, r)
-        assert sum(pairs) == sum(2 * (k + 1) for k in range(1, e)), r
+        assert sum(pairs) == excess_pairs, r
 
 
 # -- the Fraction oracle -------------------------------------------------------------
@@ -404,7 +421,7 @@ def _fraction_integrate_theta(c, g):
 
 def _fraction_cycle_degree(p):
     coeff, hdeg = 1, 0
-    table = point_factor(p.e, p.r)
+    table = _pairs(p.e, p.r)
     for li, mult in Counter(p.ell).items():
         alpha, h = table[li - 1]
         coeff *= alpha**mult
@@ -571,7 +588,7 @@ def _sample_params():
 def test_pushforward_matches_all_fraction_oracle():
     seen = 0
     for p in _sample_params():
-        alpha, h = point_factor(p.e, p.r)[0]
+        alpha, h = _pairs(p.e, p.r)[0]
         coeff, hdeg = alpha**p.n, h * p.n
         scale, ratio = step3_class(p.e, p.t)
         full = _jac(hdeg, p.g, [coeff]) * _fraction_step3_class(p.e, p.t, p.g)
@@ -609,7 +626,7 @@ def test_running_term_matches_list_oracle_at_large_genus(g):
     # The Chern class of deg_T at its own degree, where the Fraction oracle
     # is too slow; the stages and the whole pipeline both agree.
     p = HypParams.standard(g, 30 * g, 3, 3)
-    alpha, h = point_factor(p.e, p.r)[0]
+    alpha, h = _pairs(p.e, p.r)[0]
     degree = h * p.n + p.t
     scale, ratio = step3_class(p.e, p.t)
     want = _list_pushforward_theta(_list_chern_terms(p.e, p.g), degree, p.r, p.N, p.g)
@@ -673,33 +690,34 @@ def test_deg_T_matches_insertion_closed_form_on_mixed_profiles():
 
 
 def _count_point_factor(monkeypatch):
-    """Rebind engine.point_factor to the true one, logging each (e, r)."""
+    """Rebind engine.point_factor to the true one, logging each e."""
     calls = []
 
-    def counted(e, r):
-        calls.append((e, r))
-        return point_factor(e, r)
+    def counted(e):
+        calls.append(e)
+        return point_factor(e)
 
     monkeypatch.setattr(engine, "point_factor", counted)
     return calls
 
 
-def test_deg_T_builds_one_point_factor_per_e_r(monkeypatch):
+def test_deg_T_builds_one_point_factor_per_e(monkeypatch):
     calls = _count_point_factor(monkeypatch)
     p = HypParams(0, 6, 3, 3, (2, 2, 2, 1, 1, 1))
     assert deg_T(p) == 6001128
-    assert calls == [(3, 3)]
+    assert calls == [3]
     calls.clear()
-    deg_T(HypParams.standard(3, 300, 3, 10))  # 268 marks, all ell = 1
-    assert calls == [(3, 10)]
-    assert point_factor.cache_info().misses == 2
-    # The memo holds one table, so (3, 10) replaced (3, 3): the next four
-    # calls, over three counts and an insertion profile, build (3, 3) once.
+    deg_T(HypParams.standard(3, 300, 3, 10))  # 268 marks, all ell = 1, at r = 10
+    assert calls == [3]
+    assert point_factor.cache_info().misses == 1
+    # The memo holds one table, so e = 4 replaces e = 3: the next four
+    # calls, over three counts and an insertion profile, build e = 3 once.
+    deg_T(HypParams.standard(0, 12, 4, 6))
     for g, d in ((0, 3), (1, 3), (0, 6)):
         tev_hypersurface_engine(HypParams.standard(g, d, 3, 3))
     deg_T(p)
     info = point_factor.cache_info()
-    assert (info.hits, info.misses, info.maxsize, info.currsize) == (3, 3, 1, 1)
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (4, 3, 1, 1)
 
 
 def test_every_insertion_dimension_from_one_point_factor(capsys, monkeypatch):
@@ -711,17 +729,17 @@ def test_every_insertion_dimension_from_one_point_factor(capsys, monkeypatch):
     p = HypParams(1, 1890, 3, 60, ell)
     calls = _count_point_factor(monkeypatch)
     assert deg_T(p) == deg_T_insertions_closed(1, 1890, 3, 60, ell)
-    assert calls == [(3, 60)]
+    assert calls == [3]
     argv = ["insert", "--g", "1", "--d", "1890", "--e", "3", "--r", "60",
             "--ell", ",".join(map(str, ell)), "--json"]
     calls.clear()
     assert main(argv + ["--method", "engine"]) == 0
-    assert calls == [(3, 60)]
+    assert calls == [3]
     engine_doc = json.loads(capsys.readouterr().out)
     assert main(argv + ["--method", "closed"]) == 0
     closed_doc = json.loads(capsys.readouterr().out)
     assert engine_doc["results"][0]["value"] == closed_doc["results"][0]["value"]
-    assert calls == [(3, 60)]
+    assert calls == [3]
 
 
 def test_a_corrupted_table_stays_out_of_the_memo(monkeypatch):
@@ -729,13 +747,13 @@ def test_a_corrupted_table_stays_out_of_the_memo(monkeypatch):
     # comes in by rebinding that name, as criterion 6 does.  The memo sits
     # behind the rebinding and keeps the true table.
     p = HypParams.standard(0, 3, 3, 3)
-    table = point_factor(3, 3)
-    monkeypatch.setattr(engine, "point_factor", lambda e, r: tuple(
-        (alpha * Fraction(1, 1_000_000_007), h) for alpha, h in point_factor(e, r)))
+    table = point_factor(3)
+    monkeypatch.setattr(engine, "point_factor", lambda e: (point_factor(e)[0], tuple(
+        alpha * Fraction(1, 1_000_000_007) for alpha in point_factor(e)[1])))
     with pytest.raises(InvariantBreach, match="not an integer"):
         deg_T(p)
     monkeypatch.undo()
-    assert deg_T(p) == 648 and point_factor(3, 3) is table
+    assert deg_T(p) == 648 and point_factor(3) is table
     assert point_factor.cache_info().misses == 1
 
 
@@ -754,7 +772,7 @@ def test_pipeline_support_window():
         p = HypParams.standard(g, d, e, r)
         coeff, hdeg = 1, 0
         for li in p.ell:
-            alpha, h = point_factor(e, r)[li - 1]
+            alpha, h = _pairs(e, r)[li - 1]
             coeff *= alpha
             hdeg += h
         scale, ratio = step3_class(e, p.t)
@@ -777,9 +795,9 @@ def test_exactness_and_divisibility_on_sample():
 def test_corrupted_coefficient_breaches_integrality(monkeypatch):
     original = point_factor
 
-    def corrupted(e, r):
-        return tuple((alpha * Fraction(1, 1_000_000_007), h)
-                     for alpha, h in original(e, r))
+    def corrupted(e):
+        degree, sums = original(e)
+        return degree, tuple(alpha * Fraction(1, 1_000_000_007) for alpha in sums)
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
     with pytest.raises(InvariantBreach, match="not an integer"):
@@ -789,8 +807,9 @@ def test_corrupted_coefficient_breaches_integrality(monkeypatch):
 def test_corrupted_coefficient_breaches_divisibility(monkeypatch):
     original = point_factor
 
-    def corrupted(e, r):
-        return tuple((alpha + 1, h) for alpha, h in original(e, r))
+    def corrupted(e):
+        degree, sums = original(e)
+        return degree, tuple(alpha + 1 for alpha in sums)
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
     with pytest.raises(InvariantBreach, match="not divisible"):
@@ -801,8 +820,8 @@ def test_deg_T_checks_alpha_1_for_any_insertion_dimensions(monkeypatch):
     # The check is on the table deg_T reads, so it holds on insert
     # parameters too, even where no mark uses the line factor.
     original = point_factor
-    monkeypatch.setattr(engine, "point_factor", lambda e, r: tuple(
-        (alpha + 1, h) for alpha, h in original(e, r)))
+    monkeypatch.setattr(engine, "point_factor", lambda e: (
+        original(e)[0], tuple(alpha + 1 for alpha in original(e)[1])))
     for args, alpha in (((0, 6, 3, 3, (2, 2, 2, 1, 1, 1)), 7), ((0, 3, 4, 3, (2, 2, 2)), 25)):
         with pytest.raises(InvariantBreach, match=f"alpha_1 = {alpha} is not divisible"):
             deg_T(HypParams(*args))
@@ -811,8 +830,9 @@ def test_deg_T_checks_alpha_1_for_any_insertion_dimensions(monkeypatch):
 def test_corrupted_degree_breaches_support_window(monkeypatch):
     original = point_factor
 
-    def corrupted(e, r):
-        return tuple((alpha, h + 1) for alpha, h in original(e, r))
+    def corrupted(e):
+        degree, sums = original(e)
+        return degree + 1, sums
 
     monkeypatch.setattr(engine, "point_factor", corrupted)
     with pytest.raises(InvariantBreach, match="H-degree"):
@@ -823,14 +843,13 @@ def test_breach_on_a_count_past_the_digit_limit_names_it(monkeypatch):
     # The cycle degree of (0, 6600, 3, 3), 6^4401 * 3^6598, and 49^4401
     # both pass the default limit of 4300 digits; each breach still raises.
     p = HypParams.standard(0, 6600, 3, 3)
-    table = point_factor(3, 3)
+    degree, sums = point_factor(3)
     monkeypatch.setattr(engine, "point_factor",
-                        lambda e, r: tuple((-alpha, h) for alpha, h in table))
+                        lambda e: (degree, tuple(-alpha for alpha in sums)))
     with pytest.raises(InvariantBreach, match="is negative"):
         deg_T(p)
     # With 49 for alpha and no scale e^t, 3^n does not divide the degree.
-    monkeypatch.setattr(engine, "point_factor",
-                        lambda e, r: tuple((49, h) for _, h in table))
+    monkeypatch.setattr(engine, "point_factor", lambda e: (degree, (49,) * len(sums)))
     monkeypatch.setattr(engine, "step3_class", lambda e, t: (1, 0))
     with pytest.raises(InvariantBreach, match="not divisible"):
         tev_hypersurface_engine(p)
@@ -841,9 +860,9 @@ def test_non_int_breach_past_the_digit_limit_exits_3(capsys, monkeypatch):
     # denominator both pass the default limit of 4300 digits.
     from tevdeg.cli import main
 
-    table = point_factor(3, 3)
-    monkeypatch.setattr(engine, "point_factor", lambda e, r: tuple(
-        (Fraction(alpha, 1_000_000_007), h) for alpha, h in table))
+    degree, sums = point_factor(3)
+    monkeypatch.setattr(engine, "point_factor", lambda e: (
+        degree, tuple(Fraction(alpha, 1_000_000_007) for alpha in sums)))
     code = main(["hyp", "--g", "0", "--d", "6600", "--e", "3", "--r", "3",
                  "--method", "engine"])
     out, err = capsys.readouterr()
